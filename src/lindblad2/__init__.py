@@ -58,6 +58,7 @@ from .dynamics import (
     evolve_expm,
     evolve_rk4,
     generator_spectrum,
+    liouvillian,
     matrix_exponential,
 )
 from .asymptotics import (

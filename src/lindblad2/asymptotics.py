@@ -17,7 +17,7 @@ from .core import DensityState, as_field_vector, density_from_bloch, _readonly
 from .dynamics import build_generator, evolve_expm, generator_spectrum
 from .errors import NegativeHorizonError
 from .forms import FormB, dissipation_matrix, reduce_terms
-from .tolerances import PARALLEL_TOL
+from .tolerances import GAP_TOL, PARALLEL_TOL
 
 MAXIMALLY_MIXED = "maximally-mixed"
 DECOHERED = "decohered"
@@ -119,8 +119,9 @@ def spectral_gap(gen) -> float:
     """Decay rate of the slowest non-stationary mode: minus the largest
     strictly negative real part among the generator eigenvalues."""
     eigs = generator_spectrum(gen)
-    scale = max(1.0, float(np.linalg.norm(np.asarray(gen.matrix))))
-    decaying = [e.real for e in eigs if e.real < -1e-12 * scale]
+    # The largest entry, unlike the Frobenius norm, cannot overflow.
+    scale = max(1.0, float(np.max(np.abs(gen.matrix))))
+    decaying = [e.real for e in eigs if e.real < -GAP_TOL * scale]
     if not decaying:
         return 0.0
     return -max(decaying)

@@ -102,10 +102,31 @@ def _require(mapping, key, where):
     return mapping[key]
 
 
+def _has_bool(value) -> bool:
+    # JSON true/false load as bool, a subclass of int, so numpy would take
+    # them as 1.0 and 0.0.
+    if isinstance(value, list):
+        return any(_has_bool(item) for item in value)
+    return isinstance(value, bool)
+
+
+def _finite_number(value, where) -> float:
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = float("inf")
+        if np.isfinite(number):
+            return number
+    raise ParseError(f"{where} must be a finite number")
+
+
 def _real_vector(value, length, where) -> np.ndarray:
+    if _has_bool(value):
+        raise ParseError(f"{where} must be {length} finite numbers")
     try:
         arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{where} must be a list of {length} numbers") from exc
     if arr.shape != (length,) or not np.all(np.isfinite(arr)):
         raise ParseError(f"{where} must be {length} finite numbers")
@@ -113,9 +134,11 @@ def _real_vector(value, length, where) -> np.ndarray:
 
 
 def _complex_matrix(value, where) -> np.ndarray:
+    if _has_bool(value):
+        raise ParseError(f"{where} must be a 2x2 matrix of finite [re, im] pairs")
     try:
         arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{where} must be a 2x2 matrix of [re, im] pairs") from exc
     if arr.shape != (2, 2, 2) or not np.all(np.isfinite(arr)):
         raise ParseError(f"{where} must be a 2x2 matrix of finite [re, im] pairs")
@@ -145,19 +168,21 @@ def _parse_dissipator(spec):
                 raise ParseError("dissipator terms must be a list")
             terms = []
             for k, term in enumerate(raw):
-                rate = _require(term, "rate", f"term {k + 1}")
+                rate = _finite_number(
+                    _require(term, "rate", f"term {k + 1}"), f"term {k + 1} rate"
+                )
                 axis = _real_vector(
                     _require(term, "axis", f"term {k + 1}"), 3, f"term {k + 1} axis"
                 )
-                if not isinstance(rate, (int, float)) or not np.isfinite(rate):
-                    raise ParseError(f"term {k + 1} rate must be a finite number")
-                terms.append((float(rate), axis))
+                terms.append((rate, axis))
             return FormB(terms=terms)
         if form == "matrix":
             raw = _require(spec, "matrix", "dissipator")
+            if _has_bool(raw):
+                raise ParseError("dissipator matrix must be 3x3 and finite")
             try:
                 arr = np.asarray(raw, dtype=float)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ParseError("dissipator matrix must be a 3x3 array") from exc
             if arr.shape != (3, 3) or not np.all(np.isfinite(arr)):
                 raise ParseError("dissipator matrix must be 3x3 and finite")
@@ -192,10 +217,8 @@ def load_model(path: str) -> Model:
         raise ParseError("model file must contain a JSON object")
     hspec = _require(raw, "hamiltonian", "model")
     h = _real_vector(_require(hspec, "h", "hamiltonian"), 3, "hamiltonian h")
-    h0 = hspec.get("h0", 0.0)
-    if not isinstance(h0, (int, float)) or not np.isfinite(h0):
-        raise ParseError("hamiltonian h0 must be a finite number")
-    hamiltonian = Hamiltonian(h=h, h0=float(h0))
+    h0 = _finite_number(hspec.get("h0", 0.0), "hamiltonian h0")
+    hamiltonian = Hamiltonian(h=h, h0=h0)
     dissipator = _parse_dissipator(_require(raw, "dissipator", "model"))
     initial = _parse_initial(raw["initial"]) if "initial" in raw else None
     return Model(hamiltonian=hamiltonian, dissipator=dissipator, initial=initial)

@@ -9,8 +9,9 @@ Three independent routes must agree:
 The first two are evaluated after normalizing by the Frobenius norm, so a
 verdict is invariant under positive rescaling. Disagreement beyond a small
 margin band signals an implementation bug, not a property of the input, and
-raises VerdictMismatchError. A fourth, fully dynamical witness builds the
-4x4 Choi matrix of the evolved map and reports its smallest eigenvalue.
+raises VerdictMismatchError. A fourth, fully dynamical witness reshuffles
+the exact 4x4 propagator into the Choi matrix of the evolved map and reports
+its smallest eigenvalue.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_field_vector, matrix_from_pauli, pauli_coefficients
-from .dynamics import build_generator, matrix_exponential
+from .core import as_field_vector
+from .dynamics import liouvillian, matrix_exponential
 from .errors import (
     EmptyDissipatorError,
     NegativeTimeError,
@@ -154,40 +155,25 @@ def is_completely_positive(ell, tol: float = PSD_TOL, band: float = MISMATCH_BAN
     return verdict, certificate
 
 
-def _propagate(transfer: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Apply the evolved map to an arbitrary 2x2 matrix.
-
-    The generator is complex linear, fixes the identity coefficient, and
-    acts as exp(t G) on the (possibly complex) Pauli coefficients.
-    """
-    c0, c = pauli_coefficients(m)
-    return matrix_from_pauli(c0, transfer @ c)
-
-
 def choi_check(h, ell, times) -> np.ndarray:
     """Minimum Choi eigenvalue of the evolved map at each requested time.
 
-    The Choi matrix sum_ij E_ij (x) map(E_ij) is assembled from the exact
-    propagator applied to the four matrix units. It stays positive
-    semidefinite at all times exactly for CP generators; a clearly negative
-    eigenvalue witnesses the CP failure. At t = 0 the spectrum is {2, 0, 0,
-    0} (twice the maximally entangled projector).
+    The exact propagator exp(t Liouvillian) sends vec(E_ij) to vec(map(E_ij));
+    reshuffling its indices gives the Choi matrix sum_ij E_ij (x) map(E_ij).
+    It stays positive semidefinite at all times exactly for CP generators; a
+    clearly negative eigenvalue witnesses the CP failure. At t = 0 the
+    spectrum is {2, 0, 0, 0} (twice the maximally entangled projector).
     """
     hv = as_field_vector(h)
     ell = require_symmetric(ell, what="dissipation matrix")
-    gen = build_generator(hv, ell)
+    generator = liouvillian(hv, ell)
     minima = []
     for t in times:
         t = float(t)
         if t < 0.0:
             raise NegativeTimeError(f"times must be nonnegative, got {t!r}")
-        transfer = matrix_exponential(t * gen.matrix)
-        choi = np.zeros((4, 4), dtype=complex)
-        for i in range(2):
-            for j in range(2):
-                unit = np.zeros((2, 2), dtype=complex)
-                unit[i, j] = 1.0
-                choi += np.kron(unit, _propagate(transfer, unit))
+        prop = matrix_exponential(t * generator)
+        choi = prop.reshape(2, 2, 2, 2).transpose(2, 0, 3, 1).reshape(4, 4)
         choi = 0.5 * (choi + choi.conj().T)
         minima.append(float(np.linalg.eigvalsh(choi)[0]))
     return np.array(minima)

@@ -3,8 +3,8 @@
 The Bloch vector obeys the linear equation dr/dt = h x r - L r with a
 constant real 3x3 generator G = Omega(h) - L, where Omega is the
 cross-product matrix of h. The density-matrix picture integrates
-drho/dt = -i[H, rho] - D[rho] with the dissipator applied natively in its
-given form; both pictures must agree.
+drho/dt = -i[H, rho] - D[rho] through its 4x4 Liouvillian, built with the
+dissipator applied natively in its given form; both pictures must agree.
 """
 
 from __future__ import annotations
@@ -13,17 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    DensityState,
-    Hamiltonian,
-    as_field_vector,
-    entropy_from_bloch,
-    matrix_from_pauli,
-    pauli_coefficients,
-    _readonly,
-)
+from .core import DensityState, as_field_vector, matrix_from_pauli, _readonly
 from .errors import BadStepError, NegativeTimeError
-from .forms import FormA, FormB, apply_dissipator, require_symmetric
+from .forms import apply_dissipator, require_symmetric
 from .tolerances import SYMMETRY_TOL
 
 
@@ -139,6 +131,8 @@ def _entropies(states: np.ndarray) -> np.ndarray:
 
 
 def _step_count(t_max: float, dt: float) -> int:
+    if not np.isfinite(t_max) or t_max <= 0.0:
+        raise BadStepError(f"t_max must be finite and positive, got {t_max!r}")
     if not np.isfinite(dt) or dt <= 0.0:
         raise BadStepError(f"dt must be positive, got {dt!r}")
     if dt > t_max * (1.0 + 1e-12):
@@ -172,82 +166,43 @@ def evolve_rk4(gen: Generator, r0, t_max: float, dt: float) -> Trajectory:
     )
 
 
-def _native_dissipator(form):
-    """Stage function m -> D[m] with per-term constants hoisted out.
+def liouvillian(h, form) -> np.ndarray:
+    """The generator rho -> -i[H, rho] - D[rho] as a 4x4 complex matrix.
 
-    Uses the same operator algebra as :func:`apply_dissipator`: for operator
-    terms K_j, D[m] = (1/2)(S m + m S) - sum_j K_j m K_j with S = sum K_j^2.
+    It acts on the row-major vec(rho) = (rho_00, rho_01, rho_10, rho_11).
+    Column k is the image of the k-th matrix unit, with the dissipator
+    applied natively in the supplied form (see :func:`apply_dissipator`).
+    h is a Hamiltonian or a field vector; its identity part drops out.
     """
-    if isinstance(form, np.ndarray) and form.shape == (3, 3):
-        ell = require_symmetric(form, what="dissipation matrix")
-
-        def apply_matrix(m):
-            _, c = pauli_coefficients(m)
-            return matrix_from_pauli(0.0, ell @ c)
-
-        return apply_matrix
-    if isinstance(form, FormB):
-        kraus = [
-            np.sqrt(rate) * matrix_from_pauli(0.5, 0.5 * axis)
-            for rate, axis in form.terms
-        ]
-    elif isinstance(form, FormA):
-        kraus = list(form.operators)
-    else:
-        kraus = [np.asarray(op, dtype=complex) for op in form]
-    s = sum(op @ op for op in kraus)
-
-    def apply_ops(m):
-        out = 0.5 * (s @ m + m @ s)
-        for op in kraus:
-            out = out - op @ m @ op
-        return out
-
-    return apply_ops
+    hmat = matrix_from_pauli(0.0, 0.5 * as_field_vector(h))
+    units = np.eye(4, dtype=complex).reshape(4, 2, 2)
+    images = -1j * (hmat @ units - units @ hmat) - apply_dissipator(form, units)
+    return images.reshape(4, 4).T
 
 
 def evolve_density(h, form, rho0: DensityState, t_max: float, dt: float) -> Trajectory:
     """Integrate the full 2x2 master equation drho/dt = -i[H, rho] - D[rho].
 
-    The dissipator is applied natively in the supplied form (operators,
-    rate/axis terms, or dissipation matrix). Samples store the Bloch
-    projection of rho; trace and hermiticity drift are tracked per step.
+    The dissipator enters natively in the supplied form (operators,
+    rate/axis terms, or dissipation matrix) through :func:`liouvillian`.
+    As in :func:`evolve_rk4`, each RK4 step is one multiplication by the
+    degree-4 Taylor polynomial of exp(dt Liouvillian). Samples store the
+    Bloch projection of rho; trace and hermiticity drift are the worst over
+    all samples.
     """
     steps = _step_count(t_max, dt)
-    hmat = h.matrix if isinstance(h, Hamiltonian) else matrix_from_pauli(0.0, 0.5 * as_field_vector(h))
-    dissipate = _native_dissipator(form)
-
-    def rhs(m):
-        return -1j * (hmat @ m - m @ hmat) - dissipate(m)
-
-    rho = np.array(rho0.matrix, dtype=complex)
-    states = np.empty((steps + 1, 3))
-    max_trace_dev = 0.0
-    max_herm_dev = 0.0
-
-    def record(k, m):
-        nonlocal max_trace_dev, max_herm_dev
-        states[k, 0] = (m[0, 1] + m[1, 0]).real
-        states[k, 1] = (1j * (m[0, 1] - m[1, 0])).real
-        states[k, 2] = (m[0, 0] - m[1, 1]).real
-        max_trace_dev = max(max_trace_dev, abs((m[0, 0] + m[1, 1]).real - 1.0))
-        herm = max(
-            abs(m[0, 1] - np.conj(m[1, 0])),
-            abs(m[0, 0].imag),
-            abs(m[1, 1].imag),
-        )
-        max_herm_dev = max(max_herm_dev, herm)
-
-    record(0, rho)
-    half = 0.5 * dt
+    a = dt * liouvillian(h, form)
+    eye = np.eye(4)
+    phi = eye + a @ (eye + a @ (eye + a @ (eye + a / 4.0) / 3.0) / 2.0)
+    vecs = np.empty((steps + 1, 4), dtype=complex)
+    vecs[0] = np.asarray(rho0.matrix, dtype=complex).reshape(4)
     for k in range(steps):
-        k1 = rhs(rho)
-        k2 = rhs(rho + half * k1)
-        k3 = rhs(rho + half * k2)
-        k4 = rhs(rho + dt * k3)
-        rho = rho + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        record(k + 1, rho)
+        vecs[k + 1] = phi @ vecs[k]
 
+    d00, d01, d10, d11 = vecs.T
+    states = np.stack(
+        [(d01 + d10).real, (1j * (d01 - d10)).real, (d00 - d11).real], axis=1
+    )
     times = dt * np.arange(steps + 1)
     return Trajectory(
         times=times,
@@ -255,8 +210,8 @@ def evolve_density(h, form, rho0: DensityState, t_max: float, dt: float) -> Traj
         entropies=_entropies(states),
         dt=dt,
         method="rk4-density",
-        max_trace_dev=max_trace_dev,
-        max_herm_dev=max_herm_dev,
+        max_trace_dev=float(np.max(np.abs((d00 + d11).real - 1.0))),
+        max_herm_dev=float(np.max(np.abs([d01 - np.conj(d10), d00.imag, d11.imag]))),
     )
 
 

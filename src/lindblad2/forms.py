@@ -212,25 +212,32 @@ def apply_dissipator(form, m) -> np.ndarray:
     """Apply the dissipative term to a 2x2 operator, natively in each form.
 
     ``form`` may be a FormA, a FormB, a bare sequence of hermitian 2x2
-    operators, or a symmetric 3x3 dissipation matrix. The matrix form acts
-    as L on the Bloch coefficients and as zero on the identity coefficient.
+    operators, or a symmetric 3x3 dissipation matrix. ``m`` may also be a
+    stack of 2x2 operators, shape (..., 2, 2), each mapped independently.
+
+    Operators A_j give D[m] = (1/2)(S m + m S) - sum_j A_j m A_j with
+    S = sum_j A_j^2; rate/axis terms give (1/2) sum_j lambda_j
+    (P_j m P_j_perp + P_j_perp m P_j); the matrix form acts as L on the
+    Pauli coefficients and as zero on the identity coefficient.
     """
     m = np.asarray(m, dtype=complex)
     if isinstance(form, FormB):
-        out = np.zeros((2, 2), dtype=complex)
+        out = np.zeros_like(m)
         for rate, axis in form.terms:
             p = matrix_from_pauli(0.5, 0.5 * axis)
             pperp = IDENTITY2 - p
             out += 0.5 * rate * (p @ m @ pperp + pperp @ m @ p)
         return out
     if isinstance(form, np.ndarray) and form.shape == (3, 3):
-        c0, c = pauli_coefficients(m)
         ell = require_symmetric(form, what="dissipation matrix")
-        return matrix_from_pauli(0.0, ell @ c)
-    out = np.zeros((2, 2), dtype=complex)
-    for op in _operator_list(form):
-        sq = op @ op
-        out += 0.5 * (sq @ m + m @ sq) - op @ m @ op
+        # c_a = tr(m sigma_a) / 2, then D[m] = sum_a (L c)_a sigma_a.
+        c = 0.5 * np.einsum("aji,...ij->...a", SIGMA, m)
+        return np.einsum("...a,aij->...ij", c @ ell, SIGMA)
+    ops = _operator_list(form)
+    s = sum((op @ op for op in ops), np.zeros((2, 2), dtype=complex))
+    out = 0.5 * (s @ m + m @ s)
+    for op in ops:
+        out -= op @ m @ op
     return out
 
 

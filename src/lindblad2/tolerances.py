@@ -50,5 +50,9 @@ ENTROPY_STEP_TOL = 1e-9
 # Relative cross-product test for "h parallel to the projector axis".
 PARALLEL_TOL = 1e-9
 
+# Generator eigenvalues with real part below -GAP_TOL * max(1, max|G_ij|)
+# count as decaying modes in the spectral gap.
+GAP_TOL = 1e-12
+
 # Residual norm accepted for stationary states.
 FIXED_POINT_TOL = 1e-10

@@ -219,3 +219,11 @@ def test_limit_agreement_across_families():
         report = verify_asymptote(h, fb, rho0, tol=1e-6)
         assert report.converged, (h, report.distance)
         assert report.within_bound
+
+def test_spectral_gap_survives_huge_rates():
+    # Two orthogonal axes at rate 1e160: the Frobenius norm of G overflows,
+    # its largest entry does not.
+    fb = FormB(terms=[(1e160, EX), (1e160, EY)])
+    gen = build_generator([0.0, 0.0, 1.0], dissipation_matrix(fb))
+    ref = -max(e.real for e in np.linalg.eigvals(gen.matrix))
+    assert spectral_gap(gen) == pytest.approx(ref, rel=1e-8)

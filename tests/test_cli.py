@@ -185,6 +185,43 @@ def test_exit_codes_for_bad_models(capsys, tmp_path):
     assert "dt" in err
 
 
+@pytest.mark.parametrize("t_max", ["nan", "inf", "-1"])
+def test_evolve_rejects_unusable_t_max(t_max, capsys, tmp_path):
+    argv = [
+        "--model", model("dephasing"), "evolve",
+        "--t-max", t_max, "--dt", "0.1", "--out", str(tmp_path / "o.csv"),
+    ]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert err.count("\n") == 1 and "t_max" in err
+
+
+HUGE_INT = 10**400  # a JSON integer literal too large for a float
+
+
+@pytest.mark.parametrize(
+    "hamiltonian,rate",
+    [
+        ({"h": [0, 0, 1], "h0": True}, 1.0),
+        ({"h": [0, 0, 1]}, True),
+        ({"h": [0, 0, 1], "h0": HUGE_INT}, 1.0),
+        ({"h": [HUGE_INT, 0, 1]}, 1.0),
+    ],
+)
+def test_non_numbers_in_model_exit_two(hamiltonian, rate, capsys, tmp_path):
+    import json
+
+    spec = {
+        "hamiltonian": hamiltonian,
+        "dissipator": {"form": "B", "terms": [{"rate": rate, "axis": [0, 0, 1]}]},
+    }
+    path = tmp_path / "bad_number.json"
+    path.write_text(json.dumps(spec))
+    code, _, err = run_cli(["--model", str(path), "check"], capsys)
+    assert code == 2
+    assert err.count("\n") == 1 and "number" in err
+
+
 def test_exit_code_for_notcp_conversions(capsys):
     for argv in (
         ["--model", model("matrix_notcp"), "convert", "--to", "B"],

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import random_cp_matrix
 
@@ -12,7 +13,23 @@ from lindblad2 import (
     gram_from_dissipation,
     is_completely_positive,
 )
+from lindblad2.core import matrix_from_pauli, pauli_coefficients
+from lindblad2.dynamics import cross_matrix
 from lindblad2.errors import NegativeTimeError
+
+
+def reference_choi(h, ell, t) -> np.ndarray:
+    """sum_ij E_ij (x) map(E_ij), with the map exp(t G) on the Pauli
+    coefficients of each matrix unit, G = Omega(h) - L from scipy."""
+    transfer = scipy.linalg.expm(t * (cross_matrix(h) - ell))
+    choi = np.zeros((4, 4), dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            unit = np.zeros((2, 2), dtype=complex)
+            unit[i, j] = 1.0
+            c0, c = pauli_coefficients(unit)
+            choi += np.kron(unit, matrix_from_pauli(c0, transfer @ c))
+    return choi
 
 
 def test_check_form_e_dephasing_is_cp():
@@ -116,22 +133,31 @@ def test_certificate_soundness_random():
 
 
 def test_choi_identity_map_spectrum():
-    minima = choi_check([0.0, 0.0, 0.0], np.diag([0.5, 0.5, 0.0]), [0.0])
-    assert minima[0] == pytest.approx(0.0, abs=1e-12)
+    # At t = 0 the map is the identity for CP and NotCP generators alike.
+    for ell in (np.diag([0.5, 0.5, 0.0]), np.diag([0.0, 0.0, 1.0])):
+        minima = choi_check([0.3, -0.1, 0.2], ell, [0.0])
+        assert abs(minima[0]) < 1e-15
     # Full spectrum at t = 0 is {2, 0, 0, 0}: the maximally entangled
-    # projector scaled by 2; checked via the trace.
-    from lindblad2.cpcheck import _propagate
-    from lindblad2.dynamics import matrix_exponential
-
-    transfer = matrix_exponential(0.0 * np.eye(3))
-    choi = np.zeros((4, 4), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            unit = np.zeros((2, 2), dtype=complex)
-            unit[i, j] = 1.0
-            choi += np.kron(unit, _propagate(transfer, unit))
-    eigs = np.linalg.eigvalsh(choi)
+    # projector scaled by 2.
+    eigs = np.linalg.eigvalsh(reference_choi(np.zeros(3), np.diag([0.5, 0.5, 0.0]), 0.0))
     assert np.allclose(eigs, [0.0, 0.0, 0.0, 2.0], atol=1e-12)
+
+
+def test_choi_check_matches_scipy_reference():
+    rng = np.random.default_rng(131)
+    times = [0.01, 0.3, 1.0, 5.0]
+    cases = [random_cp_matrix(rng, int(rng.integers(1, 4))) for _ in range(10)]
+    while len(cases) < 20:
+        ell = rng.uniform(-1.0, 1.0, size=(3, 3))
+        ell = 0.5 * (ell + ell.T)
+        if not is_completely_positive(ell)[0].cp:
+            cases.append(ell)
+    for ell in cases:
+        h = rng.normal(size=3)
+        ref = np.array([np.linalg.eigvalsh(reference_choi(h, ell, t))[0] for t in times])
+        # NotCP maps can grow like exp(t |L|), so the bound is relative.
+        bound = 1e-12 * np.maximum(1.0, np.abs(ref))
+        assert np.all(np.abs(choi_check(h, ell, times) - ref) < bound)
 
 
 def test_choi_cp_generator_stays_positive():

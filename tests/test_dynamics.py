@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import EX, EY, EZ, random_cp_matrix, random_form_b
+from conftest import EX, EY, EZ, forms_of, random_cp_matrix, random_form_a, random_form_b
 
 from lindblad2 import (
     FormB,
     Hamiltonian,
+    apply_dissipator,
     build_generator,
     density_from_bloch,
     dissipation_matrix,
@@ -15,6 +16,7 @@ from lindblad2 import (
     evolve_expm,
     evolve_rk4,
     generator_spectrum,
+    liouvillian,
     matrix_exponential,
 )
 from lindblad2.dynamics import Trajectory, cross_matrix
@@ -133,6 +135,9 @@ def test_evolve_rk4_rejects_bad_steps():
         evolve_rk4(gen, [0, 0, 0], 1.0, -0.1)
     with pytest.raises(BadStepError):
         evolve_rk4(gen, [0, 0, 0], 1.0, 2.0)
+    for t_max in (np.nan, np.inf, -1.0, 0.0):
+        with pytest.raises(BadStepError):
+            evolve_rk4(gen, [0, 0, 0], t_max, 0.1)
 
 
 def test_trajectory_rejects_unordered_times():
@@ -173,6 +178,33 @@ def test_evolve_density_off_diagonal_decay():
     assert abs(traj.final_state[0] - np.exp(-0.5)) < 1e-10
     assert traj.max_trace_dev < 1e-12
     assert traj.max_herm_dev < 1e-12
+
+
+def _encodings(fa):
+    """One dissipator as FormA, FormB, a matrix and a bare operator list."""
+    return [*forms_of(fa), list(fa.operators)]
+
+
+def test_liouvillian_matches_native_dissipator():
+    rng = np.random.default_rng(113)
+    for _ in range(20):
+        h = Hamiltonian(h=rng.normal(size=3), h0=rng.normal())
+        for form in _encodings(random_form_a(rng, int(rng.integers(1, 4)))):
+            gen = liouvillian(h, form)
+            for _ in range(3):
+                m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+                ref = -1j * (h.matrix @ m - m @ h.matrix) - apply_dissipator(form, m)
+                assert np.max(np.abs((gen @ m.reshape(4)).reshape(2, 2) - ref)) < 1e-14
+
+
+def test_liouvillian_same_for_all_encodings():
+    rng = np.random.default_rng(127)
+    for _ in range(50):
+        h = rng.normal(size=3)
+        fa, *others = _encodings(random_form_a(rng, int(rng.integers(1, 5))))
+        ref = liouvillian(h, fa)
+        for form in others:
+            assert np.max(np.abs(liouvillian(h, form) - ref)) < 1e-14
 
 
 def test_picture_equivalence_random():
