@@ -17,7 +17,7 @@ from .core import DensityState, as_field_vector, density_from_bloch, _readonly
 from .dynamics import build_generator, evolve_expm, generator_spectrum
 from .errors import NegativeHorizonError
 from .forms import FormB, dissipation_matrix, reduce_terms
-from .tolerances import GAP_TOL, PARALLEL_TOL
+from .tolerances import CONVERGED_TOL, DECAY_BOUND_SLACK, GAP_TOL, PARALLEL_TOL
 
 MAXIMALLY_MIXED = "maximally-mixed"
 DECOHERED = "decohered"
@@ -127,7 +127,7 @@ def spectral_gap(gen) -> float:
     return -max(decaying)
 
 
-def verify_asymptote(h, fb: FormB, rho0: DensityState, horizon: float | None = None, tol: float = 1e-8) -> AsymptoteReport:
+def verify_asymptote(h, fb: FormB, rho0: DensityState, horizon: float | None = None, tol: float = CONVERGED_TOL) -> AsymptoteReport:
     """Integrate to a long horizon and compare against the predicted limit.
 
     Reports the residual distance, the spectral gap g, and whether the
@@ -144,7 +144,7 @@ def verify_asymptote(h, fb: FormB, rho0: DensityState, horizon: float | None = N
         raise NegativeHorizonError(f"horizon must be positive, got {horizon!r}")
     r_final = evolve_expm(gen, rho0.bloch, horizon)
     distance = float(np.linalg.norm(r_final - limit))
-    bound = 2.0 * float(np.exp(-gap * horizon)) + 1e-12
+    bound = 2.0 * float(np.exp(-gap * horizon)) + DECAY_BOUND_SLACK
     return AsymptoteReport(
         distance=distance,
         gap=gap,

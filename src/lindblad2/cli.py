@@ -22,11 +22,11 @@ from .asymptotics import DECOHERED, asymptotic_state, classify, spectral_gap
 from .core import (
     DensityState,
     Hamiltonian,
+    bloch_entropies,
     density_from_bloch,
     density_from_matrix,
-    entropy_from_bloch,
 )
-from .dynamics import _step_count, build_generator, evolve_rk4, matrix_exponential
+from .dynamics import _step_count, build_generator, matrix_exponential, propagate, rk4_step
 from .errors import (
     BadStepError,
     EmptyDissipatorError,
@@ -39,14 +39,13 @@ from .forms import (
     dissipation_matrix,
     form_a_from_form_b,
     form_a_to_form_b,
-    form_b_from_dissipation,
     form_e_pack,
     gks_matrix,
     reduce_terms,
     require_symmetric,
 )
 from .cpcheck import is_completely_positive
-from .tolerances import MISMATCH_BAND, PSD_TOL
+from .tolerances import PSD_TOL, REDUCE_DRIFT_TOL, RK4_GROWTH_TOL
 
 
 class ParseError(Exception):
@@ -229,37 +228,36 @@ def load_model(path: str) -> Model:
 # ---------------------------------------------------------------------------
 
 
-def _model_matrix(model: Model) -> np.ndarray:
-    if isinstance(model.dissipator, FormB):
-        return dissipation_matrix(model.dissipator)
-    if isinstance(model.dissipator, FormA):
-        return dissipation_matrix(form_a_to_form_b(model.dissipator))
-    return model.dissipator
+def _dissipator(model: Model, tol: float):
+    """Normalise the model's dissipator once: (L, verdict, certificate, terms).
 
-
-def _model_form_b(model: Model, tol: float) -> FormB:
-    if isinstance(model.dissipator, FormB):
-        return model.dissipator
-    if isinstance(model.dissipator, FormA):
-        return form_a_to_form_b(model.dissipator)
-    # The CP gate already ran; extract terms with the looser disagreement
-    # band so boundary matrices do not bounce between the two routes.
-    fb, _ = form_b_from_dissipation(model.dissipator, tol=max(tol, MISMATCH_BAND))
-    return fb
+    The verdict and minimal certificate come from the CP check of L. The
+    terms are the model's own for Form A and B input and the certificate
+    for a matrix input, so they are None for a zero or NotCP matrix.
+    """
+    fb = model.dissipator
+    if isinstance(fb, FormA):
+        fb = form_a_to_form_b(fb)
+    ell = dissipation_matrix(fb) if isinstance(fb, FormB) else fb
+    verdict, certificate = is_completely_positive(ell, tol=tol)
+    return ell, verdict, certificate, fb if isinstance(fb, FormB) else certificate
 
 
 def _gate_cp(model: Model, tol: float):
-    """Return the dissipation matrix, or None after reporting NotCP."""
-    ell = _model_matrix(model)
-    verdict, _ = is_completely_positive(ell, tol=tol)
+    """Return (L, terms) of a CP dissipator; raise NotCPError otherwise."""
+    ell, verdict, _, fb = _dissipator(model, tol)
     if not verdict.cp:
-        print(
-            f"error: dissipator is not completely positive: "
-            f"condition {verdict.reason} violated",
-            file=sys.stderr,
+        raise NotCPError(
+            f"dissipator is not completely positive: condition {verdict.reason} violated"
         )
-        return None
-    return ell
+    return ell, fb
+
+
+def _nonzero(fb: FormB | None) -> FormB:
+    """The terms, for commands that have nothing to do without them."""
+    if fb is None:
+        raise EmptyDissipatorError("all Gram columns vanish")
+    return fb
 
 
 def _need_initial(model: Model) -> DensityState:
@@ -274,8 +272,7 @@ def _need_initial(model: Model) -> DensityState:
 
 
 def cmd_check(model: Model, args, tol: float) -> int:
-    ell = _model_matrix(model)
-    verdict, certificate = is_completely_positive(ell, tol=tol)
+    _, verdict, certificate, _ = _dissipator(model, tol)
     if not verdict.cp:
         print("verdict: NotCP")
         print(f"reason: condition {verdict.reason} violated")
@@ -294,16 +291,15 @@ def cmd_check(model: Model, args, tol: float) -> int:
 
 
 def cmd_convert(model: Model, args, tol: float) -> int:
-    if _gate_cp(model, tol) is None:
-        return 1
+    ell, fb = _gate_cp(model, tol)
     target = args.to
     if target == "E":
-        fe = form_e_pack(_model_matrix(model))
+        fe = form_e_pack(ell)
         print("form: E")
         for name in ("a", "b", "c", "alpha", "beta", "gamma"):
             print(f"{name} = {_fmt(getattr(fe, name))}")
         return 0
-    fb = _model_form_b(model, tol)
+    fb = _nonzero(fb)
     if target == "B":
         print("form: B")
         print("terms:")
@@ -324,13 +320,13 @@ def cmd_convert(model: Model, args, tol: float) -> int:
 
 
 def cmd_reduce(model: Model, args, tol: float) -> int:
-    if _gate_cp(model, tol) is None:
-        return 1
-    fb = _model_form_b(model, tol)
+    fb = _nonzero(_gate_cp(model, tol)[1])
     before = dissipation_matrix(fb)
     fb_min, index = reduce_terms(fb)
-    drift = float(np.linalg.norm(dissipation_matrix(fb_min) - before))
-    if drift > 1e-10 * max(1.0, float(np.linalg.norm(before))):
+    # In units of the largest entry, so neither side can overflow.
+    scale = max(1.0, float(np.max(np.abs(before))))
+    drift = float(np.linalg.norm((dissipation_matrix(fb_min) - before) / scale))
+    if not drift <= REDUCE_DRIFT_TOL:
         raise LindbladError(f"reduction changed the dissipation matrix by {drift:.3e}")
     print(f"index: {index}")
     print("terms:")
@@ -339,49 +335,52 @@ def cmd_reduce(model: Model, args, tol: float) -> int:
     return 0
 
 
+# One row of the evolve CSV; rows are written in blocks of CSV_BLOCK_ROWS.
+CSV_ROW = ",".join(["%.17g"] * 6) + "\n"
+CSV_BLOCK_ROWS = 4096
+
+
 def cmd_evolve(model: Model, args, tol: float) -> int:
-    ell = _gate_cp(model, tol)
-    if ell is None:
-        return 1
+    ell, fb = _gate_cp(model, tol)
     state = _need_initial(model)
-    fb = _model_form_b(model, tol)
+    fb = _nonzero(fb)
     gen = build_generator(model.hamiltonian, ell)
     limit = asymptotic_state(classify(model.hamiltonian, fb), state).bloch
 
+    steps = _step_count(args.t_max, args.dt)
     if args.method == "rk4":
-        traj = evolve_rk4(gen, state.bloch, args.t_max, args.dt)
-        times, states, entropies = traj.times, traj.states, traj.entropies
+        with np.errstate(over="ignore", invalid="ignore"):  # caught as inf growth
+            step = rk4_step(args.dt * gen.matrix)
+        finite = np.all(np.isfinite(step))
+        growth = float(np.max(np.abs(np.linalg.eigvals(step)))) if finite else np.inf
+        if not growth <= 1.0 + RK4_GROWTH_TOL:
+            raise BadStepError(
+                f"dt {args.dt!r} is outside the RK4 stability region (a step grows "
+                f"states by {growth:.3g}); use a smaller --dt or --method expm"
+            )
     else:
-        steps = _step_count(args.t_max, args.dt)
         step = matrix_exponential(args.dt * gen.matrix)
-        states = np.empty((steps + 1, 3))
-        states[0] = state.bloch
-        for k in range(steps):
-            states[k + 1] = step @ states[k]
-        times = args.dt * np.arange(steps + 1)
-        entropies = np.array([entropy_from_bloch(r) for r in states])
-
+    states = propagate(step, state.bloch, steps)
+    # Row-wise inner products by matmul keep the bits of the scalar
+    # np.linalg.norm(r - limit); norm(axis=1) sums in another order.
+    diff = (states - limit)[:, None, :]
+    dist = np.sqrt(diff @ diff.transpose(0, 2, 1))[:, 0, 0]
+    times = args.dt * np.arange(steps + 1)
+    # Adding 0.0 turns -0.0 into 0.0, as _fmt does.
+    table = np.column_stack([times, states, bloch_entropies(states), dist]) + 0.0
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t,rx,ry,rz,entropy,dist_to_limit\n")
-        for t, r, s in zip(times, states, entropies):
-            dist = float(np.linalg.norm(r - limit))
-            fh.write(
-                ",".join(
-                    [_fmt(t), _fmt(r[0]), _fmt(r[1]), _fmt(r[2]), _fmt(s), _fmt(dist)]
-                )
-                + "\n"
-            )
+        for block in np.split(table, range(CSV_BLOCK_ROWS, len(table), CSV_BLOCK_ROWS)):
+            fh.write((CSV_ROW * len(block)) % tuple(block.ravel().tolist()))
     return 0
 
 
 def cmd_asymptote(model: Model, args, tol: float) -> int:
-    if _gate_cp(model, tol) is None:
-        return 1
+    ell, fb = _gate_cp(model, tol)
     state = _need_initial(model)
-    fb = _model_form_b(model, tol)
-    verdict = classify(model.hamiltonian, fb)
+    verdict = classify(model.hamiltonian, _nonzero(fb))
     limit = asymptotic_state(verdict, state)
-    gap = spectral_gap(build_generator(model.hamiltonian, _model_matrix(model)))
+    gap = spectral_gap(build_generator(model.hamiltonian, ell))
     print(f"kind: {verdict.kind}")
     print(f"index: {verdict.index}")
     print(f"commuting: {'yes' if verdict.commuting else 'no'}")

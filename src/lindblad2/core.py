@@ -7,6 +7,7 @@ H = (1/2)(h0 I + h . sigma) with real h. All operators here are fixed at 2x2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,22 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a)
     out.flags.writeable = False
     return out
+
+
+def frobenius_normalized(a: np.ndarray) -> np.ndarray:
+    """a divided by its Frobenius norm; the zero matrix is returned as is.
+
+    An exact power-of-two prescale to a largest entry in [0.5, 1) keeps the
+    norm from overflowing for entries near 1e300 (or underflowing near
+    1e-300). For every other input the quotient is bit-identical to
+    a / np.linalg.norm(a).
+    """
+    a = np.asarray(a, dtype=float)
+    peak = float(np.max(np.abs(a)))
+    if peak == 0.0:
+        return a
+    a = np.ldexp(a, -math.frexp(peak)[1])
+    return a / np.linalg.norm(a)
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
@@ -136,18 +153,21 @@ def density_from_matrix(m) -> DensityState:
     return DensityState(matrix=np.asarray(m, dtype=complex), bloch=bloch_from_density(m))
 
 
-def entropy_from_bloch(r) -> float:
-    """Von Neumann entropy in nats as a function of the Bloch vector length.
+def bloch_entropies(states) -> np.ndarray:
+    """Von Neumann entropy in nats of each Bloch vector in the rows of states.
 
     The qubit eigenvalues are (1 +- |r|)/2; |r| is clamped to [0, 1] so that
     tiny integration overshoots do not produce NaNs.
     """
-    n = min(float(np.linalg.norm(r)), 1.0)
-    s = 0.0
-    for lam in (0.5 * (1.0 + n), 0.5 * (1.0 - n)):
-        if lam > 0.0:
-            s -= lam * np.log(lam)
-    return float(s)
+    norms = np.minimum(np.linalg.norm(states, axis=1), 1.0)
+    lam = 0.5 * np.stack([1.0 + norms, 1.0 - norms])
+    terms = np.where(lam > 0.0, lam * np.log(np.where(lam > 0.0, lam, 1.0)), 0.0)
+    return -np.sum(terms, axis=0)
+
+
+def entropy_from_bloch(r) -> float:
+    """Von Neumann entropy in nats of one Bloch vector (see bloch_entropies)."""
+    return float(bloch_entropies(np.reshape(r, (1, 3)))[0])
 
 
 def von_neumann_entropy(state: DensityState) -> float:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_field_vector
+from .core import as_field_vector, frobenius_normalized
 from .dynamics import liouvillian, matrix_exponential
 from .errors import (
     EmptyDissipatorError,
@@ -70,11 +70,7 @@ def form_e_margins(fe: FormE) -> list:
     to dominate the squared off-diagonals, and the cubic combination
     R S T >= 2 b c beta + R beta^2 + S c^2 + T b^2.
     """
-    ell = form_e_unpack(fe)
-    scale = float(np.linalg.norm(ell))
-    if scale > 0.0:
-        ell = ell / scale
-    half = 0.5 * ell
+    half = 0.5 * frobenius_normalized(form_e_unpack(fe))
     a, b, c = half[0, 0], half[0, 1], half[0, 2]
     alpha, beta, gamma = half[1, 1], half[1, 2], half[2, 2]
     big_r = 0.5 * (alpha + gamma - a)
@@ -116,8 +112,7 @@ def check_gram_psd(m, tol: float = PSD_TOL, band: float = MISMATCH_BAND) -> Verd
     m = require_symmetric(m, what="gram matrix")
     margins = gram_condition_margins(m)
     verdict = _verdict_from_margins(margins, tol)
-    scale = float(np.linalg.norm(m))
-    min_eig = float(np.linalg.eigvalsh(m / scale)[0]) if scale > 0.0 else 0.0
+    min_eig = float(np.linalg.eigvalsh(frobenius_normalized(m))[0])
     oracle_cp = min_eig >= -tol
     if verdict.cp != oracle_cp and abs(verdict.margin) > band and abs(min_eig) > band:
         raise VerdictMismatchError(

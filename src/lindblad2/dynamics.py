@@ -13,10 +13,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityState, as_field_vector, matrix_from_pauli, _readonly
+from .core import DensityState, as_field_vector, bloch_entropies, matrix_from_pauli, _readonly
 from .errors import BadStepError, NegativeTimeError
 from .forms import apply_dissipator, require_symmetric
-from .tolerances import SYMMETRY_TOL
+from .tolerances import (
+    MAX_STEPS,
+    NEWTON_SLOPE_FLOOR,
+    REPEATED_ROOT_P_MIN,
+    REPEATED_ROOT_TOL,
+    STEP_FIT_TOL,
+    SYMMETRY_TOL,
+)
 
 
 def cross_matrix(h) -> np.ndarray:
@@ -123,44 +130,53 @@ class Trajectory:
         return float(np.max(np.linalg.norm(self.states, axis=1)))
 
 
-def _entropies(states: np.ndarray) -> np.ndarray:
-    norms = np.minimum(np.linalg.norm(states, axis=1), 1.0)
-    lam = 0.5 * np.stack([1.0 + norms, 1.0 - norms])
-    terms = np.where(lam > 0.0, lam * np.log(np.where(lam > 0.0, lam, 1.0)), 0.0)
-    return -np.sum(terms, axis=0)
-
-
 def _step_count(t_max: float, dt: float) -> int:
+    """The number of dt steps nearest t_max, capped at MAX_STEPS."""
     if not np.isfinite(t_max) or t_max <= 0.0:
         raise BadStepError(f"t_max must be finite and positive, got {t_max!r}")
     if not np.isfinite(dt) or dt <= 0.0:
         raise BadStepError(f"dt must be positive, got {dt!r}")
-    if dt > t_max * (1.0 + 1e-12):
+    if dt > t_max * (1.0 + STEP_FIT_TOL):
         raise BadStepError(f"dt {dt!r} exceeds t_max {t_max!r}")
+    if not t_max / dt <= MAX_STEPS:
+        raise BadStepError(
+            f"t_max / dt = {t_max / dt:.3g} steps exceeds the cap of {MAX_STEPS}"
+        )
     return max(1, int(round(t_max / dt)))
+
+
+def rk4_step(a) -> np.ndarray:
+    """One classical RK4 step of dx/dt = (A/dt) x as a matrix, for a = A dt.
+
+    For a constant linear generator the RK4 update is exactly one
+    multiplication by the degree-4 Taylor polynomial of exp(a).
+    """
+    eye = np.eye(len(a))
+    return eye + a @ (eye + a @ (eye + a @ (eye + a / 4.0) / 3.0) / 2.0)
+
+
+def propagate(step, v0, steps: int) -> np.ndarray:
+    """The rows v0, step v0, step^2 v0, ..., step^steps v0."""
+    v0 = np.asarray(v0)
+    out = np.empty((steps + 1, len(v0)), dtype=np.result_type(step, v0))
+    out[0] = v0
+    for k in range(steps):
+        out[k + 1] = step @ out[k]
+    return out
 
 
 def evolve_rk4(gen: Generator, r0, t_max: float, dt: float) -> Trajectory:
     """Classical fixed-step 4th-order integration of the Bloch equation.
 
-    For a constant linear generator the RK4 update is exactly one
-    multiplication by the degree-4 Taylor polynomial of exp(dt G), which is
-    what gets applied per step. t_max is taken as the nearest integer
-    multiple of dt.
+    Each step is one multiplication by :func:`rk4_step` of dt G. t_max is
+    taken as the nearest integer multiple of dt.
     """
     steps = _step_count(t_max, dt)
-    hmat = dt * gen.matrix
-    eye = np.eye(3)
-    phi = eye + hmat @ (eye + hmat @ (eye + hmat @ (eye + hmat / 4.0) / 3.0) / 2.0)
-    states = np.empty((steps + 1, 3))
-    states[0] = np.asarray(r0, dtype=float)
-    for k in range(steps):
-        states[k + 1] = phi @ states[k]
-    times = dt * np.arange(steps + 1)
+    states = propagate(rk4_step(dt * gen.matrix), r0, steps)
     return Trajectory(
-        times=times,
+        times=dt * np.arange(steps + 1),
         states=states,
-        entropies=_entropies(states),
+        entropies=bloch_entropies(states),
         dt=dt,
         method="rk4",
     )
@@ -185,29 +201,22 @@ def evolve_density(h, form, rho0: DensityState, t_max: float, dt: float) -> Traj
 
     The dissipator enters natively in the supplied form (operators,
     rate/axis terms, or dissipation matrix) through :func:`liouvillian`.
-    As in :func:`evolve_rk4`, each RK4 step is one multiplication by the
-    degree-4 Taylor polynomial of exp(dt Liouvillian). Samples store the
+    As in :func:`evolve_rk4`, each step is one multiplication by
+    :func:`rk4_step` of dt times the Liouvillian. Samples store the
     Bloch projection of rho; trace and hermiticity drift are the worst over
     all samples.
     """
     steps = _step_count(t_max, dt)
-    a = dt * liouvillian(h, form)
-    eye = np.eye(4)
-    phi = eye + a @ (eye + a @ (eye + a @ (eye + a / 4.0) / 3.0) / 2.0)
-    vecs = np.empty((steps + 1, 4), dtype=complex)
-    vecs[0] = np.asarray(rho0.matrix, dtype=complex).reshape(4)
-    for k in range(steps):
-        vecs[k + 1] = phi @ vecs[k]
-
+    step = rk4_step(dt * liouvillian(h, form))
+    vecs = propagate(step, rho0.matrix.reshape(4), steps)
     d00, d01, d10, d11 = vecs.T
     states = np.stack(
         [(d01 + d10).real, (1j * (d01 - d10)).real, (d00 - d11).real], axis=1
     )
-    times = dt * np.arange(steps + 1)
     return Trajectory(
-        times=times,
+        times=dt * np.arange(steps + 1),
         states=states,
-        entropies=_entropies(states),
+        entropies=bloch_entropies(states),
         dt=dt,
         method="rk4-density",
         max_trace_dev=float(np.max(np.abs((d00 + d11).real - 1.0))),
@@ -215,6 +224,7 @@ def evolve_density(h, form, rho0: DensityState, t_max: float, dt: float) -> Traj
     )
 
 
+# Kept over np.linalg.eigvals, which misses test_rotated_exceptional_point by ~1e-8.
 def _cubic_roots(trace: float, minors: float, det: float) -> np.ndarray:
     """Roots of x^3 - trace x^2 + minors x - det, one real + a real or
     conjugate pair."""
@@ -222,8 +232,8 @@ def _cubic_roots(trace: float, minors: float, det: float) -> np.ndarray:
     p = minors - trace * trace / 3.0
     q = -2.0 * trace**3 / 27.0 + minors * trace / 3.0 - det
     disc = -4.0 * p**3 - 27.0 * q**2
-    band = 1e-13 * max(1.0, abs(4.0 * p**3) + 27.0 * q * q)
-    if abs(disc) <= band and abs(p) > 1e-8:
+    band = REPEATED_ROOT_TOL * max(1.0, abs(4.0 * p**3) + 27.0 * q * q)
+    if abs(disc) <= band and abs(p) > REPEATED_ROOT_P_MIN:
         # Repeated root: the square-root branches would amplify rounding to
         # sqrt(eps) here, while the rational resolution is exact.
         single = 3.0 * q / p
@@ -282,7 +292,7 @@ def generator_spectrum(gen: Generator) -> np.ndarray:
     for x in roots:
         f = x**3 - trace * x**2 + minors * x - det
         fp = 3.0 * x**2 - 2.0 * trace * x + minors
-        if abs(fp) > 1e-8:
+        if abs(fp) > NEWTON_SLOPE_FLOOR:
             x = x - f / fp
         polished.append(x)
     return scale * np.array(polished)

@@ -20,6 +20,7 @@ they have no effect on the dissipator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,7 @@ import numpy as np
 from .core import (
     IDENTITY2,
     SIGMA,
+    frobenius_normalized,
     matrix_from_pauli,
     pauli_coefficients,
     require_hermitian,
@@ -282,10 +284,7 @@ def gram_condition_margins(m) -> list:
     together exactly when M is positive semidefinite. Margins are evaluated
     on M normalized by its Frobenius norm, so the verdict is scale free.
     """
-    m = require_symmetric(m, what="gram matrix")
-    scale = float(np.linalg.norm(m))
-    if scale > 0.0:
-        m = m / scale
+    m = frobenius_normalized(require_symmetric(m, what="gram matrix"))
     return [(label, float(value(m))) for label, value in _GRAM_CONDITIONS]
 
 
@@ -325,15 +324,20 @@ def gram_decompose(m, tol: float = PSD_TOL):
     perm[0], perm[pivot] = perm[pivot], perm[0]
     mp = m[np.ix_(perm, perm)]
 
-    m11 = mp[0, 0]
-    if m11 <= 0.0:
+    if mp[0, 0] <= 0.0:
         # Largest diagonal entry nonpositive: within tolerance this is the
         # zero dissipator.
         return q
+    # Work on M / 4^k with its largest entry in [1/4, 1), so the products
+    # below cannot overflow; q then scales back by 2^k. Both scalings are
+    # exact, and so is the threshold's max(M22, 1) in these units.
+    k = (math.frexp(float(np.max(np.abs(mp))))[1] + 1) // 2
+    mp = np.ldexp(mp, -2 * k)
+    m11 = mp[0, 0]
     r11 = float(np.sqrt(m11))
     minor = m11 * mp[1, 1] - mp[0, 1] ** 2
     qt = np.zeros((3, 3))
-    if minor > DEGENERATE_TOL * m11 * max(mp[1, 1], 1.0):
+    if minor > DEGENERATE_TOL * m11 * max(mp[1, 1], math.ldexp(1.0, -2 * k)):
         qt[0, 0] = r11
         qt[1, 0] = mp[0, 1] / r11
         qt[1, 1] = _sqrt_clamped(mp[1, 1] - qt[1, 0] ** 2)
@@ -346,7 +350,7 @@ def gram_decompose(m, tol: float = PSD_TOL):
         qt[1, 0] = eta * _sqrt_clamped(mp[1, 1])
         qt[2, 0] = mp[0, 2] / r11
         qt[2, 1] = _sqrt_clamped(mp[2, 2] - qt[2, 0] ** 2)
-    q[perm, :] = qt
+    q[perm, :] = np.ldexp(qt, k)
     return q
 
 

@@ -26,9 +26,6 @@ RATE_FLOOR = 1e-12
 # M11*M22 - M12**2 > DEGENERATE_TOL * M11 * max(M22, 1).
 DEGENERATE_TOL = 1e-12
 
-# Relative singular-value cutoff for numerical rank decisions.
-RANK_TOL = 1e-10
-
 # Absolute slack per CP inequality, applied after normalizing the matrix
 # under test by its Frobenius norm.
 PSD_TOL = 1e-10
@@ -37,15 +34,8 @@ PSD_TOL = 1e-10
 # without indicating a bug.
 MISMATCH_BAND = 1e-9
 
-# Reconstruction accuracy expected from factorization round trips.
-FACTOR_TOL = 1e-10
-
 # Choi-matrix eigenvalue floor (absorbs propagator error).
 CHOI_TOL = 1e-8
-
-# Trajectory bookkeeping: Bloch-ball excursion and per-step entropy slack.
-TRAJ_TOL = 1e-9
-ENTROPY_STEP_TOL = 1e-9
 
 # Relative cross-product test for "h parallel to the projector axis".
 PARALLEL_TOL = 1e-9
@@ -54,5 +44,31 @@ PARALLEL_TOL = 1e-9
 # count as decaying modes in the spectral gap.
 GAP_TOL = 1e-12
 
-# Residual norm accepted for stationary states.
-FIXED_POINT_TOL = 1e-10
+# Relative drift of the dissipation matrix that term reduction may cause,
+# measured in units of its largest entry (at least 1).
+REDUCE_DRIFT_TOL = 1e-10
+
+# Characteristic cubic of the generator: a discriminant within
+# REPEATED_ROOT_TOL of zero (relative) with |p| above REPEATED_ROOT_P_MIN is
+# a repeated root, resolved rationally; the Newton polish of each root is
+# skipped where the cubic's slope is below NEWTON_SLOPE_FLOOR.
+REPEATED_ROOT_TOL = 1e-13
+REPEATED_ROOT_P_MIN = 1e-8
+NEWTON_SLOPE_FLOOR = 1e-8
+
+# Integration horizon: dt may exceed t_max by this relative slack (one step).
+STEP_FIT_TOL = 1e-12
+
+# Most integration steps per run. A Bloch run stores 24 bytes per step, so
+# the cap keeps a trajectory below ~240 MB instead of failing in allocation.
+MAX_STEPS = 10**7
+
+# Largest accepted spectral radius of the RK4 step, above 1. The exact flow
+# of a CP generator never grows, and over MAX_STEPS steps a radius of
+# 1 + RK4_GROWTH_TOL grows a state by at most 0.1 %.
+RK4_GROWTH_TOL = 1e-10
+
+# Long-horizon check of the predicted limit: distance counted as converged,
+# and the absolute slack added to the decay bound 2 exp(-gap T).
+CONVERGED_TOL = 1e-8
+DECAY_BOUND_SLACK = 1e-12

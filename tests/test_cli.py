@@ -347,3 +347,140 @@ def test_module_entry_point_smoke():
     )
     assert result.returncode == 0
     assert "verdict: CP" in result.stdout
+
+
+def _write_model(path, dissipator, h=(0.0, 0.0, 1.0), bloch=(0.3, -0.2, 0.4)):
+    import json
+
+    spec = {
+        "hamiltonian": {"h": list(h)},
+        "dissipator": dissipator,
+        "initial": {"bloch": list(bloch)},
+    }
+    path.write_text(json.dumps(spec))
+    return str(path)
+
+
+@pytest.mark.parametrize("method", ["rk4", "expm"])
+def test_evolve_csv_matches_per_row_reference(method, capsys, tmp_path):
+    # The vectorised output stage writes each row exactly as the per-row
+    # formatting of t, r, its entropy and its distance to the limit would.
+    from conftest import random_form_b
+    from lindblad2 import (
+        asymptotic_state,
+        build_generator,
+        classify,
+        density_from_bloch,
+        dissipation_matrix,
+        entropy_from_bloch,
+        evolve_rk4,
+        matrix_exponential,
+    )
+    from lindblad2.cli import _fmt
+
+    rng = np.random.default_rng(211)
+    for case in range(6):
+        fb = random_form_b(rng, int(rng.integers(1, 4)))
+        h = rng.normal(size=3)
+        r0 = rng.normal(size=3)
+        r0 *= rng.uniform(0.2, 1.0) / np.linalg.norm(r0)
+        terms = [{"rate": rate, "axis": axis.tolist()} for rate, axis in fb.terms]
+        path = _write_model(tmp_path / f"m{case}.json", {"form": "B", "terms": terms}, h, r0)
+        out = tmp_path / f"o{case}.csv"
+        dt, steps = 0.01, 300
+        argv = ["--model", path, "evolve", "--t-max", repr(dt * steps), "--dt", repr(dt),
+                "--method", method, "--out", str(out)]
+        assert run_cli(argv, capsys)[0] == 0
+
+        gen = build_generator(h, dissipation_matrix(fb))
+        limit = asymptotic_state(classify(h, fb), density_from_bloch(r0)).bloch
+        if method == "rk4":
+            states = evolve_rk4(gen, r0, dt * steps, dt).states
+        else:
+            step = matrix_exponential(dt * gen.matrix)
+            states = [r0]
+            for _ in range(steps):
+                states.append(step @ states[-1])
+        expected = ["t,rx,ry,rz,entropy,dist_to_limit"]
+        for k, r in enumerate(states):
+            values = [dt * k, *r, entropy_from_bloch(r), np.linalg.norm(r - limit)]
+            expected.append(",".join(_fmt(x) for x in values))
+        assert out.read_text(encoding="utf-8") == "\n".join(expected) + "\n"
+
+
+def test_evolve_rk4_outside_stability_region_exits_two(capsys, tmp_path, monkeypatch):
+    # dt |h| = 4 lies outside the RK4 stability interval |y| <= 2 sqrt(2) of
+    # the imaginary axis: the run would grow without bound.
+    import lindblad2.cli as cli
+
+    def no_propagation(*args):
+        raise AssertionError("the guard must reject the run before propagating")
+
+    monkeypatch.setattr(cli, "propagate", no_propagation)
+    path = _write_model(
+        tmp_path / "fast.json",
+        {"form": "B", "terms": [{"rate": 0.5, "axis": [1.0, 0.0, 0.0]}]},
+        h=(0.0, 0.0, 8.0),
+    )
+    out = tmp_path / "o.csv"
+    argv = ["--model", path, "evolve", "--t-max", "200", "--dt", "0.5",
+            "--method", "rk4", "--out", str(out)]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert err.count("\n") == 1
+    assert "stability" in err and "--dt" in err and "--method expm" in err
+    assert not out.exists()
+
+
+def test_evolve_step_cap_exits_two(capsys, tmp_path):
+    # 1e15 steps: without the cap, allocating the trajectory would fail.
+    out = tmp_path / "o.csv"
+    argv = ["--model", model("dephasing"), "evolve", "--t-max", "1e6", "--dt", "1e-9",
+            "--out", str(out)]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert err.count("\n") == 1 and "cap" in err
+    assert not out.exists()
+
+
+def test_zero_dissipator_commands(capsys, tmp_path):
+    zero = {"form": "matrix", "matrix": [[0.0] * 3] * 3}
+    path = _write_model(tmp_path / "zero.json", zero)
+    code, out, _ = run_cli(["--model", path, "check"], capsys)
+    assert code == 0 and "index: 0" in out
+    code, out, _ = run_cli(["--model", path, "convert", "--to", "E"], capsys)
+    assert code == 0 and "a = 0" in out
+    for argv in (["convert", "--to", "A"], ["convert", "--to", "B"],
+                 ["convert", "--to", "GKS"], ["reduce"], ["asymptote"],
+                 ["evolve", "--t-max", "1", "--dt", "0.1", "--out", str(tmp_path / "z.csv")]):
+        code, _, err = run_cli(["--model", path, *argv], capsys)
+        assert code == 2
+        assert err == "error: all Gram columns vanish\n"
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e300])
+def test_huge_rates_keep_verdicts(scale, capsys, tmp_path):
+    # Overflow in a norm or a 2x2 minor used to turn these into CP verdicts
+    # and a one-term reduction; warnings are errors here.
+    import json
+    import warnings
+
+    spec = json.loads((MODELS / "matrix_notcp.json").read_text())
+    spec["dissipator"]["matrix"] = (scale * np.array(spec["dissipator"]["matrix"])).tolist()
+    notcp = tmp_path / "notcp.json"
+    notcp.write_text(json.dumps(spec))
+    terms = [{"rate": scale, "axis": [1.0, 0.0, 0.0]}, {"rate": scale, "axis": [0.0, 1.0, 0.0]}]
+    orthogonal = _write_model(tmp_path / "orthogonal.json", {"form": "B", "terms": terms})
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run_cli(["--model", str(notcp), "check"], capsys)
+        assert code == 1
+        assert "verdict: NotCP\nreason: condition (i) M33 >= 0 violated\n" in out
+        for command in ("reduce", "asymptote"):
+            code, out, _ = run_cli(["--model", orthogonal, command], capsys)
+            assert code == 0
+            assert "index: 2" in out
+        code, out, _ = run_cli(["--model", orthogonal, "reduce"], capsys)
+        axes = sorted(tuple(axis) for _, axis in _parse_printed_terms(out))
+        assert axes == [(0.0, 1.0, 0.0), (1.0, 0.0, 0.0)]

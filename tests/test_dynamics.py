@@ -19,7 +19,8 @@ from lindblad2 import (
     liouvillian,
     matrix_exponential,
 )
-from lindblad2.dynamics import Trajectory, cross_matrix
+from lindblad2.asymptotics import spectral_gap
+from lindblad2.dynamics import Trajectory, cross_matrix, propagate, rk4_step
 from lindblad2.errors import BadStepError, NegativeTimeError
 
 DEPHASING = np.diag([0.5, 0.5, 0.0])
@@ -285,3 +286,65 @@ def test_entropy_constant_on_fixed_point():
     traj = evolve_rk4(gen, [0.0, 0.0, 0.4], 5.0, 1e-3)
     assert entropy_monotonicity_report(traj) == 0.0
     assert np.allclose(traj.states, traj.states[0])
+
+
+def test_propagate_reproduces_integrators():
+    # Both RK4 integrators are propagate(rk4_step(dt * generator)), bit for
+    # bit the sequential matrix-vector loop with the nested Taylor polynomial.
+    rng = np.random.default_rng(137)
+    dt, steps = 0.01, 200
+    for _ in range(5):
+        fb = random_form_b(rng, int(rng.integers(1, 4)))
+        h = Hamiltonian(h=rng.normal(size=3))
+        rho0 = density_from_bloch(rng.uniform(-0.5, 0.5, size=3))
+        gen = build_generator(h, dissipation_matrix(fb))
+        lv = liouvillian(h, fb)
+        for a, v0 in ((dt * gen.matrix, rho0.bloch), (dt * lv, rho0.matrix.reshape(4))):
+            eye = np.eye(len(a))
+            phi = eye + a @ (eye + a @ (eye + a @ (eye + a / 4.0) / 3.0) / 2.0)
+            ref = [v0]
+            for _ in range(steps):
+                ref.append(phi @ ref[-1])
+            assert np.array_equal(rk4_step(a), phi)
+            assert np.array_equal(propagate(phi, v0, steps), np.array(ref))
+            # The classical four-stage form agrees to rounding.
+            v = v0
+            k1 = a @ v
+            k2 = a @ (v + k1 / 2)
+            k3 = a @ (v + k2 / 2)
+            k4 = a @ (v + k3)
+            assert np.max(np.abs(phi @ v - (v + (k1 + 2 * k2 + 2 * k3 + k4) / 6))) < 1e-15
+        bloch = propagate(rk4_step(dt * gen.matrix), rho0.bloch, steps)
+        assert np.array_equal(evolve_rk4(gen, rho0.bloch, dt * steps, dt).states, bloch)
+        vecs = propagate(rk4_step(dt * lv), rho0.matrix.reshape(4), steps)
+        d00, d01, d10, d11 = vecs.T
+        states = np.stack([(d01 + d10).real, (1j * (d01 - d10)).real, (d00 - d11).real], axis=1)
+        assert np.array_equal(evolve_density(h, fb, rho0, dt * steps, dt).states, states)
+
+
+def test_step_count_cap():
+    gen = build_generator([0.0, 0.0, 1.0], DEPHASING)
+    # 1e15 steps: the cap rejects the run before any trajectory is allocated.
+    with pytest.raises(BadStepError, match="cap"):
+        evolve_rk4(gen, [1.0, 0.0, 0.0], 1e6, 1e-9)
+    with pytest.raises(BadStepError, match="cap"):
+        evolve_density([0.0, 0.0, 1.0], DEPHASING, density_from_bloch(EX), 1e6, 1e-9)
+
+
+def test_rotated_exceptional_point():
+    # One axis n at rate lam with h perpendicular to n and |h| = lam / 4:
+    # the generator has spectrum {-lam/2, -lam/4, -lam/4} with a Jordan
+    # block, in a generic orientation. np.linalg.eigvals misses the double
+    # root by up to ~1e-8 here; the closed-form cubic must hold 1e-10.
+    rng = np.random.default_rng(139)
+    for _ in range(500):
+        lam = rng.uniform(0.1, 5.0)
+        n = rng.normal(size=3)
+        n /= np.linalg.norm(n)
+        p = rng.normal(size=3)
+        p -= (p @ n) * n
+        h = 0.25 * lam * p / np.linalg.norm(p)
+        gen = build_generator(h, dissipation_matrix(FormB(terms=[(lam, n)])))
+        eigs = np.sort_complex(generator_spectrum(gen))
+        assert np.max(np.abs(eigs - [-lam / 2, -lam / 4, -lam / 4])) < 1e-10 * lam
+        assert abs(spectral_gap(gen) - lam / 4) < 1e-10 * lam

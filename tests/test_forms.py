@@ -38,7 +38,7 @@ from lindblad2 import (
     reduce_terms,
     trace_split,
 )
-from lindblad2.core import IDENTITY2, SIGMA_X, SIGMA_Y, SIGMA_Z
+from lindblad2.core import IDENTITY2, SIGMA_X, SIGMA_Y, SIGMA_Z, frobenius_normalized
 from lindblad2.errors import (
     EmptyDissipatorError,
     NotCPError,
@@ -222,6 +222,34 @@ def test_gram_decompose_zero_pivot_row():
     m = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 0.5], [0.0, 0.5, 2.0]])
     q = gram_decompose(m)
     assert np.max(np.abs(q @ q.T - m)) < 1e-14
+
+
+def test_gram_decompose_exact_under_power_of_four_scaling():
+    # M 4^j factors into q 2^j bit for bit up to 1e300: no product may
+    # overflow. (Scaling down is not covariant by design: the branch
+    # threshold floors M22 at 1.)
+    rng = np.random.default_rng(29)
+    for rank in (1, 2, 3):
+        for _ in range(50):
+            g = rng.normal(size=(3, rank))
+            m = g @ g.T
+            q = gram_decompose(m)
+            for j in (1, 250, 495):
+                with np.errstate(all="raise"):
+                    scaled = gram_decompose(np.ldexp(m, 2 * j))
+                assert np.array_equal(scaled, np.ldexp(q, j))
+
+
+def test_frobenius_normalized_bits_and_range():
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        a = rng.normal(size=(3, 3)) * 10.0 ** rng.uniform(-5, 5)
+        assert np.array_equal(frobenius_normalized(a), a / np.linalg.norm(a))
+        for scale in (1e-300, 1e160, 1e300):
+            with np.errstate(all="raise"):
+                unit = frobenius_normalized(a * scale)
+            assert abs(np.sum(unit * unit) - 1.0) < 1e-15
+    assert np.array_equal(frobenius_normalized(np.zeros((3, 3))), np.zeros((3, 3)))
 
 
 def test_gram_soundness_any_vectors_pass_conditions():
