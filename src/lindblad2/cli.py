@@ -233,11 +233,15 @@ def _dissipator(model: Model, tol: float):
 
     The verdict and minimal certificate come from the CP check of L. The
     terms are the model's own for Form A and B input and the certificate
-    for a matrix input, so they are None for a zero or NotCP matrix.
+    for a matrix input, so they are None for a zero or NotCP matrix. Form A
+    operators that are all proportional to I are the zero matrix.
     """
     fb = model.dissipator
     if isinstance(fb, FormA):
-        fb = form_a_to_form_b(fb)
+        try:
+            fb = form_a_to_form_b(fb)
+        except EmptyDissipatorError:
+            fb = np.zeros((3, 3))  # every operator is proportional to I
     ell = dissipation_matrix(fb) if isinstance(fb, FormB) else fb
     verdict, certificate = is_completely_positive(ell, tol=tol)
     return ell, verdict, certificate, fb if isinstance(fb, FormB) else certificate
@@ -348,9 +352,13 @@ def cmd_evolve(model: Model, args, tol: float) -> int:
     limit = asymptotic_state(classify(model.hamiltonian, fb), state).bloch
 
     steps = _step_count(args.t_max, args.dt)
+    with np.errstate(over="ignore"):  # caught as a non-finite entry
+        a = args.dt * gen.matrix
+    if not np.all(np.isfinite(a)):
+        raise BadStepError(f"dt {args.dt!r} times the generator overflows; use a smaller --dt")
     if args.method == "rk4":
         with np.errstate(over="ignore", invalid="ignore"):  # caught as inf growth
-            step = rk4_step(args.dt * gen.matrix)
+            step = rk4_step(a)
         finite = np.all(np.isfinite(step))
         growth = float(np.max(np.abs(np.linalg.eigvals(step)))) if finite else np.inf
         if not growth <= 1.0 + RK4_GROWTH_TOL:
@@ -359,7 +367,7 @@ def cmd_evolve(model: Model, args, tol: float) -> int:
                 f"states by {growth:.3g}); use a smaller --dt or --method expm"
             )
     else:
-        step = matrix_exponential(args.dt * gen.matrix)
+        step = matrix_exponential(a)
     states = propagate(step, state.bloch, steps)
     # Row-wise inner products by matmul keep the bits of the scalar
     # np.linalg.norm(r - limit); norm(axis=1) sums in another order.

@@ -116,7 +116,7 @@ def check_gram_psd(m, tol: float = PSD_TOL, band: float = MISMATCH_BAND) -> Verd
     oracle_cp = min_eig >= -tol
     if verdict.cp != oracle_cp and abs(verdict.margin) > band and abs(min_eig) > band:
         raise VerdictMismatchError(
-            f"minor conditions say cp={verdict.cp} (margin {verdict.margin:.3e}) "
+            f"internal bug: minor conditions say cp={verdict.cp} (margin {verdict.margin:.3e}) "
             f"but min eigenvalue is {min_eig:.3e}"
         )
     return verdict
@@ -135,7 +135,7 @@ def is_completely_positive(ell, tol: float = PSD_TOL, band: float = MISMATCH_BAN
     if via_e.cp != via_m.cp:
         if abs(via_e.margin) > band and abs(via_m.margin) > band:
             raise VerdictMismatchError(
-                f"six-constant route says cp={via_e.cp} (margin {via_e.margin:.3e}) "
+                f"internal bug: six-constant route says cp={via_e.cp} (margin {via_e.margin:.3e}) "
                 f"but minor route says cp={via_m.cp} (margin {via_m.margin:.3e})"
             )
     verdict = via_m

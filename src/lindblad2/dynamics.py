@@ -9,6 +9,7 @@ dissipator applied natively in its given form; both pictures must agree.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,10 +73,9 @@ def matrix_exponential(a) -> np.ndarray:
     norm = float(np.linalg.norm(a, np.inf))
     if not np.isfinite(norm):
         raise ValueError("matrix entries must be finite")
-    squarings = 0
-    while norm / (2.0**squarings) >= 0.5:
-        squarings += 1
-    b = a / (2.0**squarings)
+    # The fewest squarings s with norm / 2^s < 1/2; the scaling is exact.
+    squarings = math.frexp(norm)[1] + 1 if norm >= 0.5 else 0
+    b = a * math.ldexp(1.0, -squarings)
     term = eye.copy()
     out = eye.copy()
     for k in range(1, 13):

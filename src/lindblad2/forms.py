@@ -20,7 +20,6 @@ they have no effect on the dissipator.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,10 +42,9 @@ from .errors import (
     NotSymmetricError,
 )
 from .tolerances import (
-    DEGENERATE_TOL,
     HERMITIAN_TOL,
     PSD_TOL,
-    RATE_FLOOR,
+    RANK_TOL,
     ROUNDTRIP_TOL,
     SYMMETRY_TOL,
 )
@@ -173,15 +171,15 @@ def form_a_to_form_b(fa: FormA) -> FormB:
 
     Each hermitian A lifts uniquely to A = (1/2)(a I + sqrt(lambda) n . sigma);
     the identity part commutes with everything and drops out, so the
-    dissipator only sees (lambda, n). Operators with lambda below the rate
-    floor contribute nothing and are discarded.
+    dissipator only sees (lambda, n). Operators with lambda = 0 are
+    proportional to the identity, contribute nothing and are discarded.
     """
     terms = []
     for op in fa.operators:
         _, coeff = pauli_coefficients(op)
         v = 2.0 * coeff.real
         lam = float(v @ v)
-        if lam > RATE_FLOOR:
+        if lam > 0.0:
             terms.append((lam, v / np.sqrt(lam)))
     if not terms:
         raise EmptyDissipatorError("all operators are proportional to the identity")
@@ -285,7 +283,10 @@ def gram_condition_margins(m) -> list:
     on M normalized by its Frobenius norm, so the verdict is scale free.
     """
     m = frobenius_normalized(require_symmetric(m, what="gram matrix"))
-    return [(label, float(value(m))) for label, value in _GRAM_CONDITIONS]
+    # np.linalg.det flags a division by zero on an exactly singular pivot
+    # (subnormal entries reach one) and still returns the right 0.
+    with np.errstate(divide="ignore"):
+        return [(label, float(value(m))) for label, value in _GRAM_CONDITIONS]
 
 
 def _first_gram_violation(m, tol: float):
@@ -295,19 +296,18 @@ def _first_gram_violation(m, tol: float):
     return None
 
 
-def _sqrt_clamped(x: float) -> float:
-    return float(np.sqrt(x)) if x > 0.0 else 0.0
-
-
 def gram_decompose(m, tol: float = PSD_TOL):
     """Factor a PSD symmetric 3x3 matrix as M_ab = q_a . q_b.
 
-    Returns a (3, 3) array whose rows are the vectors q_a. The construction
-    pivots the largest diagonal entry into the leading position, fills the
-    first two vectors by forward substitution when the leading 2x2 block is
-    nonsingular, and falls back to a rank-deficient branch (q_2 parallel to
-    q_1 with sign eta) when M11*M22 = M12^2. A zero matrix factors into
-    three zero vectors.
+    Returns a (3, 3) array whose rows are the vectors q_a; column k is the
+    k-th Lindblad term. Each step of the triangular construction pivots on
+    the largest remaining diagonal entry d at row p, takes the column
+    rest[:, p] / sqrt(d) with sqrt(d) at row p, subtracts its outer product
+    from the rest and clears row and column p. The loop stops once
+    d <= RANK_TOL times the largest diagonal entry of M, so the number of
+    nonzero columns is the rank of M whatever the units. No step can
+    overflow for a PSD M, and a zero matrix factors into three zero
+    vectors.
 
     Raises NotCPError when a principal-minor condition fails beyond ``tol``.
     """
@@ -318,39 +318,17 @@ def gram_decompose(m, tol: float = PSD_TOL):
         raise NotCPError(f"condition {label} violated (margin {margin:.3e})")
 
     q = np.zeros((3, 3))
-    diag = np.diag(m)
-    pivot = int(np.argmax(diag))
-    perm = np.arange(3)
-    perm[0], perm[pivot] = perm[pivot], perm[0]
-    mp = m[np.ix_(perm, perm)]
-
-    if mp[0, 0] <= 0.0:
-        # Largest diagonal entry nonpositive: within tolerance this is the
-        # zero dissipator.
-        return q
-    # Work on M / 4^k with its largest entry in [1/4, 1), so the products
-    # below cannot overflow; q then scales back by 2^k. Both scalings are
-    # exact, and so is the threshold's max(M22, 1) in these units.
-    k = (math.frexp(float(np.max(np.abs(mp))))[1] + 1) // 2
-    mp = np.ldexp(mp, -2 * k)
-    m11 = mp[0, 0]
-    r11 = float(np.sqrt(m11))
-    minor = m11 * mp[1, 1] - mp[0, 1] ** 2
-    qt = np.zeros((3, 3))
-    if minor > DEGENERATE_TOL * m11 * max(mp[1, 1], math.ldexp(1.0, -2 * k)):
-        qt[0, 0] = r11
-        qt[1, 0] = mp[0, 1] / r11
-        qt[1, 1] = _sqrt_clamped(mp[1, 1] - qt[1, 0] ** 2)
-        qt[2, 0] = mp[0, 2] / r11
-        qt[2, 1] = (mp[1, 2] - mp[0, 1] * mp[0, 2] / m11) / qt[1, 1]
-        qt[2, 2] = _sqrt_clamped(mp[2, 2] - qt[2, 0] ** 2 - qt[2, 1] ** 2)
-    else:
-        eta = 1.0 if mp[0, 1] >= 0.0 else -1.0
-        qt[0, 0] = r11
-        qt[1, 0] = eta * _sqrt_clamped(mp[1, 1])
-        qt[2, 0] = mp[0, 2] / r11
-        qt[2, 1] = _sqrt_clamped(mp[2, 2] - qt[2, 0] ** 2)
-    q[perm, :] = np.ldexp(qt, k)
+    floor = RANK_TOL * float(np.max(np.diag(m)))
+    rest = m
+    for k in range(3):
+        p = int(np.argmax(np.diag(rest)))
+        if not rest[p, p] > floor:
+            break
+        root = np.sqrt(rest[p, p])
+        q[:, k] = rest[:, p] / root
+        q[p, k] = root
+        rest = rest - np.outer(q[:, k], q[:, k])
+        rest[p, :] = rest[:, p] = 0.0
     return q
 
 
@@ -363,14 +341,14 @@ def gram_from_form_b(fb: FormB) -> GramFactor:
 def form_b_from_gram(gram: GramFactor) -> FormB:
     """Form B from Form D: lambda_j = sum_a (q_a)_j^2, n_j the unit column.
 
-    Columns with rate at or below the floor are dropped; if every column
-    vanishes the dissipator is empty.
+    Zero columns are dropped; if every column vanishes the dissipator is
+    empty.
     """
     q = np.asarray(gram.vectors, dtype=float)
     terms = []
     for j in range(q.shape[1]):
         lam = float(q[:, j] @ q[:, j])
-        if lam > RATE_FLOOR:
+        if lam > 0.0:
             terms.append((lam, q[:, j] / np.sqrt(lam)))
     if not terms:
         raise EmptyDissipatorError("all Gram columns vanish")
@@ -492,7 +470,9 @@ def gks_minimal(c, tol: float = PSD_TOL) -> list:
 
     Diagonalizing c = U chat U^dag yields one operator
     B_j = sqrt(chat_jj) sum_k U_kj F_k per positive eigenvalue, so at most
-    three. With hermitian Lindblad operators c is real symmetric and the
+    three. Eigenvalues at or below RANK_TOL times the largest count as zero,
+    and ``tol`` is the negative slack relative to the largest |eigenvalue|.
+    With hermitian Lindblad operators c is real symmetric and the
     reconstructed operators are hermitian. Returns them largest rate first;
     c = 0 yields an empty list.
     """
@@ -506,15 +486,13 @@ def gks_minimal(c, tol: float = PSD_TOL) -> list:
             "matrices (hermitian Lindblad operators) are supported"
         )
     sym = 0.5 * (c.real + c.real.T)
-    scale = float(np.linalg.norm(sym))
-    if scale == 0.0:
-        return []
     evals, evecs = np.linalg.eigh(sym)
+    scale = float(np.max(np.abs(evals)))
     if evals[0] < -tol * scale:
         raise NotPSDError(f"coefficient matrix has eigenvalue {evals[0]!r} < 0")
     ops = []
     for j in range(2, -1, -1):
-        if evals[j] > RATE_FLOOR:
+        if evals[j] > RANK_TOL * evals[2]:
             weight = np.sqrt(evals[j])
             op = weight * np.tensordot(evecs[:, j], _GKS_BASIS, axes=(0, 0))
             ops.append(op)

@@ -17,14 +17,11 @@ BALL_TOL = 1e-9
 # Exact linear-algebra round trips (matrix <-> bloch, pack/unpack, Gram).
 ROUNDTRIP_TOL = 1e-12
 
-# Rates at or below this are treated as absent: the corresponding term has
-# no effect on the dissipator.
-RATE_FLOOR = 1e-12
-
-# Switchover band between the generic and the rank-deficient branch of the
-# Gram factorization: generic branch requires
-# M11*M22 - M12**2 > DEGENERATE_TOL * M11 * max(M22, 1).
-DEGENERATE_TOL = 1e-12
+# Rank decision for the minimal number of Lindblad terms: a pivot of the
+# Gram factorization, or an eigenvalue of a GKS matrix, at or below
+# RANK_TOL times the largest one counts as zero. Relative, so the index
+# does not depend on the units of the rates.
+RANK_TOL = 1e-10
 
 # Absolute slack per CP inequality, applied after normalizing the matrix
 # under test by its Frobenius norm.

@@ -443,19 +443,80 @@ def test_evolve_step_cap_exits_two(capsys, tmp_path):
     assert not out.exists()
 
 
+ZERO_MATRIX = {"form": "matrix", "matrix": [[0.0] * 3] * 3}
+
+
+def _commands_without_terms(tmp_path):
+    return (["convert", "--to", "A"], ["convert", "--to", "B"],
+            ["convert", "--to", "GKS"], ["reduce"], ["asymptote"],
+            ["evolve", "--t-max", "1", "--dt", "0.1", "--out", str(tmp_path / "z.csv")])
+
+
 def test_zero_dissipator_commands(capsys, tmp_path):
-    zero = {"form": "matrix", "matrix": [[0.0] * 3] * 3}
-    path = _write_model(tmp_path / "zero.json", zero)
+    path = _write_model(tmp_path / "zero.json", ZERO_MATRIX)
     code, out, _ = run_cli(["--model", path, "check"], capsys)
     assert code == 0 and "index: 0" in out
     code, out, _ = run_cli(["--model", path, "convert", "--to", "E"], capsys)
     assert code == 0 and "a = 0" in out
-    for argv in (["convert", "--to", "A"], ["convert", "--to", "B"],
-                 ["convert", "--to", "GKS"], ["reduce"], ["asymptote"],
-                 ["evolve", "--t-max", "1", "--dt", "0.1", "--out", str(tmp_path / "z.csv")]):
+    for argv in _commands_without_terms(tmp_path):
         code, _, err = run_cli(["--model", path, *argv], capsys)
         assert code == 2
         assert err == "error: all Gram columns vanish\n"
+
+
+def test_identity_operators_are_the_zero_dissipator(capsys, tmp_path):
+    # Operators proportional to I drop out of the dissipator, so every
+    # command answers exactly as for the all-zero matrix.
+    ops = [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+           [[[-0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-0.5, 0.0]]]]
+    identity = _write_model(tmp_path / "identity.json", {"form": "A", "operators": ops})
+    zero = _write_model(tmp_path / "zero.json", ZERO_MATRIX)
+    code, out, err = run_cli(["--model", identity, "check"], capsys)
+    assert (code, out, err) == (0, "verdict: CP\nindex: 0\ncertificate: (none)\n", "")
+    for argv in (["check"], ["convert", "--to", "E"], *_commands_without_terms(tmp_path)):
+        assert run_cli(["--model", identity, *argv], capsys) == run_cli(
+            ["--model", zero, *argv], capsys
+        )
+
+
+def test_tiny_rates_keep_index(capsys, tmp_path):
+    # The rank is decided relative to the largest rate, not against an
+    # absolute floor, so rates of 1e-13 are two terms like rates of 1.
+    terms = [{"rate": 1e-13, "axis": [1.0, 0.0, 0.0]}, {"rate": 1e-13, "axis": [0.0, 1.0, 0.0]}]
+    path = _write_model(tmp_path / "tiny.json", {"form": "B", "terms": terms})
+    for command in ("check", "reduce"):
+        code, out, _ = run_cli(["--model", path, command], capsys)
+        assert code == 0 and "index: 2\n" in out
+        assert len(_parse_printed_terms(out)) == 2
+
+
+def test_route_disagreement_exits_two(monkeypatch, capsys):
+    from lindblad2.cpcheck import Verdict
+
+    broken = Verdict(cp=False, reason="patched", margin=-0.5)
+    monkeypatch.setattr("lindblad2.cpcheck.check_form_e", lambda fe, tol: broken)
+    code, out, err = run_cli(["--model", model("isotropic"), "check"], capsys)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: internal bug: six-constant route says cp=False")
+
+
+def test_evolve_expm_huge_rates(capsys, tmp_path):
+    # dt times the generator near 1e308 needs over 1023 squarings.
+    terms = [{"rate": 1e300, "axis": [1.0, 0.0, 0.0]}, {"rate": 1e300, "axis": [0.0, 1.0, 0.0]}]
+    path = _write_model(tmp_path / "huge.json", {"form": "B", "terms": terms})
+    out = tmp_path / "o.csv"
+    argv = ["--model", path, "evolve", "--method", "expm", "--t-max", "1e10",
+            "--out", str(out)]
+    code, _, err = run_cli([*argv, "--dt", "1e8"], capsys)
+    assert code == 0 and err == ""
+    table = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert table.shape == (101, 6) and np.all(np.isfinite(table))
+    # A decade more and dt G itself overflows.
+    for method in ("expm", "rk4"):
+        code, _, err = run_cli([*argv, "--dt", "1e9", "--method", method], capsys)
+        assert code == 2
+        assert err.count("\n") == 1 and "overflows" in err
 
 
 @pytest.mark.parametrize("scale", [1e160, 1e300])

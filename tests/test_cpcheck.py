@@ -15,7 +15,8 @@ from lindblad2 import (
 )
 from lindblad2.core import matrix_from_pauli, pauli_coefficients
 from lindblad2.dynamics import cross_matrix
-from lindblad2.errors import NegativeTimeError
+from lindblad2.cpcheck import Verdict
+from lindblad2.errors import NegativeTimeError, VerdictMismatchError
 
 
 def reference_choi(h, ell, t) -> np.ndarray:
@@ -97,6 +98,15 @@ def test_is_completely_positive_zero_dissipator():
     verdict, certificate = is_completely_positive(np.zeros((3, 3)))
     assert verdict.cp
     assert certificate is None
+
+
+def test_route_disagreement_raises(monkeypatch):
+    # A six-constant route broken to say NotCP, far outside the band, on a
+    # full-rank CP matrix whose minor route says CP with margin ~0.19.
+    broken = Verdict(cp=False, reason="patched", margin=-0.5)
+    monkeypatch.setattr("lindblad2.cpcheck.check_form_e", lambda fe, tol: broken)
+    with pytest.raises(VerdictMismatchError, match="^internal bug: six-constant route"):
+        is_completely_positive(np.eye(3))
 
 
 def test_verdict_scale_invariant():

@@ -34,6 +34,7 @@ from lindblad2 import (
     gram_decompose,
     gram_from_dissipation,
     gram_from_form_b,
+    is_completely_positive,
     plane_projector,
     reduce_terms,
     trace_split,
@@ -225,19 +226,48 @@ def test_gram_decompose_zero_pivot_row():
 
 
 def test_gram_decompose_exact_under_power_of_four_scaling():
-    # M 4^j factors into q 2^j bit for bit up to 1e300: no product may
-    # overflow. (Scaling down is not covariant by design: the branch
-    # threshold floors M22 at 1.)
+    # M 4^j factors into q 2^j bit for bit from 1e-150 up to 1e300: no
+    # product may overflow, and the rank threshold is relative.
     rng = np.random.default_rng(29)
     for rank in (1, 2, 3):
         for _ in range(50):
             g = rng.normal(size=(3, rank))
             m = g @ g.T
             q = gram_decompose(m)
-            for j in (1, 250, 495):
+            for j in (-250, -1, 1, 250, 495):
                 with np.errstate(all="raise"):
                     scaled = gram_decompose(np.ldexp(m, 2 * j))
                 assert np.array_equal(scaled, np.ldexp(q, j))
+
+
+# A rank-2 dissipator whose plane normal has a small component, so the
+# leading 2x2 block of M is ill-conditioned: its rounding residue must not
+# count as a third term.
+RANK2_FAULT_TERMS = (
+    (0.464, (-0.07797568794861909, -0.14274906774332727, 0.9866825709149577)),
+    (1.278, (0.4751340493386223, 0.8691202662572676, -0.13739577118667015)),
+)
+
+
+def test_reduce_terms_rank_two_ill_conditioned_block():
+    fb = FormB(terms=RANK2_FAULT_TERMS)
+    fb_min, index = reduce_terms(fb)
+    assert index == 2
+    assert np.max(np.abs(dissipation_matrix(fb_min) - dissipation_matrix(fb))) < 1e-12
+    _, certificate = is_completely_positive(dissipation_matrix(fb))
+    assert len(certificate.terms) == 2
+
+
+def test_tiny_rates_keep_their_terms():
+    # Rates far below 1 are no reason to drop a term: the rank is relative.
+    fb = FormB(terms=[(1e-13, EX), (1e-13, EY)])
+    assert reduce_terms(fb)[1] == 2
+    assert len(is_completely_positive(dissipation_matrix(fb))[1].terms) == 2
+    assert len(gks_minimal(np.diag([1e-13, 0.0, 0.0]))) == 1
+    fb = form_a_to_form_b(FormA(operators=(1e-7 * SIGMA_Z,)))
+    assert len(fb.terms) == 1
+    assert fb.terms[0][0] == pytest.approx(4e-14, rel=1e-15)
+    assert np.array_equal(fb.terms[0][1], EZ)
 
 
 def test_frobenius_normalized_bits_and_range():
