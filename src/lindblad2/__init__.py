@@ -4,7 +4,6 @@ positivity checks, Bloch-vector evolution, and asymptotic-state analysis."""
 from .core import (
     DensityState,
     Hamiltonian,
-    Projector2,
     SIGMA,
     SIGMA_X,
     SIGMA_Y,
@@ -14,15 +13,12 @@ from .core import (
     density_from_bloch,
     density_from_matrix,
     entropy_from_bloch,
-    projector_from_axis,
     von_neumann_entropy,
 )
 from .forms import (
     FormA,
     FormB,
     FormE,
-    GramFactor,
-    TraceSplit,
     apply_dissipator,
     delta_hamiltonian,
     dissipation_from_gram,
@@ -64,10 +60,8 @@ from .dynamics import (
 from .asymptotics import (
     AsymptoteReport,
     AsymptoticVerdict,
-    FixedPointSet,
     asymptotic_state,
     classify,
-    fixed_points,
     spectral_gap,
     verify_asymptote,
 )

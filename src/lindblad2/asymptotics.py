@@ -5,6 +5,8 @@ the state relaxes to the maximally mixed one. With a single axis n the
 outcome depends on whether the field is parallel to n: if it is, the
 component of the state along n survives (the off-diagonal block in the
 projector eigenbasis dies off); if not, the limit is again maximally mixed.
+Without dissipation (D = 0) the state precesses about h undamped, and its
+time average, the component along h, stands in for the limit.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityState, as_field_vector, density_from_bloch, _readonly
+from .core import DensityState, as_field_vector, density_from_bloch, frobenius_normalized, _readonly
 from .dynamics import build_generator, evolve_expm, generator_spectrum
 from .errors import NegativeHorizonError
 from .forms import FormB, dissipation_matrix, reduce_terms
@@ -21,15 +23,18 @@ from .tolerances import CONVERGED_TOL, DECAY_BOUND_SLACK, GAP_TOL, PARALLEL_TOL
 
 MAXIMALLY_MIXED = "maximally-mixed"
 DECOHERED = "decohered"
+UNDAMPED = "undamped"
 
 
 @dataclass(frozen=True)
 class AsymptoticVerdict:
     """Where the state ends up as t -> infinity.
 
-    kind is ``maximally-mixed`` or ``decohered``; the latter only occurs for
-    a single dissipation axis commuting with the Hamiltonian, and then
-    ``axis`` holds that direction.
+    kind is ``maximally-mixed``, ``decohered`` or ``undamped``.
+    ``decohered`` only occurs for a single dissipation axis commuting with
+    the Hamiltonian, and then ``axis`` holds that direction. ``undamped`` is
+    the zero dissipator; ``axis`` is then the unit field direction, or None
+    when h = 0.
     """
 
     kind: str
@@ -38,12 +43,14 @@ class AsymptoticVerdict:
     axis: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind == DECOHERED:
-            if self.axis is None or self.index != 1 or not self.commuting:
-                raise ValueError("decohered limit requires a single commuting axis")
-            object.__setattr__(self, "axis", _readonly(np.asarray(self.axis, dtype=float)))
-        elif self.kind != MAXIMALLY_MIXED:
+        if self.kind == DECOHERED and (self.axis is None or self.index != 1 or not self.commuting):
+            raise ValueError("decohered limit requires a single commuting axis")
+        if self.kind == UNDAMPED and (self.index != 0 or not self.commuting):
+            raise ValueError("undamped limit requires the zero dissipator")
+        if self.kind not in (MAXIMALLY_MIXED, DECOHERED, UNDAMPED):
             raise ValueError(f"unknown verdict kind {self.kind!r}")
+        if self.axis is not None:
+            object.__setattr__(self, "axis", _readonly(np.asarray(self.axis, dtype=float)))
 
 
 def classify(h, fb: FormB) -> AsymptoticVerdict:
@@ -52,17 +59,19 @@ def classify(h, fb: FormB) -> AsymptoticVerdict:
     The dissipator is first reduced to its minimal term count. Two or more
     terms always relax to the maximally mixed state. One term preserves the
     population along its axis exactly when h is parallel to the axis (h = 0
-    counts as parallel); otherwise it also relaxes to maximally mixed.
+    counts as parallel); otherwise it also relaxes to maximally mixed. No
+    terms leave the precession about h undamped.
     """
-    hv = as_field_vector(h)
+    # Normalized after an exact power-of-two prescale, so |h| cannot overflow.
+    hhat = frobenius_normalized(as_field_vector(h))
     fb_min, index = reduce_terms(fb)
     if index >= 2:
         return AsymptoticVerdict(kind=MAXIMALLY_MIXED, index=index, commuting=False)
+    if index == 0:
+        axis = hhat if hhat.any() else None
+        return AsymptoticVerdict(kind=UNDAMPED, index=0, commuting=True, axis=axis)
     axis = fb_min.terms[0][1]
-    hnorm = float(np.linalg.norm(hv))
-    commuting = hnorm == 0.0 or float(
-        np.linalg.norm(np.cross(hv, axis))
-    ) <= PARALLEL_TOL * hnorm
+    commuting = not hhat.any() or float(np.linalg.norm(np.cross(hhat, axis))) <= PARALLEL_TOL
     if commuting:
         return AsymptoticVerdict(kind=DECOHERED, index=1, commuting=True, axis=axis)
     return AsymptoticVerdict(kind=MAXIMALLY_MIXED, index=1, commuting=False)
@@ -73,36 +82,16 @@ def asymptotic_state(verdict: AsymptoticVerdict, rho0: DensityState) -> DensityS
 
     Maximally mixed ignores the initial state. The decohered limit keeps the
     projection of the Bloch vector onto the surviving axis, which equals
-    P rho(0) P + P_perp rho(0) P_perp in the matrix picture.
+    P rho(0) P + P_perp rho(0) P_perp in the matrix picture. The undamped
+    limit is the time average of the precession, the same projection onto
+    the field axis, or the initial state itself when h = 0.
     """
     if verdict.kind == MAXIMALLY_MIXED:
         return density_from_bloch(np.zeros(3))
+    if verdict.axis is None:
+        return rho0
     r0 = rho0.bloch
     return density_from_bloch(float(r0 @ verdict.axis) * verdict.axis)
-
-
-@dataclass(frozen=True)
-class FixedPointSet:
-    """Stationary states: either the single point r = 0 or the segment
-    {s * axis : s in [-1, 1]}."""
-
-    kind: str
-    axis: np.ndarray | None = None
-
-    def bloch(self, s: float = 0.0) -> np.ndarray:
-        if self.kind == "point":
-            return np.zeros(3)
-        if abs(s) > 1.0:
-            raise ValueError("segment parameter must lie in [-1, 1]")
-        return s * self.axis
-
-
-def fixed_points(h, fb: FormB) -> FixedPointSet:
-    """Describe all stationary Bloch vectors of the evolution."""
-    verdict = classify(h, fb)
-    if verdict.kind == DECOHERED:
-        return FixedPointSet(kind="segment", axis=verdict.axis)
-    return FixedPointSet(kind="point")
 
 
 @dataclass(frozen=True)

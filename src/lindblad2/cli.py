@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import DECOHERED, asymptotic_state, classify, spectral_gap
+from .asymptotics import asymptotic_state, classify, spectral_gap
 from .core import (
     DensityState,
     Hamiltonian,
@@ -27,12 +27,7 @@ from .core import (
     density_from_matrix,
 )
 from .dynamics import _step_count, build_generator, matrix_exponential, propagate, rk4_step
-from .errors import (
-    BadStepError,
-    EmptyDissipatorError,
-    LindbladError,
-    NotCPError,
-)
+from .errors import BadStepError, LindbladError, NotCPError
 from .forms import (
     FormA,
     FormB,
@@ -154,8 +149,8 @@ def _parse_dissipator(spec):
     try:
         if form == "A":
             ops = _require(spec, "operators", "dissipator")
-            if not isinstance(ops, list) or not ops:
-                raise ParseError("dissipator operators must be a non-empty list")
+            if not isinstance(ops, list):
+                raise ParseError("dissipator operators must be a list")
             return FormA(
                 operators=tuple(
                     _complex_matrix(op, f"operator {k + 1}") for k, op in enumerate(ops)
@@ -233,15 +228,12 @@ def _dissipator(model: Model, tol: float):
 
     The verdict and minimal certificate come from the CP check of L. The
     terms are the model's own for Form A and B input and the certificate
-    for a matrix input, so they are None for a zero or NotCP matrix. Form A
-    operators that are all proportional to I are the zero matrix.
+    for a matrix input, so they are None for a NotCP matrix. No terms is the
+    zero dissipator.
     """
     fb = model.dissipator
     if isinstance(fb, FormA):
-        try:
-            fb = form_a_to_form_b(fb)
-        except EmptyDissipatorError:
-            fb = np.zeros((3, 3))  # every operator is proportional to I
+        fb = form_a_to_form_b(fb)
     ell = dissipation_matrix(fb) if isinstance(fb, FormB) else fb
     verdict, certificate = is_completely_positive(ell, tol=tol)
     return ell, verdict, certificate, fb if isinstance(fb, FormB) else certificate
@@ -255,13 +247,6 @@ def _gate_cp(model: Model, tol: float):
             f"dissipator is not completely positive: condition {verdict.reason} violated"
         )
     return ell, fb
-
-
-def _nonzero(fb: FormB | None) -> FormB:
-    """The terms, for commands that have nothing to do without them."""
-    if fb is None:
-        raise EmptyDissipatorError("all Gram columns vanish")
-    return fb
 
 
 def _need_initial(model: Model) -> DensityState:
@@ -283,14 +268,10 @@ def cmd_check(model: Model, args, tol: float) -> int:
         print(f"margin: {_fmt(verdict.margin)}")
         return 1
     print("verdict: CP")
-    if certificate is None:
-        print("index: 0")
-        print("certificate: (none)")
-    else:
-        print(f"index: {len(certificate.terms)}")
-        print("certificate:")
-        for line in _fmt_terms(certificate):
-            print(line)
+    print(f"index: {len(certificate.terms)}")
+    print("certificate:" if certificate.terms else "certificate: (none)")
+    for line in _fmt_terms(certificate):
+        print(line)
     return 0
 
 
@@ -303,7 +284,6 @@ def cmd_convert(model: Model, args, tol: float) -> int:
         for name in ("a", "b", "c", "alpha", "beta", "gamma"):
             print(f"{name} = {_fmt(getattr(fe, name))}")
         return 0
-    fb = _nonzero(fb)
     if target == "B":
         print("form: B")
         print("terms:")
@@ -324,7 +304,7 @@ def cmd_convert(model: Model, args, tol: float) -> int:
 
 
 def cmd_reduce(model: Model, args, tol: float) -> int:
-    fb = _nonzero(_gate_cp(model, tol)[1])
+    fb = _gate_cp(model, tol)[1]
     before = dissipation_matrix(fb)
     fb_min, index = reduce_terms(fb)
     # In units of the largest entry, so neither side can overflow.
@@ -347,7 +327,6 @@ CSV_BLOCK_ROWS = 4096
 def cmd_evolve(model: Model, args, tol: float) -> int:
     ell, fb = _gate_cp(model, tol)
     state = _need_initial(model)
-    fb = _nonzero(fb)
     gen = build_generator(model.hamiltonian, ell)
     limit = asymptotic_state(classify(model.hamiltonian, fb), state).bloch
 
@@ -386,13 +365,13 @@ def cmd_evolve(model: Model, args, tol: float) -> int:
 def cmd_asymptote(model: Model, args, tol: float) -> int:
     ell, fb = _gate_cp(model, tol)
     state = _need_initial(model)
-    verdict = classify(model.hamiltonian, _nonzero(fb))
+    verdict = classify(model.hamiltonian, fb)
     limit = asymptotic_state(verdict, state)
     gap = spectral_gap(build_generator(model.hamiltonian, ell))
     print(f"kind: {verdict.kind}")
     print(f"index: {verdict.index}")
     print(f"commuting: {'yes' if verdict.commuting else 'no'}")
-    if verdict.kind == DECOHERED:
+    if verdict.axis is not None:
         print(f"axis: {_fmt_vector(verdict.axis)}")
     print(f"limit: {_fmt_vector(limit.bloch)}")
     print(f"gap: {_fmt(gap)}")
@@ -457,16 +436,10 @@ def main(argv=None) -> int:
     try:
         model = load_model(args.model)
         return args.func(model, args, tol)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NotCPError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (BadStepError, EmptyDissipatorError, LindbladError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ParseError, LindbladError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -217,28 +217,3 @@ def unit_vector(n, tol: float = UNIT_TOL) -> np.ndarray:
     if not np.isfinite(norm) or abs(norm - 1.0) > tol:
         raise NotUnitError(f"axis has length {norm!r}, expected 1")
     return n
-
-
-@dataclass(frozen=True)
-class Projector2:
-    """Rank-1 projector (1/2)(I + n . sigma), or its complement I - P."""
-
-    axis: np.ndarray
-    complement: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "axis", _readonly(unit_vector(self.axis)))
-
-    @property
-    def matrix(self) -> np.ndarray:
-        sign = -1.0 if self.complement else 1.0
-        return matrix_from_pauli(0.5, 0.5 * sign * self.axis)
-
-    @property
-    def orthogonal(self) -> "Projector2":
-        return Projector2(axis=self.axis, complement=not self.complement)
-
-
-def projector_from_axis(n, complement: bool = False) -> Projector2:
-    """Projector onto the +1 eigenstate of n . sigma for a unit axis n."""
-    return Projector2(axis=n, complement=complement)

@@ -22,12 +22,7 @@ import numpy as np
 
 from .core import as_field_vector, frobenius_normalized
 from .dynamics import liouvillian, matrix_exponential
-from .errors import (
-    EmptyDissipatorError,
-    NegativeTimeError,
-    NotCPError,
-    VerdictMismatchError,
-)
+from .errors import NegativeTimeError, VerdictMismatchError
 from .forms import (
     FormE,
     form_b_from_dissipation,
@@ -126,8 +121,8 @@ def is_completely_positive(ell, tol: float = PSD_TOL, band: float = MISMATCH_BAN
     """Check a dissipation matrix via both equivalent routes.
 
     Returns (Verdict, certificate) where the certificate is the minimal
-    rate/axis FormB whenever the matrix is CP and nonzero (None for the zero
-    dissipator). The two routes must agree outside the margin band.
+    rate/axis FormB whenever the matrix is CP (no terms for L = 0) and None
+    when it is not. The two routes must agree outside the margin band.
     """
     ell = require_symmetric(ell, what="dissipation matrix")
     via_e = check_form_e(form_e_pack(ell), tol)
@@ -138,16 +133,12 @@ def is_completely_positive(ell, tol: float = PSD_TOL, band: float = MISMATCH_BAN
                 f"internal bug: six-constant route says cp={via_e.cp} (margin {via_e.margin:.3e}) "
                 f"but minor route says cp={via_m.cp} (margin {via_m.margin:.3e})"
             )
-    verdict = via_m
-    if not verdict.cp:
-        return verdict, None
-    try:
-        certificate, _ = form_b_from_dissipation(ell, tol=max(tol, band))
-    except EmptyDissipatorError:
-        certificate = None
-    except NotCPError:
-        certificate = None
-    return verdict, certificate
+    if not via_m.cp:
+        return via_m, None
+    # The factorization tests the same minors with at least tol of slack,
+    # so a CP verdict always factors.
+    certificate, _ = form_b_from_dissipation(ell, tol=max(tol, band))
+    return via_m, certificate
 
 
 def choi_check(h, ell, times) -> np.ndarray:

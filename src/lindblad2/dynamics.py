@@ -126,23 +126,21 @@ class Trajectory:
     def final_state(self) -> np.ndarray:
         return self.states[-1]
 
-    def max_radius(self) -> float:
-        return float(np.max(np.linalg.norm(self.states, axis=1)))
-
 
 def _step_count(t_max: float, dt: float) -> int:
-    """The number of dt steps nearest t_max, capped at MAX_STEPS."""
+    """The whole number n >= 1 of dt steps that make up t_max, at most
+    MAX_STEPS; t_max / dt must lie within STEP_FIT_TOL * n of n."""
     if not np.isfinite(t_max) or t_max <= 0.0:
         raise BadStepError(f"t_max must be finite and positive, got {t_max!r}")
     if not np.isfinite(dt) or dt <= 0.0:
         raise BadStepError(f"dt must be positive, got {dt!r}")
-    if dt > t_max * (1.0 + STEP_FIT_TOL):
-        raise BadStepError(f"dt {dt!r} exceeds t_max {t_max!r}")
-    if not t_max / dt <= MAX_STEPS:
-        raise BadStepError(
-            f"t_max / dt = {t_max / dt:.3g} steps exceeds the cap of {MAX_STEPS}"
-        )
-    return max(1, int(round(t_max / dt)))
+    ratio = t_max / dt
+    if not ratio <= MAX_STEPS:
+        raise BadStepError(f"t_max / dt = {ratio:.3g} steps exceeds the cap of {MAX_STEPS}")
+    steps = round(ratio)
+    if steps < 1 or abs(ratio - steps) > STEP_FIT_TOL * steps:
+        raise BadStepError(f"t_max {t_max!r} is not a whole number of dt {dt!r} steps")
+    return steps
 
 
 def rk4_step(a) -> np.ndarray:
@@ -168,8 +166,8 @@ def propagate(step, v0, steps: int) -> np.ndarray:
 def evolve_rk4(gen: Generator, r0, t_max: float, dt: float) -> Trajectory:
     """Classical fixed-step 4th-order integration of the Bloch equation.
 
-    Each step is one multiplication by :func:`rk4_step` of dt G. t_max is
-    taken as the nearest integer multiple of dt.
+    Each step is one multiplication by :func:`rk4_step` of dt G. t_max must
+    be a whole number of dt steps.
     """
     steps = _step_count(t_max, dt)
     states = propagate(rk4_step(dt * gen.matrix), r0, steps)

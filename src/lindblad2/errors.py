@@ -33,10 +33,6 @@ class NotCPError(LindbladError):
     pass
 
 
-class EmptyDissipatorError(LindbladError):
-    pass
-
-
 class VerdictMismatchError(LindbladError):
     """The two mathematically equivalent CP checks disagreed: implementation bug."""
 

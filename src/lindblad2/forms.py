@@ -35,19 +35,12 @@ from .core import (
 )
 from .core import _readonly
 from .errors import (
-    EmptyDissipatorError,
     NotCPError,
     NotHermitianError,
     NotPSDError,
     NotSymmetricError,
 )
-from .tolerances import (
-    HERMITIAN_TOL,
-    PSD_TOL,
-    RANK_TOL,
-    ROUNDTRIP_TOL,
-    SYMMETRY_TOL,
-)
+from .tolerances import HERMITIAN_TOL, PSD_TOL, RANK_TOL, SYMMETRY_TOL
 
 
 def require_symmetric(a, tol: float = SYMMETRY_TOL, what: str = "matrix") -> np.ndarray:
@@ -69,7 +62,7 @@ def plane_projector(n) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FormA:
-    """Dissipator given by hermitian Lindblad operators."""
+    """Dissipator given by hermitian Lindblad operators; none is D = 0."""
 
     operators: tuple
 
@@ -78,8 +71,6 @@ class FormA:
             _readonly(require_hermitian(op, what="Lindblad operator"))
             for op in self.operators
         )
-        if not ops:
-            raise EmptyDissipatorError("need at least one Lindblad operator")
         for op in ops:
             if op.shape != (2, 2):
                 raise NotHermitianError("Lindblad operators must be 2x2")
@@ -88,7 +79,8 @@ class FormA:
 
 @dataclass(frozen=True)
 class FormB:
-    """Dissipator given by positive rates and unit projector axes."""
+    """Dissipator given by positive rates and unit projector axes; no
+    terms is the zero dissipator D = 0."""
 
     terms: tuple
 
@@ -99,8 +91,6 @@ class FormB:
             if not np.isfinite(rate) or rate <= 0.0:
                 raise ValueError(f"rate must be positive, got {rate!r}")
             terms.append((rate, _readonly(unit_vector(axis))))
-        if not terms:
-            raise EmptyDissipatorError("need at least one (rate, axis) term")
         object.__setattr__(self, "terms", tuple(terms))
 
     @property
@@ -109,35 +99,7 @@ class FormB:
 
     @property
     def axes(self) -> np.ndarray:
-        return np.array([axis for _, axis in self.terms])
-
-
-@dataclass(frozen=True)
-class GramFactor:
-    """Three vectors q_a in R^r with their total squared length.
-
-    Row a of ``vectors`` is q_a; ``total_rate`` is Lambda = sum_a |q_a|^2,
-    which equals the summed rates of the corresponding Form B.
-    """
-
-    vectors: np.ndarray
-    total_rate: float
-
-    def __post_init__(self):
-        q = np.asarray(self.vectors, dtype=float)
-        if q.ndim != 2 or q.shape[0] != 3 or not np.all(np.isfinite(q)):
-            raise ValueError("vectors must be a finite real (3, r) array")
-        total = float(np.sum(q * q))
-        if abs(total - self.total_rate) > ROUNDTRIP_TOL * max(1.0, abs(total)):
-            raise ValueError(
-                f"total_rate {self.total_rate!r} != sum of squared lengths {total!r}"
-            )
-        object.__setattr__(self, "vectors", _readonly(q))
-
-    @classmethod
-    def from_vectors(cls, q) -> "GramFactor":
-        q = np.asarray(q, dtype=float)
-        return cls(vectors=q, total_rate=float(np.sum(q * q)))
+        return np.reshape([axis for _, axis in self.terms], (-1, 3))
 
 
 @dataclass(frozen=True)
@@ -153,14 +115,6 @@ class FormE:
     gamma: float
 
 
-@dataclass(frozen=True)
-class TraceSplit:
-    """An operator split as A = B + s*I with tr(B) = 0."""
-
-    traceless: np.ndarray
-    scalar: complex
-
-
 # ---------------------------------------------------------------------------
 # Conversions between the operator forms A and B
 # ---------------------------------------------------------------------------
@@ -172,7 +126,8 @@ def form_a_to_form_b(fa: FormA) -> FormB:
     Each hermitian A lifts uniquely to A = (1/2)(a I + sqrt(lambda) n . sigma);
     the identity part commutes with everything and drops out, so the
     dissipator only sees (lambda, n). Operators with lambda = 0 are
-    proportional to the identity, contribute nothing and are discarded.
+    proportional to the identity, contribute nothing and are discarded, so
+    operators that are all proportional to I give the zero dissipator.
     """
     terms = []
     for op in fa.operators:
@@ -181,8 +136,6 @@ def form_a_to_form_b(fa: FormA) -> FormB:
         lam = float(v @ v)
         if lam > 0.0:
             terms.append((lam, v / np.sqrt(lam)))
-    if not terms:
-        raise EmptyDissipatorError("all operators are proportional to the identity")
     return FormB(terms=terms)
 
 
@@ -202,17 +155,11 @@ def dissipation_matrix(fb: FormB) -> np.ndarray:
     return out
 
 
-def _operator_list(form):
-    if isinstance(form, FormA):
-        return form.operators
-    return [np.asarray(op, dtype=complex) for op in form]
-
-
 def apply_dissipator(form, m) -> np.ndarray:
     """Apply the dissipative term to a 2x2 operator, natively in each form.
 
-    ``form`` may be a FormA, a FormB, a bare sequence of hermitian 2x2
-    operators, or a symmetric 3x3 dissipation matrix. ``m`` may also be a
+    ``form`` may be a FormA, a FormB or a symmetric 3x3 dissipation
+    matrix. ``m`` may also be a
     stack of 2x2 operators, shape (..., 2, 2), each mapped independently.
 
     Operators A_j give D[m] = (1/2)(S m + m S) - sum_j A_j m A_j with
@@ -233,10 +180,9 @@ def apply_dissipator(form, m) -> np.ndarray:
         # c_a = tr(m sigma_a) / 2, then D[m] = sum_a (L c)_a sigma_a.
         c = 0.5 * np.einsum("aji,...ij->...a", SIGMA, m)
         return np.einsum("...a,aij->...ij", c @ ell, SIGMA)
-    ops = _operator_list(form)
-    s = sum((op @ op for op in ops), np.zeros((2, 2), dtype=complex))
+    s = sum((op @ op for op in form.operators), np.zeros((2, 2), dtype=complex))
     out = 0.5 * (s @ m + m @ s)
-    for op in ops:
+    for op in form.operators:
         out -= op @ m @ op
     return out
 
@@ -332,26 +278,24 @@ def gram_decompose(m, tol: float = PSD_TOL):
     return q
 
 
-def gram_from_form_b(fb: FormB) -> GramFactor:
-    """Form D from Form B: (q_a)_j = sqrt(lambda_j) (n_j)_a."""
-    scaled = np.sqrt(fb.rates)[:, None] * fb.axes
-    return GramFactor.from_vectors(scaled.T)
+def gram_from_form_b(fb: FormB) -> np.ndarray:
+    """Form D from Form B: the (3, r) array q with rows q_a and entries
+    (q_a)_j = sqrt(lambda_j) (n_j)_a. Lambda = sum_a |q_a|^2 is the summed
+    rate."""
+    return (np.sqrt(fb.rates)[:, None] * fb.axes).T
 
 
-def form_b_from_gram(gram: GramFactor) -> FormB:
+def form_b_from_gram(q) -> FormB:
     """Form B from Form D: lambda_j = sum_a (q_a)_j^2, n_j the unit column.
 
-    Zero columns are dropped; if every column vanishes the dissipator is
-    empty.
+    Zero columns are dropped, so all-zero columns give the zero dissipator.
     """
-    q = np.asarray(gram.vectors, dtype=float)
+    q = np.asarray(q, dtype=float)
     terms = []
     for j in range(q.shape[1]):
         lam = float(q[:, j] @ q[:, j])
         if lam > 0.0:
             terms.append((lam, q[:, j] / np.sqrt(lam)))
-    if not terms:
-        raise EmptyDissipatorError("all Gram columns vanish")
     return FormB(terms=terms)
 
 
@@ -366,22 +310,18 @@ def reduce_terms(fb: FormB):
     Returns the minimal FormB together with its term count, which equals the
     rank of the Gram matrix.
     """
-    q = gram_from_form_b(fb).vectors
-    m = q @ q.T
-    q_min = gram_decompose(m)
-    fb_min = form_b_from_gram(GramFactor.from_vectors(q_min))
+    q = gram_from_form_b(fb)
+    fb_min = form_b_from_gram(gram_decompose(q @ q.T))
     return fb_min, len(fb_min.terms)
 
 
 def form_b_from_dissipation(ell, tol: float = PSD_TOL):
     """Recover minimal rate/axis terms from a CP dissipation matrix.
 
-    Returns (FormB, term count). Raises NotCPError when L is not completely
-    positive and EmptyDissipatorError when L = 0.
+    Returns (FormB, term count); L = 0 gives no terms. Raises NotCPError
+    when L is not completely positive.
     """
-    m = gram_from_dissipation(ell)
-    q = gram_decompose(m, tol=tol)
-    fb = form_b_from_gram(GramFactor.from_vectors(q))
+    fb = form_b_from_gram(gram_decompose(gram_from_dissipation(ell), tol=tol))
     return fb, len(fb.terms)
 
 
@@ -418,25 +358,23 @@ def form_e_unpack(fe: FormE) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def trace_split(a) -> TraceSplit:
-    """Split A = B + s*I with tr(B) = 0 and s = tr(A)/2."""
+def trace_split(a) -> tuple:
+    """Split A = B + s*I with tr(B) = 0; returns (B, s) with s = tr(A)/2."""
     a = np.asarray(a, dtype=complex)
     s = 0.5 * (a[0, 0] + a[1, 1])
-    b = a - s * IDENTITY2
-    return TraceSplit(traceless=_readonly(b), scalar=complex(s))
+    return a - s * IDENTITY2, complex(s)
 
 
 def delta_hamiltonian(splits) -> np.ndarray:
     """Hamiltonian shift (i/2) sum_j (s_j B_j^dag - s_j^* B_j).
 
-    Moving the identity parts of the Lindblad operators into the coherent
-    term produces this hermitian correction; it vanishes whenever every
-    operator is hermitian (real s_j, hermitian B_j).
+    ``splits`` are (B_j, s_j) pairs from :func:`trace_split`. Moving the
+    identity parts of the Lindblad operators into the coherent term produces
+    this hermitian correction; it vanishes whenever every operator is
+    hermitian (real s_j, hermitian B_j).
     """
     out = np.zeros((2, 2), dtype=complex)
-    for split in splits:
-        b = np.asarray(split.traceless, dtype=complex)
-        s = complex(split.scalar)
+    for b, s in splits:
         out += 0.5j * (s * b.conj().T - np.conj(s) * b)
     return out
 
@@ -449,17 +387,16 @@ def delta_hamiltonian(splits) -> np.ndarray:
 _GKS_BASIS = SIGMA / np.sqrt(2.0)
 
 
-def gks_matrix(fa) -> np.ndarray:
+def gks_matrix(fa: FormA) -> np.ndarray:
     """Coefficient matrix c = C C^dag with C_kj = tr(F_k^dag B_j).
 
     The B_j are the traceless parts of the operators, expanded in the basis
     F_k = sigma_k / sqrt(2). The result is hermitian positive semidefinite,
-    and real symmetric for hermitian operators.
+    and real symmetric for hermitian operators; no operators give c = 0.
     """
-    ops = _operator_list(fa)
-    coeff = np.empty((3, len(ops)), dtype=complex)
-    for j, op in enumerate(ops):
-        b = trace_split(op).traceless
+    coeff = np.empty((3, len(fa.operators)), dtype=complex)
+    for j, op in enumerate(fa.operators):
+        b, _ = trace_split(op)
         for k in range(3):
             coeff[k, j] = np.trace(_GKS_BASIS[k] @ b)
     return coeff @ coeff.conj().T

@@ -34,7 +34,7 @@ MISMATCH_BAND = 1e-9
 # Choi-matrix eigenvalue floor (absorbs propagator error).
 CHOI_TOL = 1e-8
 
-# Relative cross-product test for "h parallel to the projector axis".
+# Cross-product test for "h parallel to the projector axis", on unit vectors.
 PARALLEL_TOL = 1e-9
 
 # Generator eigenvalues with real part below -GAP_TOL * max(1, max|G_ij|)
@@ -53,7 +53,8 @@ REPEATED_ROOT_TOL = 1e-13
 REPEATED_ROOT_P_MIN = 1e-8
 NEWTON_SLOPE_FLOOR = 1e-8
 
-# Integration horizon: dt may exceed t_max by this relative slack (one step).
+# Integration horizon: t_max / dt must lie within STEP_FIT_TOL * n of a whole
+# number n >= 1 of steps.
 STEP_FIT_TOL = 1e-12
 
 # Most integration steps per run. A Bloch run stores 24 bytes per step, so

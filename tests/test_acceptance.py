@@ -92,7 +92,7 @@ def test_criterion_2_reduction():
         assert len(fb_min.terms) == index
         drift = np.linalg.norm(dissipation_matrix(fb) - dissipation_matrix(fb_min))
         assert drift < 1e-12
-        q = gram_from_form_b(fb).vectors
+        q = gram_from_form_b(fb)
         singular = np.linalg.svd(q @ q.T, compute_uv=False)
         assert index == int(np.sum(singular > 1e-10 * singular[0]))
     assert time.perf_counter() - start < 5.0

@@ -10,13 +10,12 @@ from lindblad2 import (
     classify,
     density_from_bloch,
     dissipation_matrix,
-    fixed_points,
     generator_spectrum,
     reduce_terms,
     spectral_gap,
     verify_asymptote,
 )
-from lindblad2.asymptotics import DECOHERED, MAXIMALLY_MIXED
+from lindblad2.asymptotics import DECOHERED, MAXIMALLY_MIXED, UNDAMPED
 from lindblad2.errors import NegativeHorizonError
 
 
@@ -89,29 +88,34 @@ def test_asymptotic_state_fixed_point_unchanged():
     assert np.allclose(asymptotic_state(verdict, rho0).bloch, rho0.bloch)
 
 
+def _limit(h, fb, r0):
+    return asymptotic_state(classify(h, fb), density_from_bloch(r0)).bloch
+
+
 def test_fixed_points_isotropic_is_origin():
-    fp = fixed_points([0.2, 0.1, 0.4], FormB(terms=[(1.0, EX), (1.0, EY), (1.0, EZ)]))
-    assert fp.kind == "point"
-    assert np.allclose(fp.bloch(), np.zeros(3))
+    fb = FormB(terms=[(1.0, EX), (1.0, EY), (1.0, EZ)])
+    assert classify([0.2, 0.1, 0.4], fb).kind == MAXIMALLY_MIXED
+    assert np.allclose(_limit([0.2, 0.1, 0.4], fb, [0.3, -0.5, 0.6]), np.zeros(3))
 
 
 def test_fixed_points_commuting_segment():
-    fp = fixed_points([0.0, 0.0, 3.0], FormB(terms=[(0.5, EZ)]))
-    assert fp.kind == "segment"
-    gen = build_generator([0.0, 0.0, 3.0], dissipation_matrix(FormB(terms=[(0.5, EZ)])))
+    fb = FormB(terms=[(0.5, EZ)])
+    assert classify([0.0, 0.0, 3.0], fb).kind == DECOHERED
+    gen = build_generator([0.0, 0.0, 3.0], dissipation_matrix(fb))
     for s in np.linspace(-1.0, 1.0, 9):
-        r = fp.bloch(s)
+        # Every point s * axis of the segment is its own limit.
+        r = _limit([0.0, 0.0, 3.0], fb, s * EZ)
+        assert np.allclose(r, s * EZ)
         assert np.linalg.norm(gen.matrix @ r) < 1e-10
 
 
 def test_fixed_points_non_commuting_is_origin():
     fb = FormB(terms=[(1.0, EZ)])
-    fp = fixed_points([1.0, 0.0, 0.0], fb)
-    assert fp.kind == "point"
+    assert classify([1.0, 0.0, 0.0], fb).kind == MAXIMALLY_MIXED
     # Unique solution of G r = 0 by elimination: G is invertible here.
     gen = build_generator([1.0, 0.0, 0.0], dissipation_matrix(fb))
     assert abs(np.linalg.det(gen.matrix)) > 1e-6
-    assert np.linalg.norm(gen.matrix @ fp.bloch()) < 1e-10
+    assert np.linalg.norm(gen.matrix @ _limit([1.0, 0.0, 0.0], fb, [0.5, 0.5, 0.5])) < 1e-10
 
 
 def test_fixed_points_residual_random():
@@ -119,11 +123,40 @@ def test_fixed_points_residual_random():
     for _ in range(100):
         fb = random_form_b(rng, int(rng.integers(1, 4)))
         h = rng.normal(size=3)
-        fp = fixed_points(h, fb)
         gen = build_generator(h, dissipation_matrix(fb))
-        assert np.linalg.norm(gen.matrix @ fp.bloch()) < 1e-10
-        if fp.kind == "segment":
-            assert np.linalg.norm(gen.matrix @ fp.bloch(0.7)) < 1e-10
+        for r0 in ([0.0, 0.0, 0.0], 0.7 * random_axis(rng)):
+            assert np.linalg.norm(gen.matrix @ _limit(h, fb, r0)) < 1e-10
+
+
+def test_classify_zero_dissipator_is_undamped():
+    rng = np.random.default_rng(19)
+    for _ in range(20):
+        h = rng.normal(size=3)
+        r0 = 0.9 * random_axis(rng)
+        verdict = classify(h, FormB(terms=()))
+        assert (verdict.kind, verdict.index, verdict.commuting) == (UNDAMPED, 0, True)
+        hhat = h / np.linalg.norm(h)
+        assert np.max(np.abs(verdict.axis - hhat)) < 1e-15
+        # The time average of the precession about h is stationary.
+        limit = _limit(h, FormB(terms=()), r0)
+        assert np.max(np.abs(limit - (r0 @ hhat) * hhat)) < 1e-15
+        assert np.linalg.norm(np.cross(h, limit)) < 1e-12
+    verdict = classify([0.0, 0.0, 0.0], FormB(terms=()))
+    assert verdict.kind == UNDAMPED and verdict.axis is None
+    assert np.array_equal(_limit([0.0, 0.0, 0.0], FormB(terms=()), [0.6, 0.0, 0.7]), [0.6, 0.0, 0.7])
+
+
+def test_classify_huge_field():
+    # |h| = 1e300 overflowed np.linalg.norm, and h perpendicular to the axis
+    # then counted as commuting.
+    import warnings
+
+    h = [0.0, 0.0, 1e300]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        verdict = classify(h, FormB(terms=[(1.0, EX)]))
+        assert (verdict.kind, verdict.commuting) == (MAXIMALLY_MIXED, False)
+        assert np.array_equal(classify(h, FormB(terms=())).axis, EZ)
 
 
 def test_verify_asymptote_isotropic():

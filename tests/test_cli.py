@@ -196,6 +196,17 @@ def test_evolve_rejects_unusable_t_max(t_max, capsys, tmp_path):
     assert err.count("\n") == 1 and "t_max" in err
 
 
+def test_evolve_rejects_partial_last_step(capsys, tmp_path):
+    # 1 / 0.3 is 3.33 steps; the run used to end silently at t = 0.9.
+    out = tmp_path / "o.csv"
+    argv = ["--model", model("dephasing"), "evolve", "--t-max", "1", "--dt", "0.3",
+            "--out", str(out)]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert err.count("\n") == 1 and "whole number" in err
+    assert not out.exists()
+
+
 HUGE_INT = 10**400  # a JSON integer literal too large for a float
 
 
@@ -260,15 +271,6 @@ def test_malformed_dissipator_variants(capsys, tmp_path):
         },
     }
     path = tmp_path / "bad_rate.json"
-    path.write_text(json.dumps(bad))
-    code, _, err = run_cli(["--model", str(path), "check"], capsys)
-    assert code == 2
-
-    bad = {
-        "hamiltonian": {"h": [0, 0, 0]},
-        "dissipator": {"form": "B", "terms": []},
-    }
-    path = tmp_path / "empty.json"
     path.write_text(json.dumps(bad))
     code, _, err = run_cli(["--model", str(path), "check"], capsys)
     assert code == 2
@@ -445,38 +447,67 @@ def test_evolve_step_cap_exits_two(capsys, tmp_path):
 
 ZERO_MATRIX = {"form": "matrix", "matrix": [[0.0] * 3] * 3}
 
+# Every report of the zero dissipator under _write_model's field h = z and
+# initial Bloch vector (0.3, -0.2, 0.4).
+ZERO_REPORTS = {
+    ("check",): "verdict: CP\nindex: 0\ncertificate: (none)\n",
+    ("convert", "--to", "A"): "form: A\noperators:\n",
+    ("convert", "--to", "B"): "form: B\nterms:\n",
+    ("convert", "--to", "E"): "form: E\n" + "".join(
+        f"{name} = 0\n" for name in ("a", "b", "c", "alpha", "beta", "gamma")),
+    ("convert", "--to", "GKS"): "form: GKS\nc = [[0, 0, 0], [0, 0, 0], [0, 0, 0]]\n",
+    ("reduce",): "index: 0\nterms:\n",
+    ("asymptote",): "kind: undamped\nindex: 0\ncommuting: yes\naxis: (0, 0, 1)\n"
+                    "limit: (0, 0, 0.40000000000000002)\ngap: 0\n",
+}
 
-def _commands_without_terms(tmp_path):
-    return (["convert", "--to", "A"], ["convert", "--to", "B"],
-            ["convert", "--to", "GKS"], ["reduce"], ["asymptote"],
-            ["evolve", "--t-max", "1", "--dt", "0.1", "--out", str(tmp_path / "z.csv")])
+
+def _zero_evolve(path, method, out, capsys):
+    argv = ["--model", path, "evolve", "--t-max", "1", "--dt", "0.1",
+            "--method", method, "--out", str(out)]
+    assert run_cli(argv, capsys) == (0, "", "")
+    return out.read_text(encoding="utf-8")
 
 
 def test_zero_dissipator_commands(capsys, tmp_path):
     path = _write_model(tmp_path / "zero.json", ZERO_MATRIX)
-    code, out, _ = run_cli(["--model", path, "check"], capsys)
-    assert code == 0 and "index: 0" in out
-    code, out, _ = run_cli(["--model", path, "convert", "--to", "E"], capsys)
-    assert code == 0 and "a = 0" in out
-    for argv in _commands_without_terms(tmp_path):
-        code, _, err = run_cli(["--model", path, *argv], capsys)
-        assert code == 2
-        assert err == "error: all Gram columns vanish\n"
+    for argv, expected in ZERO_REPORTS.items():
+        assert run_cli(["--model", path, *argv], capsys) == (0, expected, "")
+    for method in ("rk4", "expm"):
+        _zero_evolve(path, method, tmp_path / "z.csv", capsys)
+        table = np.loadtxt(tmp_path / "z.csv", delimiter=",", skiprows=1)
+        assert table.shape == (11, 6)
+        # Precession about z: rz stays exact, and |r| and the distance to
+        # the time average (0, 0, rz) stay put up to the integrator's error.
+        assert np.all(table[:, 3] == 0.4)
+        tol = 1e-12 if method == "expm" else 1e-6
+        assert np.ptp(np.linalg.norm(table[:, 1:4], axis=1)) < tol
+        assert np.max(np.abs(table[:, 5] - np.hypot(0.3, 0.2))) < tol
+
+
+@pytest.mark.parametrize("dissipator", [{"form": "B", "terms": []}, {"form": "A", "operators": []}])
+def test_empty_term_lists_are_the_zero_dissipator(dissipator, capsys, tmp_path):
+    path = _write_model(tmp_path / "empty.json", dissipator)
+    for argv, expected in ZERO_REPORTS.items():
+        assert run_cli(["--model", path, *argv], capsys) == (0, expected, "")
 
 
 def test_identity_operators_are_the_zero_dissipator(capsys, tmp_path):
     # Operators proportional to I drop out of the dissipator, so every
-    # command answers exactly as for the all-zero matrix.
+    # command answers exactly as for the all-zero matrix, except that
+    # convert --to A echoes the model's own operators.
     ops = [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
            [[[-0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-0.5, 0.0]]]]
     identity = _write_model(tmp_path / "identity.json", {"form": "A", "operators": ops})
     zero = _write_model(tmp_path / "zero.json", ZERO_MATRIX)
-    code, out, err = run_cli(["--model", identity, "check"], capsys)
-    assert (code, out, err) == (0, "verdict: CP\nindex: 0\ncertificate: (none)\n", "")
-    for argv in (["check"], ["convert", "--to", "E"], *_commands_without_terms(tmp_path)):
-        assert run_cli(["--model", identity, *argv], capsys) == run_cli(
-            ["--model", zero, *argv], capsys
-        )
+    for argv, expected in ZERO_REPORTS.items():
+        if argv != ("convert", "--to", "A"):
+            assert run_cli(["--model", identity, *argv], capsys) == (0, expected, "")
+    assert run_cli(["--model", identity, "convert", "--to", "A"], capsys) == (
+        0, "form: A\noperators:\n  A1 = [[1, 0], [0, 1]]\n  A2 = [[-0.5, 0], [0, -0.5]]\n", "")
+    for method in ("rk4", "expm"):
+        assert _zero_evolve(identity, method, tmp_path / "i.csv", capsys) == _zero_evolve(
+            zero, method, tmp_path / "z.csv", capsys)
 
 
 def test_tiny_rates_keep_index(capsys, tmp_path):

@@ -97,7 +97,7 @@ def test_is_completely_positive_rejects_single_axis_excess():
 def test_is_completely_positive_zero_dissipator():
     verdict, certificate = is_completely_positive(np.zeros((3, 3)))
     assert verdict.cp
-    assert certificate is None
+    assert certificate.terms == ()
 
 
 def test_route_disagreement_raises(monkeypatch):

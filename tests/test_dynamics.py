@@ -136,6 +136,8 @@ def test_evolve_rk4_rejects_bad_steps():
         evolve_rk4(gen, [0, 0, 0], 1.0, -0.1)
     with pytest.raises(BadStepError):
         evolve_rk4(gen, [0, 0, 0], 1.0, 2.0)
+    with pytest.raises(BadStepError, match="whole number"):
+        evolve_rk4(gen, [0, 0, 0], 1.0, 0.3)
     for t_max in (np.nan, np.inf, -1.0, 0.0):
         with pytest.raises(BadStepError):
             evolve_rk4(gen, [0, 0, 0], t_max, 0.1)
@@ -181,16 +183,11 @@ def test_evolve_density_off_diagonal_decay():
     assert traj.max_herm_dev < 1e-12
 
 
-def _encodings(fa):
-    """One dissipator as FormA, FormB, a matrix and a bare operator list."""
-    return [*forms_of(fa), list(fa.operators)]
-
-
 def test_liouvillian_matches_native_dissipator():
     rng = np.random.default_rng(113)
     for _ in range(20):
         h = Hamiltonian(h=rng.normal(size=3), h0=rng.normal())
-        for form in _encodings(random_form_a(rng, int(rng.integers(1, 4)))):
+        for form in forms_of(random_form_a(rng, int(rng.integers(1, 4)))):
             gen = liouvillian(h, form)
             for _ in range(3):
                 m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
@@ -202,7 +199,7 @@ def test_liouvillian_same_for_all_encodings():
     rng = np.random.default_rng(127)
     for _ in range(50):
         h = rng.normal(size=3)
-        fa, *others = _encodings(random_form_a(rng, int(rng.integers(1, 5))))
+        fa, *others = forms_of(random_form_a(rng, int(rng.integers(1, 5))))
         ref = liouvillian(h, fa)
         for form in others:
             assert np.max(np.abs(liouvillian(h, form) - ref)) < 1e-14
@@ -231,7 +228,7 @@ def test_positivity_along_cp_evolution():
         r0 = rng.normal(size=3)
         r0 /= max(1.0, np.linalg.norm(r0))
         traj = evolve_rk4(gen, r0, 5.0, 1e-2)
-        assert traj.max_radius() <= 1.0 + 1e-9
+        assert np.max(np.linalg.norm(traj.states, axis=1)) <= 1.0 + 1e-9
 
 
 def test_generator_spectrum_diagonal():

@@ -18,7 +18,6 @@ from lindblad2 import (
     FormA,
     FormB,
     FormE,
-    GramFactor,
     apply_dissipator,
     delta_hamiltonian,
     dissipation_from_gram,
@@ -41,7 +40,6 @@ from lindblad2 import (
 )
 from lindblad2.core import IDENTITY2, SIGMA_X, SIGMA_Y, SIGMA_Z, frobenius_normalized
 from lindblad2.errors import (
-    EmptyDissipatorError,
     NotCPError,
     NotHermitianError,
     NotSymmetricError,
@@ -63,8 +61,7 @@ def test_form_a_to_form_b_pauli_z():
 
 
 def test_form_a_to_form_b_identity_is_empty():
-    with pytest.raises(EmptyDissipatorError):
-        form_a_to_form_b(FormA(operators=(IDENTITY2,)))
+    assert form_a_to_form_b(FormA(operators=(IDENTITY2,))).terms == ()
 
 
 def test_form_a_to_form_b_mixed_operator():
@@ -114,11 +111,7 @@ def test_apply_dissipator_transverse_decay():
 def test_form_equivalence_random():
     rng = np.random.default_rng(42)
     for _ in range(200):
-        fa = random_form_a(rng, int(rng.integers(1, 5)))
-        try:
-            fa, fb, ell = forms_of(fa)
-        except EmptyDissipatorError:
-            continue
+        fa, fb, ell = forms_of(random_form_a(rng, int(rng.integers(1, 5))))
         ref = dissipator_action_table(fa)
         for form in (fb, ell):
             assert np.max(np.abs(dissipator_action_table(form) - ref)) < 1e-10
@@ -296,42 +289,42 @@ def test_gram_soundness_any_vectors_pass_conditions():
 
 
 def test_gram_from_form_b_examples():
-    gf = gram_from_form_b(FormB(terms=[(1.0, EZ)]))
-    assert np.allclose(gf.vectors, [[0.0], [0.0], [1.0]])
-    assert gf.total_rate == pytest.approx(1.0)
+    q = gram_from_form_b(FormB(terms=[(1.0, EZ)]))
+    assert np.allclose(q, [[0.0], [0.0], [1.0]])
+    assert np.sum(q * q) == pytest.approx(1.0)
 
-    gf = gram_from_form_b(FormB(terms=[(4.0, EX)]))
-    assert np.allclose(gf.vectors, [[2.0], [0.0], [0.0]])
-    assert gf.total_rate == pytest.approx(4.0)
+    q = gram_from_form_b(FormB(terms=[(4.0, EX)]))
+    assert np.allclose(q, [[2.0], [0.0], [0.0]])
+    assert np.sum(q * q) == pytest.approx(4.0)
 
-    gf = gram_from_form_b(FormB(terms=[(1.0, EX), (1.0, EY), (1.0, EZ)]))
-    assert gf.total_rate == pytest.approx(3.0)
-    assert np.allclose(gf.vectors, np.eye(3))
+    q = gram_from_form_b(FormB(terms=[(1.0, EX), (1.0, EY), (1.0, EZ)]))
+    assert np.sum(q * q) == pytest.approx(3.0)
+    assert np.allclose(q, np.eye(3))
+
+    assert gram_from_form_b(FormB(terms=())).shape == (3, 0)
 
 
 def test_form_b_from_gram_examples():
-    fb = form_b_from_gram(GramFactor.from_vectors(np.eye(3)))
+    fb = form_b_from_gram(np.eye(3))
     assert len(fb.terms) == 3
     for (rate, axis), unit in zip(fb.terms, (EX, EY, EZ)):
         assert rate == pytest.approx(1.0)
         assert np.allclose(axis, unit)
 
-    fb = form_b_from_gram(GramFactor.from_vectors([[0.0], [0.0], [2.0]]))
+    fb = form_b_from_gram([[0.0], [0.0], [2.0]])
     rate, axis = fb.terms[0]
     assert rate == pytest.approx(4.0)
     assert np.allclose(axis, EZ)
 
-    with pytest.raises(EmptyDissipatorError):
-        form_b_from_gram(GramFactor.from_vectors(np.zeros((3, 2))))
+    assert form_b_from_gram(np.zeros((3, 2))).terms == ()
 
 
 def test_form_b_gram_round_trip_matrix():
     rng = np.random.default_rng(29)
     for _ in range(200):
         fb = random_form_b(rng, int(rng.integers(1, 7)))
-        gf = gram_from_form_b(fb)
-        q = gf.vectors
-        rebuilt = 0.5 * (gf.total_rate * np.eye(3) - q @ q.T)
+        q = gram_from_form_b(fb)
+        rebuilt = 0.5 * (np.sum(q * q) * np.eye(3) - q @ q.T)
         assert np.max(np.abs(rebuilt - dissipation_matrix(fb))) < 1e-12
 
 
@@ -368,7 +361,7 @@ def test_reduce_terms_random_many_terms():
         after = dissipation_matrix(fb_min)
         assert np.linalg.norm(before - after) < 1e-12
         # Independent spectral oracle for the rank of the Gram matrix.
-        q = gram_from_form_b(fb).vectors
+        q = gram_from_form_b(fb)
         sv = np.linalg.svd(q @ q.T, compute_uv=False)
         assert index == int(np.sum(sv > 1e-10 * sv[0]))
 
@@ -385,8 +378,8 @@ def test_form_b_from_dissipation_examples():
     assert index == 3
     assert np.max(np.abs(dissipation_matrix(fb) - lam * np.eye(3))) < 1e-12
 
-    with pytest.raises(EmptyDissipatorError):
-        form_b_from_dissipation(np.zeros((3, 3)))
+    fb, index = form_b_from_dissipation(np.zeros((3, 3)))
+    assert (fb.terms, index) == ((), 0)
 
     with pytest.raises(NotCPError):
         form_b_from_dissipation(np.diag([0.0, 0.0, 1.0]))
@@ -421,22 +414,22 @@ def test_form_e_round_trip_random():
 
 
 def test_trace_split_examples():
-    split = trace_split(SIGMA_Z)
-    assert np.allclose(split.traceless, SIGMA_Z)
-    assert split.scalar == 0.0
-    assert np.max(np.abs(delta_hamiltonian([split]))) < 1e-15
+    traceless, scalar = trace_split(SIGMA_Z)
+    assert np.allclose(traceless, SIGMA_Z)
+    assert scalar == 0.0
+    assert np.max(np.abs(delta_hamiltonian([(traceless, scalar)]))) < 1e-15
 
-    split = trace_split(IDENTITY2 + SIGMA_X)
-    assert np.allclose(split.traceless, SIGMA_X)
-    assert split.scalar == pytest.approx(1.0)
-    assert np.max(np.abs(delta_hamiltonian([split]))) < 1e-15
+    traceless, scalar = trace_split(IDENTITY2 + SIGMA_X)
+    assert np.allclose(traceless, SIGMA_X)
+    assert scalar == pytest.approx(1.0)
+    assert np.max(np.abs(delta_hamiltonian([(traceless, scalar)]))) < 1e-15
 
 
 def test_delta_hamiltonian_traceless_non_hermitian_vanishes():
     # A = sigma_x + i sigma_y is traceless, so s = 0 and the shift is zero by
     # direct evaluation of (i/2)(s B^dag - s* B).
     split = trace_split(SIGMA_X + 1j * SIGMA_Y)
-    assert split.scalar == 0.0
+    assert split[1] == 0.0
     assert np.max(np.abs(delta_hamiltonian([split]))) < 1e-15
 
 
@@ -462,7 +455,7 @@ def test_trace_split_shift_identity_random():
         rho = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         lhs = general_dissipator(ops, rho)
         rhs = -1j * (dh @ rho - rho @ dh) + general_dissipator(
-            [s.traceless for s in splits], rho
+            [traceless for traceless, _ in splits], rho
         )
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
@@ -496,7 +489,8 @@ def test_gks_minimal_single_mode():
     ops = gks_minimal(c)
     assert len(ops) == 1
     ref = FormA(operators=(np.sqrt(0.5) * SIGMA_X / np.sqrt(2.0),))
-    assert np.max(np.abs(dissipator_action_table(ops) - dissipator_action_table(ref))) < 1e-12
+    got = dissipator_action_table(FormA(operators=tuple(ops)))
+    assert np.max(np.abs(got - dissipator_action_table(ref))) < 1e-12
 
 
 def test_gks_minimal_zero_matrix():
@@ -516,7 +510,7 @@ def test_gks_minimal_rank_two():
     c = g @ g.T
     ops = gks_minimal(c)
     assert len(ops) == 2
-    assert np.max(np.abs(gks_matrix(ops) - c)) < 1e-12
+    assert np.max(np.abs(gks_matrix(FormA(operators=tuple(ops))) - c)) < 1e-12
 
 
 def test_gks_round_trip_action():
@@ -525,14 +519,9 @@ def test_gks_round_trip_action():
         fa = random_form_a(rng, int(rng.integers(1, 5)))
         ops = gks_minimal(gks_matrix(fa))
         assert len(ops) <= 3
-        if not ops:
-            # Only identity-proportional operators: the dissipator vanishes.
-            assert np.max(np.abs(dissipator_action_table(fa))) < 1e-12
-            continue
-        assert (
-            np.max(np.abs(dissipator_action_table(ops) - dissipator_action_table(fa)))
-            < 1e-10
-        )
+        # No operators (fa all proportional to I) is the zero dissipator.
+        got = dissipator_action_table(FormA(operators=tuple(ops)))
+        assert np.max(np.abs(got - dissipator_action_table(fa))) < 1e-10
         for op in ops:
             assert np.max(np.abs(op - op.conj().T)) < 1e-12
 
@@ -556,8 +545,19 @@ def test_plane_projector_matches_dissipation_matrix():
 def test_form_b_rejects_bad_terms():
     with pytest.raises(ValueError):
         FormB(terms=[(-1.0, EZ)])
-    with pytest.raises(EmptyDissipatorError):
-        FormB(terms=[])
+
+
+def test_empty_forms_are_the_zero_dissipator():
+    fa, fb = FormA(operators=()), FormB(terms=())
+    assert fb.rates.shape == (0,) and fb.axes.shape == (0, 3)
+    assert form_a_to_form_b(fa).terms == () and form_a_from_form_b(fb).operators == ()
+    zero = np.zeros((3, 3))
+    assert np.array_equal(dissipation_matrix(fb), zero)
+    assert np.array_equal(gks_matrix(fa), zero)
+    fb_min, index = reduce_terms(fb)
+    assert (fb_min.terms, index) == ((), 0)
+    for form in (fa, fb, zero):
+        assert np.array_equal(apply_dissipator(form, SIGMA_X), np.zeros((2, 2)))
 
 
 def test_form_a_from_form_b_round_trip():

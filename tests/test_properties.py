@@ -1,5 +1,10 @@
 """Property tests: the minimal number of Lindblad terms is the rank of the
-Gram matrix M, whatever the units of the rates."""
+Gram matrix M, whatever the units of the rates; without dissipation the
+Bloch vector precesses rigidly about h."""
+
+import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -16,6 +21,7 @@ from lindblad2 import (
     is_completely_positive,
     reduce_terms,
 )
+from lindblad2.cli import main
 
 # Smallest singular value of the matrix of unit axes: the terms of a drawn
 # dissipator are well separated, so its rank is not in doubt.
@@ -47,3 +53,41 @@ def test_index_equals_rank_at_every_scale(case):
     ops = gks_minimal(gks_matrix(form_a_from_form_b(fb)))
     assert len(ops) == r
     assert len(form_a_to_form_b(FormA(operators=tuple(ops))).terms) == r
+
+
+def rodrigues(h, r0, t):
+    """r0 rotated about h by the angle |h| t, which solves dr/dt = h x r."""
+    norm = np.linalg.norm(h)
+    if norm == 0.0:
+        return np.array(r0)
+    k = h / norm
+    c, s = np.cos(norm * t), np.sin(norm * t)
+    return r0 * c + np.cross(k, r0) * s + k * (k @ r0) * (1.0 - c)
+
+
+@st.composite
+def fields_and_states(draw):
+    """(h, r0): a field with |h_a| <= 3 and a Bloch vector in the ball."""
+    h = np.array([draw(st.floats(-3.0, 3.0)) for _ in range(3)])
+    r0 = np.array([draw(st.floats(-1.0, 1.0)) for _ in range(3)])
+    return h, r0 / max(1.0, float(np.linalg.norm(r0)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(fields_and_states())
+def test_zero_dissipator_precesses(case):
+    h, r0 = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "zero.json", Path(tmp) / "traj.csv"
+        path.write_text(json.dumps({
+            "hamiltonian": {"h": h.tolist()},
+            "dissipator": {"form": "B", "terms": []},
+            "initial": {"bloch": r0.tolist()},
+        }))
+        argv = ["--model", str(path), "evolve", "--t-max", "2", "--dt", "0.01",
+                "--method", "expm", "--out", str(out)]
+        assert main(argv) == 0
+        table = np.loadtxt(out, delimiter=",", skiprows=1)
+    expected = np.array([rodrigues(h, r0, t) for t in table[:, 0]])
+    assert np.max(np.abs(table[:, 1:4] - expected)) < 1e-12
+    assert np.ptp(table[:, 5]) < 1e-12
