@@ -40,7 +40,7 @@ from .forms import (
     require_symmetric,
 )
 from .cpcheck import is_completely_positive
-from .tolerances import PSD_TOL, REDUCE_DRIFT_TOL, RK4_GROWTH_TOL
+from .tolerances import PSD_TOL, REDUCE_DRIFT_TOL, STEP_GROWTH_TOL
 
 
 class ParseError(Exception):
@@ -335,18 +335,16 @@ def cmd_evolve(model: Model, args, tol: float) -> int:
         a = args.dt * gen.matrix
     if not np.all(np.isfinite(a)):
         raise BadStepError(f"dt {args.dt!r} times the generator overflows; use a smaller --dt")
-    if args.method == "rk4":
-        with np.errstate(over="ignore", invalid="ignore"):  # caught as inf growth
-            step = rk4_step(a)
-        finite = np.all(np.isfinite(step))
-        growth = float(np.max(np.abs(np.linalg.eigvals(step)))) if finite else np.inf
-        if not growth <= 1.0 + RK4_GROWTH_TOL:
-            raise BadStepError(
-                f"dt {args.dt!r} is outside the RK4 stability region (a step grows "
-                f"states by {growth:.3g}); use a smaller --dt or --method expm"
-            )
-    else:
-        step = matrix_exponential(a)
+    with np.errstate(over="ignore", invalid="ignore"):  # caught as inf growth
+        step = rk4_step(a) if args.method == "rk4" else matrix_exponential(a)
+    finite = np.all(np.isfinite(step))
+    growth = float(np.max(np.abs(np.linalg.eigvals(step)))) if finite else np.inf
+    if not growth <= 1.0 + STEP_GROWTH_TOL:
+        hint = "a smaller --dt or --method expm" if args.method == "rk4" else "a smaller --dt"
+        raise BadStepError(
+            f"dt {args.dt!r} fails the step stability check (one {args.method} step "
+            f"grows states by {growth:.3g}); use {hint}"
+        )
     states = propagate(step, state.bloch, steps)
     # Row-wise inner products by matmul keep the bits of the scalar
     # np.linalg.norm(r - limit); norm(axis=1) sums in another order.

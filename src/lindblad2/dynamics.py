@@ -153,13 +153,32 @@ def rk4_step(a) -> np.ndarray:
     return eye + a @ (eye + a @ (eye + a @ (eye + a / 4.0) / 3.0) / 2.0)
 
 
+# Rows that propagate fills with one matrix product.
+PROPAGATE_BLOCK = 64
+
+
 def propagate(step, v0, steps: int) -> np.ndarray:
-    """The rows v0, step v0, step^2 v0, ..., step^steps v0."""
+    """The rows v0, step v0, step^2 v0, ..., step^steps v0.
+
+    The powers step^1 ... step^B, B = min(PROPAGATE_BLOCK, steps), are built
+    once, each as step times the one before; squaring would lose digits.
+    Each block of up to B rows is then one product of the stacked powers
+    with the last row already filled.
+    """
     v0 = np.asarray(v0)
-    out = np.empty((steps + 1, len(v0)), dtype=np.result_type(step, v0))
+    n = len(v0)
+    out = np.empty((steps + 1, n), dtype=np.result_type(step, v0))
     out[0] = v0
-    for k in range(steps):
-        out[k + 1] = step @ out[k]
+    # ndarray.dot: the same products as @, at about half the call overhead
+    # on matrices this small.
+    step = np.asarray(step, dtype=out.dtype)
+    powers = [step]
+    for _ in range(1, min(PROPAGATE_BLOCK, steps)):
+        powers.append(step.dot(powers[-1]))
+    table = np.concatenate(powers)  # (B n, n): row block j is step^(j+1)
+    for k in range(0, steps, PROPAGATE_BLOCK):
+        m = min(PROPAGATE_BLOCK, steps - k)
+        out[k + 1 : k + 1 + m] = table[: m * n].dot(out[k]).reshape(m, n)
     return out
 
 

@@ -402,7 +402,7 @@ def gks_matrix(fa: FormA) -> np.ndarray:
     return coeff @ coeff.conj().T
 
 
-def gks_minimal(c, tol: float = PSD_TOL) -> list:
+def gks_minimal(c, tol: float = PSD_TOL) -> FormA:
     """Smallest operator set reproducing a GKS coefficient matrix.
 
     Diagonalizing c = U chat U^dag yields one operator
@@ -410,8 +410,9 @@ def gks_minimal(c, tol: float = PSD_TOL) -> list:
     three. Eigenvalues at or below RANK_TOL times the largest count as zero,
     and ``tol`` is the negative slack relative to the largest |eigenvalue|.
     With hermitian Lindblad operators c is real symmetric and the
-    reconstructed operators are hermitian. Returns them largest rate first;
-    c = 0 yields an empty list.
+    reconstructed operators are hermitian. Returns them as a FormA, largest
+    rate first, so gks_minimal(gks_matrix(fa)) is again a FormA; c = 0
+    yields the zero dissipator FormA(operators=()).
     """
     c = np.asarray(c, dtype=complex)
     if c.shape != (3, 3):
@@ -433,4 +434,4 @@ def gks_minimal(c, tol: float = PSD_TOL) -> list:
             weight = np.sqrt(evals[j])
             op = weight * np.tensordot(evecs[:, j], _GKS_BASIS, axes=(0, 0))
             ops.append(op)
-    return ops
+    return FormA(operators=tuple(ops))

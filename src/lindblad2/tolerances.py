@@ -61,10 +61,10 @@ STEP_FIT_TOL = 1e-12
 # the cap keeps a trajectory below ~240 MB instead of failing in allocation.
 MAX_STEPS = 10**7
 
-# Largest accepted spectral radius of the RK4 step, above 1. The exact flow
-# of a CP generator never grows, and over MAX_STEPS steps a radius of
-# 1 + RK4_GROWTH_TOL grows a state by at most 0.1 %.
-RK4_GROWTH_TOL = 1e-10
+# Largest accepted spectral radius of an evolve step matrix (RK4 or expm),
+# above 1. The exact flow of a CP generator never grows, and over MAX_STEPS
+# steps a radius of 1 + STEP_GROWTH_TOL grows a state by at most 0.1 %.
+STEP_GROWTH_TOL = 1e-10
 
 # Long-horizon check of the predicted limit: distance counted as converged,
 # and the absolute slack added to the decay bound 2 exp(-gap T).

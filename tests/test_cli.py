@@ -379,6 +379,7 @@ def test_evolve_csv_matches_per_row_reference(method, capsys, tmp_path):
         matrix_exponential,
     )
     from lindblad2.cli import _fmt
+    from lindblad2.dynamics import propagate
 
     rng = np.random.default_rng(211)
     for case in range(6):
@@ -399,10 +400,7 @@ def test_evolve_csv_matches_per_row_reference(method, capsys, tmp_path):
         if method == "rk4":
             states = evolve_rk4(gen, r0, dt * steps, dt).states
         else:
-            step = matrix_exponential(dt * gen.matrix)
-            states = [r0]
-            for _ in range(steps):
-                states.append(step @ states[-1])
+            states = propagate(matrix_exponential(dt * gen.matrix), r0, steps)
         expected = ["t,rx,ry,rz,entropy,dist_to_limit"]
         for k, r in enumerate(states):
             values = [dt * k, *r, entropy_from_bloch(r), np.linalg.norm(r - limit)]
@@ -431,6 +429,25 @@ def test_evolve_rk4_outside_stability_region_exits_two(capsys, tmp_path, monkeyp
     assert code == 2
     assert err.count("\n") == 1
     assert "stability" in err and "--dt" in err and "--method expm" in err
+    assert not out.exists()
+
+
+def test_evolve_expm_non_finite_step_exits_two(capsys, tmp_path):
+    # dt |h| = 1e20: the squarings of matrix_exponential overflow, and the
+    # step is NaN. The step guard that rejects a growing RK4 step rejects
+    # it too, before any row is written; warnings are errors here.
+    path = _write_model(
+        tmp_path / "field.json",
+        {"form": "B", "terms": [{"rate": 1.0, "axis": [1.0, 0.0, 0.0]}]},
+        h=(0.0, 0.0, 1e20),
+    )
+    out = tmp_path / "o.csv"
+    argv = ["--model", path, "evolve", "--method", "expm", "--t-max", "3", "--dt", "1",
+            "--out", str(out)]
+    code, stdout, err = run_cli(argv, capsys)
+    assert code == 2 and stdout == ""
+    assert err.count("\n") == 1
+    assert "stability" in err and "expm" in err and "--dt" in err
     assert not out.exists()
 
 

@@ -256,7 +256,7 @@ def test_tiny_rates_keep_their_terms():
     fb = FormB(terms=[(1e-13, EX), (1e-13, EY)])
     assert reduce_terms(fb)[1] == 2
     assert len(is_completely_positive(dissipation_matrix(fb))[1].terms) == 2
-    assert len(gks_minimal(np.diag([1e-13, 0.0, 0.0]))) == 1
+    assert len(gks_minimal(np.diag([1e-13, 0.0, 0.0])).operators) == 1
     fb = form_a_to_form_b(FormA(operators=(1e-7 * SIGMA_Z,)))
     assert len(fb.terms) == 1
     assert fb.terms[0][0] == pytest.approx(4e-14, rel=1e-15)
@@ -486,15 +486,15 @@ def test_gks_matrix_real_symmetric_for_hermitian_ops():
 
 def test_gks_minimal_single_mode():
     c = np.diag([0.5, 0.0, 0.0]).astype(complex)
-    ops = gks_minimal(c)
-    assert len(ops) == 1
+    fa = gks_minimal(c)
+    assert len(fa.operators) == 1
     ref = FormA(operators=(np.sqrt(0.5) * SIGMA_X / np.sqrt(2.0),))
-    got = dissipator_action_table(FormA(operators=tuple(ops)))
+    got = dissipator_action_table(fa)
     assert np.max(np.abs(got - dissipator_action_table(ref))) < 1e-12
 
 
 def test_gks_minimal_zero_matrix():
-    assert gks_minimal(np.zeros((3, 3))) == []
+    assert gks_minimal(np.zeros((3, 3))).operators == ()
 
 
 def test_gks_minimal_rejects_indefinite():
@@ -508,21 +508,21 @@ def test_gks_minimal_rank_two():
     rng = np.random.default_rng(47)
     g = rng.normal(size=(3, 2))
     c = g @ g.T
-    ops = gks_minimal(c)
-    assert len(ops) == 2
-    assert np.max(np.abs(gks_matrix(FormA(operators=tuple(ops))) - c)) < 1e-12
+    fa = gks_minimal(c)
+    assert len(fa.operators) == 2
+    assert np.max(np.abs(gks_matrix(fa) - c)) < 1e-12
 
 
 def test_gks_round_trip_action():
     rng = np.random.default_rng(53)
     for _ in range(100):
         fa = random_form_a(rng, int(rng.integers(1, 5)))
-        ops = gks_minimal(gks_matrix(fa))
-        assert len(ops) <= 3
+        minimal = gks_minimal(gks_matrix(fa))
+        assert len(minimal.operators) <= 3
         # No operators (fa all proportional to I) is the zero dissipator.
-        got = dissipator_action_table(FormA(operators=tuple(ops)))
+        got = dissipator_action_table(minimal)
         assert np.max(np.abs(got - dissipator_action_table(fa))) < 1e-10
-        for op in ops:
+        for op in minimal.operators:
             assert np.max(np.abs(op - op.conj().T)) < 1e-12
 
 

@@ -11,7 +11,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lindblad2 import (
-    FormA,
     FormB,
     dissipation_matrix,
     form_a_from_form_b,
@@ -50,9 +49,9 @@ def test_index_equals_rank_at_every_scale(case):
     assert reduce_terms(fb)[1] == r
     verdict, certificate = is_completely_positive(dissipation_matrix(fb))
     assert verdict.cp and len(certificate.terms) == r
-    ops = gks_minimal(gks_matrix(form_a_from_form_b(fb)))
-    assert len(ops) == r
-    assert len(form_a_to_form_b(FormA(operators=tuple(ops))).terms) == r
+    fa = gks_minimal(gks_matrix(form_a_from_form_b(fb)))
+    assert len(fa.operators) == r
+    assert len(form_a_to_form_b(fa).terms) == r
 
 
 def rodrigues(h, r0, t):
