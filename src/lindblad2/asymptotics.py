@@ -116,7 +116,7 @@ def spectral_gap(gen) -> float:
     return -max(decaying)
 
 
-def verify_asymptote(h, fb: FormB, rho0: DensityState, horizon: float | None = None, tol: float = CONVERGED_TOL) -> AsymptoteReport:
+def verify_asymptote(h, fb: FormB, rho0: DensityState, horizon: float | None = None) -> AsymptoteReport:
     """Integrate to a long horizon and compare against the predicted limit.
 
     Reports the residual distance, the spectral gap g, and whether the
@@ -140,5 +140,5 @@ def verify_asymptote(h, fb: FormB, rho0: DensityState, horizon: float | None = N
         horizon=float(horizon),
         limit=_readonly(limit),
         within_bound=distance <= bound,
-        converged=distance <= tol,
+        converged=distance <= CONVERGED_TOL,
     )

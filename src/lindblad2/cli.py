@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 
@@ -40,7 +39,7 @@ from .forms import (
     require_symmetric,
 )
 from .cpcheck import is_completely_positive
-from .tolerances import PSD_TOL, REDUCE_DRIFT_TOL, STEP_GROWTH_TOL
+from .tolerances import REDUCE_DRIFT_TOL, STEP_GROWTH_TOL
 
 
 class ParseError(Exception):
@@ -115,27 +114,27 @@ def _finite_number(value, where) -> float:
     raise ParseError(f"{where} must be a finite number")
 
 
-def _real_vector(value, length, where) -> np.ndarray:
+def _real_array(value, shape, where) -> np.ndarray:
+    """value as a float array of the given shape.
+
+    JSON bools, non-numbers, integers too large for a float, another shape
+    and non-finite entries all raise the same one-line ParseError.
+    """
+    problem = f"{where} must be an array of {'x'.join(map(str, shape))} finite numbers"
     if _has_bool(value):
-        raise ParseError(f"{where} must be {length} finite numbers")
+        raise ParseError(problem)
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"{where} must be a list of {length} numbers") from exc
-    if arr.shape != (length,) or not np.all(np.isfinite(arr)):
-        raise ParseError(f"{where} must be {length} finite numbers")
+        raise ParseError(problem) from exc
+    if arr.shape != shape or not np.all(np.isfinite(arr)):
+        raise ParseError(problem)
     return arr
 
 
 def _complex_matrix(value, where) -> np.ndarray:
-    if _has_bool(value):
-        raise ParseError(f"{where} must be a 2x2 matrix of finite [re, im] pairs")
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"{where} must be a 2x2 matrix of [re, im] pairs") from exc
-    if arr.shape != (2, 2, 2) or not np.all(np.isfinite(arr)):
-        raise ParseError(f"{where} must be a 2x2 matrix of finite [re, im] pairs")
+    """A 2x2 complex matrix written as [re, im] pairs."""
+    arr = _real_array(value, (2, 2, 2), f"{where} ([re, im] pairs)")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -165,21 +164,14 @@ def _parse_dissipator(spec):
                 rate = _finite_number(
                     _require(term, "rate", f"term {k + 1}"), f"term {k + 1} rate"
                 )
-                axis = _real_vector(
-                    _require(term, "axis", f"term {k + 1}"), 3, f"term {k + 1} axis"
+                axis = _real_array(
+                    _require(term, "axis", f"term {k + 1}"), (3,), f"term {k + 1} axis"
                 )
                 terms.append((rate, axis))
             return FormB(terms=terms)
         if form == "matrix":
             raw = _require(spec, "matrix", "dissipator")
-            if _has_bool(raw):
-                raise ParseError("dissipator matrix must be 3x3 and finite")
-            try:
-                arr = np.asarray(raw, dtype=float)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ParseError("dissipator matrix must be a 3x3 array") from exc
-            if arr.shape != (3, 3) or not np.all(np.isfinite(arr)):
-                raise ParseError("dissipator matrix must be 3x3 and finite")
+            arr = _real_array(raw, (3, 3), "dissipator matrix")
             return require_symmetric(arr, what="dissipator matrix")
     except (LindbladError, ValueError) as exc:
         raise ParseError(f"invalid dissipator: {exc}") from exc
@@ -191,7 +183,7 @@ def _parse_initial(spec) -> DensityState:
         raise ParseError("initial state must give either bloch or rho, not both")
     try:
         if "bloch" in spec:
-            return density_from_bloch(_real_vector(spec["bloch"], 3, "initial bloch"))
+            return density_from_bloch(_real_array(spec["bloch"], (3,), "initial bloch"))
         if "rho" in spec:
             return density_from_matrix(_complex_matrix(spec["rho"], "initial rho"))
     except LindbladError as exc:
@@ -210,7 +202,7 @@ def load_model(path: str) -> Model:
     if not isinstance(raw, dict):
         raise ParseError("model file must contain a JSON object")
     hspec = _require(raw, "hamiltonian", "model")
-    h = _real_vector(_require(hspec, "h", "hamiltonian"), 3, "hamiltonian h")
+    h = _real_array(_require(hspec, "h", "hamiltonian"), (3,), "hamiltonian h")
     h0 = _finite_number(hspec.get("h0", 0.0), "hamiltonian h0")
     hamiltonian = Hamiltonian(h=h, h0=h0)
     dissipator = _parse_dissipator(_require(raw, "dissipator", "model"))
@@ -223,7 +215,7 @@ def load_model(path: str) -> Model:
 # ---------------------------------------------------------------------------
 
 
-def _dissipator(model: Model, tol: float):
+def _dissipator(model: Model):
     """Normalise the model's dissipator once: (L, verdict, certificate, terms).
 
     The verdict and minimal certificate come from the CP check of L. The
@@ -235,13 +227,13 @@ def _dissipator(model: Model, tol: float):
     if isinstance(fb, FormA):
         fb = form_a_to_form_b(fb)
     ell = dissipation_matrix(fb) if isinstance(fb, FormB) else fb
-    verdict, certificate = is_completely_positive(ell, tol=tol)
+    verdict, certificate = is_completely_positive(ell)
     return ell, verdict, certificate, fb if isinstance(fb, FormB) else certificate
 
 
-def _gate_cp(model: Model, tol: float):
+def _gate_cp(model: Model):
     """Return (L, terms) of a CP dissipator; raise NotCPError otherwise."""
-    ell, verdict, _, fb = _dissipator(model, tol)
+    ell, verdict, _, fb = _dissipator(model)
     if not verdict.cp:
         raise NotCPError(
             f"dissipator is not completely positive: condition {verdict.reason} violated"
@@ -260,8 +252,8 @@ def _need_initial(model: Model) -> DensityState:
 # ---------------------------------------------------------------------------
 
 
-def cmd_check(model: Model, args, tol: float) -> int:
-    _, verdict, certificate, _ = _dissipator(model, tol)
+def cmd_check(model: Model, args) -> int:
+    _, verdict, certificate, _ = _dissipator(model)
     if not verdict.cp:
         print("verdict: NotCP")
         print(f"reason: condition {verdict.reason} violated")
@@ -275,8 +267,8 @@ def cmd_check(model: Model, args, tol: float) -> int:
     return 0
 
 
-def cmd_convert(model: Model, args, tol: float) -> int:
-    ell, fb = _gate_cp(model, tol)
+def cmd_convert(model: Model, args) -> int:
+    ell, fb = _gate_cp(model)
     target = args.to
     if target == "E":
         fe = form_e_pack(ell)
@@ -303,8 +295,8 @@ def cmd_convert(model: Model, args, tol: float) -> int:
     return 0
 
 
-def cmd_reduce(model: Model, args, tol: float) -> int:
-    fb = _gate_cp(model, tol)[1]
+def cmd_reduce(model: Model, args) -> int:
+    fb = _gate_cp(model)[1]
     before = dissipation_matrix(fb)
     fb_min, index = reduce_terms(fb)
     # In units of the largest entry, so neither side can overflow.
@@ -324,8 +316,8 @@ CSV_ROW = ",".join(["%.17g"] * 6) + "\n"
 CSV_BLOCK_ROWS = 4096
 
 
-def cmd_evolve(model: Model, args, tol: float) -> int:
-    ell, fb = _gate_cp(model, tol)
+def cmd_evolve(model: Model, args) -> int:
+    ell, fb = _gate_cp(model)
     state = _need_initial(model)
     gen = build_generator(model.hamiltonian, ell)
     limit = asymptotic_state(classify(model.hamiltonian, fb), state).bloch
@@ -360,8 +352,8 @@ def cmd_evolve(model: Model, args, tol: float) -> int:
     return 0
 
 
-def cmd_asymptote(model: Model, args, tol: float) -> int:
-    ell, fb = _gate_cp(model, tol)
+def cmd_asymptote(model: Model, args) -> int:
+    ell, fb = _gate_cp(model)
     state = _need_initial(model)
     verdict = classify(model.hamiltonian, fb)
     limit = asymptotic_state(verdict, state)
@@ -419,21 +411,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (None, 0) else int(exc.code)
 
-    tol = PSD_TOL
-    env = os.environ.get("LINDBLAD2_TOL")
-    if env is not None:
-        try:
-            tol = float(env)
-        except ValueError:
-            print(f"error: LINDBLAD2_TOL is not a number: {env!r}", file=sys.stderr)
-            return 2
-        if not np.isfinite(tol) or tol <= 0.0:
-            print(f"error: LINDBLAD2_TOL must be positive, got {env!r}", file=sys.stderr)
-            return 2
-
     try:
         model = load_model(args.model)
-        return args.func(model, args, tol)
+        return args.func(model, args)
     except NotCPError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

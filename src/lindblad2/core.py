@@ -65,10 +65,10 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().T)))
 
 
-def require_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL, what: str = "matrix") -> np.ndarray:
+def require_hermitian(m: np.ndarray, what: str = "matrix") -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     defect = hermiticity_defect(m)
-    if defect > tol:
+    if defect > HERMITIAN_TOL:
         raise NotHermitianError(f"{what} is not hermitian (defect {defect:.3e})")
     return m
 
@@ -209,11 +209,11 @@ def as_field_vector(h) -> np.ndarray:
     return h
 
 
-def unit_vector(n, tol: float = UNIT_TOL) -> np.ndarray:
+def unit_vector(n) -> np.ndarray:
     n = np.asarray(n, dtype=float)
     if n.shape != (3,):
         raise NotUnitError("axis must have 3 components")
     norm = float(np.linalg.norm(n))
-    if not np.isfinite(norm) or abs(norm - 1.0) > tol:
+    if not np.isfinite(norm) or abs(norm - 1.0) > UNIT_TOL:
         raise NotUnitError(f"axis has length {norm!r}, expected 1")
     return n

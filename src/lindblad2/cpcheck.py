@@ -25,6 +25,7 @@ from .dynamics import liouvillian, matrix_exponential
 from .errors import NegativeTimeError, VerdictMismatchError
 from .forms import (
     FormE,
+    first_violation,
     form_b_from_dissipation,
     form_e_pack,
     form_e_unpack,
@@ -49,12 +50,12 @@ class Verdict:
     margin: float = 0.0
 
 
-def _verdict_from_margins(margins, tol: float) -> Verdict:
+def _verdict_from_margins(margins) -> Verdict:
     worst = min(m for _, m in margins)
-    for label, margin in margins:
-        if margin < -tol:
-            return Verdict(cp=False, reason=label, margin=worst)
-    return Verdict(cp=True, margin=worst)
+    violation = first_violation(margins)
+    if violation is None:
+        return Verdict(cp=True, margin=worst)
+    return Verdict(cp=False, reason=violation[0], margin=worst)
 
 
 def form_e_margins(fe: FormE) -> list:
@@ -91,25 +92,24 @@ def form_e_margins(fe: FormE) -> list:
     ]
 
 
-def check_form_e(fe: FormE, tol: float = PSD_TOL) -> Verdict:
+def check_form_e(fe: FormE) -> Verdict:
     """CP verdict from the six-constant inequalities."""
-    return _verdict_from_margins(form_e_margins(fe), tol)
+    return _verdict_from_margins(form_e_margins(fe))
 
 
-def check_gram_psd(m, tol: float = PSD_TOL, band: float = MISMATCH_BAND) -> Verdict:
+def check_gram_psd(m) -> Verdict:
     """CP verdict from the principal minors of M, cross-checked spectrally.
 
     The minor conditions are exactly positive semidefiniteness of the
     symmetric 3x3 matrix, so they must agree with the minimum eigenvalue;
-    a disagreement with both margins outside ``band`` raises
+    a disagreement with both margins outside MISMATCH_BAND raises
     VerdictMismatchError.
     """
     m = require_symmetric(m, what="gram matrix")
-    margins = gram_condition_margins(m)
-    verdict = _verdict_from_margins(margins, tol)
+    verdict = _verdict_from_margins(gram_condition_margins(m))
     min_eig = float(np.linalg.eigvalsh(frobenius_normalized(m))[0])
-    oracle_cp = min_eig >= -tol
-    if verdict.cp != oracle_cp and abs(verdict.margin) > band and abs(min_eig) > band:
+    oracle_cp = min_eig >= -PSD_TOL
+    if verdict.cp != oracle_cp and min(abs(verdict.margin), abs(min_eig)) > MISMATCH_BAND:
         raise VerdictMismatchError(
             f"internal bug: minor conditions say cp={verdict.cp} (margin {verdict.margin:.3e}) "
             f"but min eigenvalue is {min_eig:.3e}"
@@ -117,7 +117,7 @@ def check_gram_psd(m, tol: float = PSD_TOL, band: float = MISMATCH_BAND) -> Verd
     return verdict
 
 
-def is_completely_positive(ell, tol: float = PSD_TOL, band: float = MISMATCH_BAND):
+def is_completely_positive(ell):
     """Check a dissipation matrix via both equivalent routes.
 
     Returns (Verdict, certificate) where the certificate is the minimal
@@ -125,19 +125,16 @@ def is_completely_positive(ell, tol: float = PSD_TOL, band: float = MISMATCH_BAN
     when it is not. The two routes must agree outside the margin band.
     """
     ell = require_symmetric(ell, what="dissipation matrix")
-    via_e = check_form_e(form_e_pack(ell), tol)
-    via_m = check_gram_psd(gram_from_dissipation(ell), tol, band)
-    if via_e.cp != via_m.cp:
-        if abs(via_e.margin) > band and abs(via_m.margin) > band:
-            raise VerdictMismatchError(
-                f"internal bug: six-constant route says cp={via_e.cp} (margin {via_e.margin:.3e}) "
-                f"but minor route says cp={via_m.cp} (margin {via_m.margin:.3e})"
-            )
+    via_e = check_form_e(form_e_pack(ell))
+    via_m = check_gram_psd(gram_from_dissipation(ell))
+    if via_e.cp != via_m.cp and min(abs(via_e.margin), abs(via_m.margin)) > MISMATCH_BAND:
+        raise VerdictMismatchError(
+            f"internal bug: six-constant route says cp={via_e.cp} (margin {via_e.margin:.3e}) "
+            f"but minor route says cp={via_m.cp} (margin {via_m.margin:.3e})"
+        )
     if not via_m.cp:
         return via_m, None
-    # The factorization tests the same minors with at least tol of slack,
-    # so a CP verdict always factors.
-    certificate, _ = form_b_from_dissipation(ell, tol=max(tol, band))
+    certificate, _ = form_b_from_dissipation(ell)
     return via_m, certificate
 
 

@@ -23,7 +23,6 @@ from .tolerances import (
     REPEATED_ROOT_P_MIN,
     REPEATED_ROOT_TOL,
     STEP_FIT_TOL,
-    SYMMETRY_TOL,
 )
 
 
@@ -43,22 +42,17 @@ def cross_matrix(h) -> np.ndarray:
 class Generator:
     """Constant Bloch-space generator G = Omega(h) - L."""
 
-    h: np.ndarray
-    dissipation: np.ndarray
     matrix: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "h", _readonly(np.asarray(self.h, dtype=float)))
-        object.__setattr__(self, "dissipation", _readonly(self.dissipation))
         object.__setattr__(self, "matrix", _readonly(self.matrix))
 
 
 def build_generator(h, ell) -> Generator:
     """Assemble G = Omega(h) - L from a field (or Hamiltonian) and a
     symmetric dissipation matrix."""
-    hv = as_field_vector(h)
-    ell = require_symmetric(ell, tol=SYMMETRY_TOL, what="dissipation matrix")
-    return Generator(h=hv, dissipation=ell, matrix=cross_matrix(hv) - ell)
+    ell = require_symmetric(ell, what="dissipation matrix")
+    return Generator(matrix=cross_matrix(as_field_vector(h)) - ell)
 
 
 def matrix_exponential(a) -> np.ndarray:
@@ -87,11 +81,18 @@ def matrix_exponential(a) -> np.ndarray:
 
 
 def evolve_expm(gen: Generator, r0, t: float) -> np.ndarray:
-    """Exact propagation r(t) = exp(t G) r0 of the linear Bloch equation."""
+    """Exact propagation r(t) = exp(t G) r0 of the linear Bloch equation.
+
+    Raises BadStepError when exp(t G) is not finite, which happens when
+    |G| t is so large that the squarings overflow.
+    """
     if t < 0.0:
         raise NegativeTimeError(f"time must be nonnegative, got {t!r}")
-    r0 = np.asarray(r0, dtype=float)
-    return matrix_exponential(t * gen.matrix) @ r0
+    with np.errstate(over="ignore", invalid="ignore"):  # caught as a non-finite entry
+        prop = matrix_exponential(t * gen.matrix)
+    if not np.isfinite(prop).all():
+        raise BadStepError(f"exp(t G) is not finite at t = {t!r}; |G| t is too large")
+    return prop @ np.asarray(r0, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -105,8 +106,6 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray
     entropies: np.ndarray
-    dt: float
-    method: str
     max_trace_dev: float | None = None
     max_herm_dev: float | None = None
 
@@ -194,8 +193,6 @@ def evolve_rk4(gen: Generator, r0, t_max: float, dt: float) -> Trajectory:
         times=dt * np.arange(steps + 1),
         states=states,
         entropies=bloch_entropies(states),
-        dt=dt,
-        method="rk4",
     )
 
 
@@ -234,8 +231,6 @@ def evolve_density(h, form, rho0: DensityState, t_max: float, dt: float) -> Traj
         times=dt * np.arange(steps + 1),
         states=states,
         entropies=bloch_entropies(states),
-        dt=dt,
-        method="rk4-density",
         max_trace_dev=float(np.max(np.abs((d00 + d11).real - 1.0))),
         max_herm_dev=float(np.max(np.abs([d01 - np.conj(d10), d00.imag, d11.imag]))),
     )

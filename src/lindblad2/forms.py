@@ -43,13 +43,13 @@ from .errors import (
 from .tolerances import HERMITIAN_TOL, PSD_TOL, RANK_TOL, SYMMETRY_TOL
 
 
-def require_symmetric(a, tol: float = SYMMETRY_TOL, what: str = "matrix") -> np.ndarray:
+def require_symmetric(a, what: str = "matrix") -> np.ndarray:
     """Validate a real symmetric 3x3 matrix and return its symmetrized copy."""
     a = np.asarray(a, dtype=float)
     if a.shape != (3, 3) or not np.all(np.isfinite(a)):
         raise NotSymmetricError(f"{what} must be a finite real 3x3 matrix")
     defect = float(np.max(np.abs(a - a.T)))
-    if defect > tol:
+    if defect > SYMMETRY_TOL:
         raise NotSymmetricError(f"{what} is not symmetric (defect {defect:.3e})")
     return 0.5 * (a + a.T)
 
@@ -235,14 +235,13 @@ def gram_condition_margins(m) -> list:
         return [(label, float(value(m))) for label, value in _GRAM_CONDITIONS]
 
 
-def _first_gram_violation(m, tol: float):
-    for label, margin in gram_condition_margins(m):
-        if margin < -tol:
-            return label, margin
-    return None
+def first_violation(margins):
+    """The first (label, margin) pair whose normalized margin is below
+    -PSD_TOL, or None when every condition holds."""
+    return next(((label, margin) for label, margin in margins if margin < -PSD_TOL), None)
 
 
-def gram_decompose(m, tol: float = PSD_TOL):
+def gram_decompose(m):
     """Factor a PSD symmetric 3x3 matrix as M_ab = q_a . q_b.
 
     Returns a (3, 3) array whose rows are the vectors q_a; column k is the
@@ -255,10 +254,10 @@ def gram_decompose(m, tol: float = PSD_TOL):
     overflow for a PSD M, and a zero matrix factors into three zero
     vectors.
 
-    Raises NotCPError when a principal-minor condition fails beyond ``tol``.
+    Raises NotCPError when a principal-minor condition fails beyond PSD_TOL.
     """
     m = require_symmetric(m, what="gram matrix")
-    violation = _first_gram_violation(m, tol)
+    violation = first_violation(gram_condition_margins(m))
     if violation is not None:
         label, margin = violation
         raise NotCPError(f"condition {label} violated (margin {margin:.3e})")
@@ -315,13 +314,13 @@ def reduce_terms(fb: FormB):
     return fb_min, len(fb_min.terms)
 
 
-def form_b_from_dissipation(ell, tol: float = PSD_TOL):
+def form_b_from_dissipation(ell):
     """Recover minimal rate/axis terms from a CP dissipation matrix.
 
     Returns (FormB, term count); L = 0 gives no terms. Raises NotCPError
     when L is not completely positive.
     """
-    fb = form_b_from_gram(gram_decompose(gram_from_dissipation(ell), tol=tol))
+    fb = form_b_from_gram(gram_decompose(gram_from_dissipation(ell)))
     return fb, len(fb.terms)
 
 
@@ -402,13 +401,13 @@ def gks_matrix(fa: FormA) -> np.ndarray:
     return coeff @ coeff.conj().T
 
 
-def gks_minimal(c, tol: float = PSD_TOL) -> FormA:
+def gks_minimal(c) -> FormA:
     """Smallest operator set reproducing a GKS coefficient matrix.
 
     Diagonalizing c = U chat U^dag yields one operator
     B_j = sqrt(chat_jj) sum_k U_kj F_k per positive eigenvalue, so at most
     three. Eigenvalues at or below RANK_TOL times the largest count as zero,
-    and ``tol`` is the negative slack relative to the largest |eigenvalue|.
+    and PSD_TOL is the negative slack relative to the largest |eigenvalue|.
     With hermitian Lindblad operators c is real symmetric and the
     reconstructed operators are hermitian. Returns them as a FormA, largest
     rate first, so gks_minimal(gks_matrix(fa)) is again a FormA; c = 0
@@ -426,7 +425,7 @@ def gks_minimal(c, tol: float = PSD_TOL) -> FormA:
     sym = 0.5 * (c.real + c.real.T)
     evals, evecs = np.linalg.eigh(sym)
     scale = float(np.max(np.abs(evals)))
-    if evals[0] < -tol * scale:
+    if evals[0] < -PSD_TOL * scale:
         raise NotPSDError(f"coefficient matrix has eigenvalue {evals[0]!r} < 0")
     ops = []
     for j in range(2, -1, -1):

@@ -23,8 +23,11 @@ ROUNDTRIP_TOL = 1e-12
 # does not depend on the units of the rates.
 RANK_TOL = 1e-10
 
-# Absolute slack per CP inequality, applied after normalizing the matrix
-# under test by its Frobenius norm.
+# The one CP slack: a condition is violated when its margin, computed on the
+# matrix normalized by its Frobenius norm, is below -PSD_TOL. All three CP
+# routes (the Form E inequalities, the minors of M and its smallest
+# eigenvalue) and the Gram factorization behind the certificate use it, so a
+# CP verdict always factors.
 PSD_TOL = 1e-10
 
 # Disagreement band inside which the two equivalent CP checks may differ

@@ -328,19 +328,6 @@ def test_convert_output_round_trips(capsys):
     assert np.max(np.abs(rebuilt - ell)) < 1e-10
 
 
-def test_tol_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("LINDBLAD2_TOL", "not-a-number")
-    assert run_cli(["--model", model("dephasing"), "check"], capsys)[0] == 2
-
-    monkeypatch.setenv("LINDBLAD2_TOL", "-1")
-    assert run_cli(["--model", model("dephasing"), "check"], capsys)[0] == 2
-
-    monkeypatch.setenv("LINDBLAD2_TOL", "1e-6")
-    code, out, _ = run_cli(["--model", model("dephasing"), "check"], capsys)
-    assert code == 0
-    assert "verdict: CP" in out
-
-
 def test_module_entry_point_smoke():
     result = subprocess.run(
         [sys.executable, "-m", "lindblad2", "--model", model("dephasing"), "check"],
@@ -542,7 +529,7 @@ def test_route_disagreement_exits_two(monkeypatch, capsys):
     from lindblad2.cpcheck import Verdict
 
     broken = Verdict(cp=False, reason="patched", margin=-0.5)
-    monkeypatch.setattr("lindblad2.cpcheck.check_form_e", lambda fe, tol: broken)
+    monkeypatch.setattr("lindblad2.cpcheck.check_form_e", lambda fe: broken)
     code, out, err = run_cli(["--model", model("isotropic"), "check"], capsys)
     assert code == 2 and out == ""
     assert err.count("\n") == 1

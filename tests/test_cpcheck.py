@@ -104,7 +104,7 @@ def test_route_disagreement_raises(monkeypatch):
     # A six-constant route broken to say NotCP, far outside the band, on a
     # full-rank CP matrix whose minor route says CP with margin ~0.19.
     broken = Verdict(cp=False, reason="patched", margin=-0.5)
-    monkeypatch.setattr("lindblad2.cpcheck.check_form_e", lambda fe, tol: broken)
+    monkeypatch.setattr("lindblad2.cpcheck.check_form_e", lambda fe: broken)
     with pytest.raises(VerdictMismatchError, match="^internal bug: six-constant route"):
         is_completely_positive(np.eye(3))
 

@@ -84,6 +84,15 @@ def test_evolve_expm_rejects_negative_time():
         evolve_expm(gen, [0.0, 0.0, 0.0], -0.1)
 
 
+def test_evolve_expm_refuses_overflowing_propagator():
+    # |h| t = 1e20 overflows the squarings of exp(t G); RuntimeWarnings are
+    # errors under pytest, so this also checks that none is printed.
+    gen = build_generator([0, 0, 1e20], np.diag([0.0, 1.0, 1.0]))
+    with pytest.raises(BadStepError, match="not finite") as info:
+        evolve_expm(gen, [0, 0, 0.5], 1.0)
+    assert "\n" not in str(info.value)
+
+
 def test_evolve_rk4_constant_for_zero_generator():
     gen = build_generator([0.0, 0.0, 0.0], ZERO_L)
     traj = evolve_rk4(gen, [0.2, 0.1, -0.4], 1.0, 0.1)
@@ -150,8 +159,6 @@ def test_trajectory_rejects_unordered_times():
             times=np.array([0.0, 0.0]),
             states=np.zeros((2, 3)),
             entropies=np.zeros(2),
-            dt=0.1,
-            method="rk4",
         )
 
 

@@ -1,6 +1,7 @@
 """Property tests: the minimal number of Lindblad terms is the rank of the
-Gram matrix M, whatever the units of the rates; without dissipation the
-Bloch vector precesses rigidly about h."""
+Gram matrix M, whatever the units of the rates; a Gram matrix at the edge
+of the CP slack gets a consistent verdict and certificate at every scale;
+without dissipation the Bloch vector precesses rigidly about h."""
 
 import json
 import tempfile
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from lindblad2 import (
     FormB,
+    dissipation_from_gram,
     dissipation_matrix,
     form_a_from_form_b,
     form_a_to_form_b,
@@ -21,6 +23,7 @@ from lindblad2 import (
     reduce_terms,
 )
 from lindblad2.cli import main
+from lindblad2.tolerances import PSD_TOL, RANK_TOL
 
 # Smallest singular value of the matrix of unit axes: the terms of a drawn
 # dissipator are well separated, so its rank is not in doubt.
@@ -52,6 +55,46 @@ def test_index_equals_rank_at_every_scale(case):
     fa = gks_minimal(gks_matrix(form_a_from_form_b(fb)))
     assert len(fa.operators) == r
     assert len(form_a_to_form_b(fa).terms) == r
+
+
+@st.composite
+def gram_matrices_at_the_slack(draw):
+    """(push, M): a Gram matrix of rank 1 to 3 whose smallest eigenvalue is
+    then moved by push times the largest, at scales 1e-300 to 1e300.
+
+    |push| <= 3 PSD_TOL, so both verdicts occur: within +-PSD_TOL every
+    draw is CP, because each normalized minor then stays above -PSD_TOL.
+    """
+    r = draw(st.integers(1, 3))
+    eigs = np.zeros(3)
+    eigs[3 - r:] = [draw(st.floats(0.1, 2.0)) for _ in range(r)]
+    push = draw(st.floats(-3.0 * PSD_TOL, 3.0 * PSD_TOL))
+    eigs[0] += push * np.max(eigs)
+    columns = np.array([[draw(st.floats(-1.0, 1.0)) for _ in range(3)] for _ in range(3)])
+    assume(np.linalg.svd(columns, compute_uv=False)[-1] >= 0.1)
+    q, _ = np.linalg.qr(columns)
+    m = (q * eigs) @ q.T
+    scale = 10.0 ** draw(st.floats(-300.0, 300.0))
+    return push, scale * (0.5 * (m + m.T))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(gram_matrices_at_the_slack())
+def test_certificate_exactly_when_cp_at_the_slack(case):
+    push, m = case
+    ell = dissipation_from_gram(m)
+    verdict, certificate = is_completely_positive(ell)
+    assert (certificate is not None) == verdict.cp
+    if verdict.cp and push >= 0.0:
+        # M is PSD, so the certificate differs from it only by the PSD
+        # remainder the rank floor drops, whose at most two nonzero diagonal
+        # entries are each at most RANK_TOL times M's largest diagonal entry
+        # d. That moves no entry of L by more than RANK_TOL d, and L has an
+        # entry of at least d / 2; 1e-15 covers rounding. (A PSD
+        # certificate cannot match an indefinite M, so push < 0 has no such
+        # bound.)
+        drift = np.max(np.abs(dissipation_matrix(certificate) - ell)) / np.max(np.abs(ell))
+        assert drift <= 2.0 * RANK_TOL + 1e-15
 
 
 def rodrigues(h, r0, t):
