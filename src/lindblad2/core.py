@@ -157,12 +157,19 @@ def bloch_entropies(states) -> np.ndarray:
     """Von Neumann entropy in nats of each Bloch vector in the rows of states.
 
     The qubit eigenvalues are (1 +- |r|)/2; |r| is clamped to [0, 1] so that
-    tiny integration overshoots do not produce NaNs.
+    tiny integration overshoots do not produce NaNs. |r| is summed as
+    x^2 + y^2 + z^2 in that order, the same bits as np.linalg.norm(axis=1).
     """
-    norms = np.minimum(np.linalg.norm(states, axis=1), 1.0)
-    lam = 0.5 * np.stack([1.0 + norms, 1.0 - norms])
-    terms = np.where(lam > 0.0, lam * np.log(np.where(lam > 0.0, lam, 1.0)), 0.0)
-    return -np.sum(terms, axis=0)
+    states = np.asarray(states, dtype=float)
+    x, y, z = states[:, 0], states[:, 1], states[:, 2]
+    norms = np.minimum(np.sqrt(x * x + y * y + z * z), 1.0)
+    return -(_xlogx(0.5 * (1.0 + norms)) + _xlogx(0.5 * (1.0 - norms)))
+
+
+def _xlogx(lam: np.ndarray) -> np.ndarray:
+    """lam ln lam, taken as 0 where lam is not positive."""
+    positive = lam > 0.0
+    return np.where(positive, lam * np.log(np.where(positive, lam, 1.0)), 0.0)
 
 
 def entropy_from_bloch(r) -> float:

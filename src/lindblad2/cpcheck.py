@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import as_field_vector, frobenius_normalized
-from .dynamics import liouvillian, matrix_exponential
-from .errors import NegativeTimeError, VerdictMismatchError
+from .dynamics import _propagator, liouvillian
+from .errors import VerdictMismatchError
 from .forms import (
     FormE,
     first_violation,
@@ -146,16 +146,14 @@ def choi_check(h, ell, times) -> np.ndarray:
     It stays positive semidefinite at all times exactly for CP generators; a
     clearly negative eigenvalue witnesses the CP failure. At t = 0 the
     spectrum is {2, 0, 0, 0} (twice the maximally entangled projector).
+    Raises BadStepError when a propagator is not finite, as evolve_expm does.
     """
     hv = as_field_vector(h)
     ell = require_symmetric(ell, what="dissipation matrix")
     generator = liouvillian(hv, ell)
     minima = []
     for t in times:
-        t = float(t)
-        if t < 0.0:
-            raise NegativeTimeError(f"times must be nonnegative, got {t!r}")
-        prop = matrix_exponential(t * generator)
+        prop = _propagator(generator, float(t))
         choi = prop.reshape(2, 2, 2, 2).transpose(2, 0, 3, 1).reshape(4, 4)
         choi = 0.5 * (choi + choi.conj().T)
         minima.append(float(np.linalg.eigvalsh(choi)[0]))

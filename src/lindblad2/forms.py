@@ -44,14 +44,20 @@ from .tolerances import HERMITIAN_TOL, PSD_TOL, RANK_TOL, SYMMETRY_TOL
 
 
 def require_symmetric(a, what: str = "matrix") -> np.ndarray:
-    """Validate a real symmetric 3x3 matrix and return its symmetrized copy."""
+    """Validate a real symmetric 3x3 matrix and return its symmetrized copy.
+
+    The asymmetry max|a - a^T| may be at most SYMMETRY_TOL times the largest
+    |entry|, whatever the scale of the entries, and no step overflows for
+    entries up to the largest double.
+    """
     a = np.asarray(a, dtype=float)
     if a.shape != (3, 3) or not np.all(np.isfinite(a)):
         raise NotSymmetricError(f"{what} must be a finite real 3x3 matrix")
-    defect = float(np.max(np.abs(a - a.T)))
-    if defect > SYMMETRY_TOL:
+    half = 0.5 * a  # halved first, so neither a - a^T nor a + a^T overflows
+    defect = 2.0 * float(np.abs(half - half.T).max())
+    if defect > SYMMETRY_TOL * float(np.abs(a).max()):
         raise NotSymmetricError(f"{what} is not symmetric (defect {defect:.3e})")
-    return 0.5 * (a + a.T)
+    return half + half.T
 
 
 def plane_projector(n) -> np.ndarray:

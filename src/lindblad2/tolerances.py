@@ -9,6 +9,9 @@ headroom for accumulated integration error on top of that.
 HERMITIAN_TOL = 1e-9
 TRACE_TOL = 1e-9
 UNIT_TOL = 1e-9
+
+# Largest accepted asymmetry max|a - a^T| of a real symmetric matrix, relative
+# to its largest |entry|, so the check does not depend on the units.
 SYMMETRY_TOL = 1e-9
 
 # |bloch| <= 1 slack for density-matrix positivity.
@@ -45,8 +48,19 @@ PARALLEL_TOL = 1e-9
 GAP_TOL = 1e-12
 
 # Relative drift of the dissipation matrix that term reduction may cause,
-# measured in units of its largest entry (at least 1).
-REDUCE_DRIFT_TOL = 1e-10
+# measured as the Frobenius norm of the change in units of L's largest entry
+# (at least 1). It is what the RANK_TOL floor may drop. With m the largest
+# diagonal entry of the Gram matrix M, the loop stops after at least one
+# pivot, so it drops a PSD remainder R on at most two coordinates, each
+# diagonal entry at most RANK_TOL m: tr R <= 2 RANK_TOL m. L moves by
+# (tr(R) I - R) / 2, whose eigenvalues are half of (mu1, mu2, mu1 + mu2) for
+# the eigenvalues mu of R, so its Frobenius norm is at most tr(R) / sqrt(2)
+# <= sqrt(2) RANK_TOL m. Every diagonal entry of L but the pivot's is
+# (tr M - M_aa) / 2 >= m / 2, so the drift is at most 2 sqrt(2) RANK_TOL
+# ~ 2.83 RANK_TOL, reached by M = m e_x e_x^T plus a rank-one remainder with
+# both diagonal entries just under RANK_TOL m. The factor 3 leaves room for
+# rounding.
+REDUCE_DRIFT_TOL = 3 * RANK_TOL
 
 # Characteristic cubic of the generator: a discriminant within
 # REPEATED_ROOT_TOL of zero (relative) with |p| above REPEATED_ROOT_P_MIN is

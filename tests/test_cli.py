@@ -525,6 +525,19 @@ def test_tiny_rates_keep_index(capsys, tmp_path):
         assert len(_parse_printed_terms(out)) == 2
 
 
+def test_reduce_drops_rate_under_rank_floor(capsys, tmp_path):
+    # A rate just under RANK_TOL times the largest is dropped, and the drift
+    # gate admits what the floor may drop: 1.4 RANK_TOL for the first model,
+    # 2.83 RANK_TOL (the derived bound) for a rank-one remainder on y and z.
+    plane = [0.0, 2**-0.5, 2**-0.5]
+    for second in ({"rate": 9.9e-10, "axis": [0.0, 1.0, 0.0]}, {"rate": 2e-9 * 0.999, "axis": plane}):
+        terms = [{"rate": 10.0, "axis": [1.0, 0.0, 0.0]}, second]
+        path = _write_model(tmp_path / "floor.json", {"form": "B", "terms": terms})
+        code, out, err = run_cli(["--model", path, "reduce"], capsys)
+        assert code == 0 and err == ""
+        assert out.startswith("index: 1\n")
+
+
 def test_route_disagreement_exits_two(monkeypatch, capsys):
     from lindblad2.cpcheck import Verdict
 

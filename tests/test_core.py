@@ -12,7 +12,14 @@ from lindblad2 import (
     entropy_from_bloch,
     von_neumann_entropy,
 )
-from lindblad2.core import IDENTITY2, SIGMA_X, matrix_from_pauli, pauli_coefficients, unit_vector
+from lindblad2.core import (
+    IDENTITY2,
+    SIGMA_X,
+    bloch_entropies,
+    matrix_from_pauli,
+    pauli_coefficients,
+    unit_vector,
+)
 from lindblad2.errors import (
     BadTraceError,
     BlochOutOfBallError,
@@ -85,6 +92,29 @@ def test_entropy_bounds_random_states():
         assert 0.0 <= s <= np.log(2.0) + 1e-15
         if np.linalg.norm(r) <= 1e-9:
             assert s == pytest.approx(np.log(2.0), abs=1e-15)
+
+
+def _entropies_by_norm(states) -> np.ndarray:
+    """bloch_entropies written with np.linalg.norm(axis=1) and one (2, N)
+    stack of the eigenvalues, the reference for its bits."""
+    norms = np.minimum(np.linalg.norm(states, axis=1), 1.0)
+    lam = 0.5 * np.stack([1.0 + norms, 1.0 - norms])
+    terms = np.where(lam > 0.0, lam * np.log(np.where(lam > 0.0, lam, 1.0)), 0.0)
+    return -np.sum(terms, axis=0)
+
+
+def test_bloch_entropies_bits_match_norm_formula():
+    rng = np.random.default_rng(157)
+    inside = rng.normal(size=(4000, 3)) * rng.uniform(0.0, 0.6, size=(4000, 1))
+    unit = rng.normal(size=(2000, 3))
+    unit /= np.linalg.norm(unit, axis=1)[:, None]
+    # |r| = 0, |r| exactly 1 along each axis, and |r| a few ulp above 1,
+    # which the clamp must send to entropy 0.
+    edges = np.array([[0.0, 0.0, 0.0], [-0.0, 0.0, -0.0], *np.eye(3), *-np.eye(3), [0.6, 0.8, 0.0]])
+    above = unit[:500] * (1.0 + np.arange(1, 501)[:, None] * np.finfo(float).eps)
+    states = np.concatenate([inside, unit, edges, above])
+    assert bloch_entropies(states).tobytes() == _entropies_by_norm(states).tobytes()
+    assert np.all(bloch_entropies(above[np.linalg.norm(above, axis=1) >= 1.0]) == 0.0)
 
 
 def projector(n) -> np.ndarray:

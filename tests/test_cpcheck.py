@@ -16,7 +16,7 @@ from lindblad2 import (
 from lindblad2.core import matrix_from_pauli, pauli_coefficients
 from lindblad2.dynamics import cross_matrix
 from lindblad2.cpcheck import Verdict
-from lindblad2.errors import NegativeTimeError, VerdictMismatchError
+from lindblad2.errors import BadStepError, NegativeTimeError, VerdictMismatchError
 
 
 def reference_choi(h, ell, t) -> np.ndarray:
@@ -194,6 +194,15 @@ def test_choi_random_cp_generators():
 def test_choi_rejects_negative_time():
     with pytest.raises(NegativeTimeError):
         choi_check([0.0, 0.0, 0.0], np.eye(3), [-1.0])
+
+
+def test_choi_check_refuses_overflowing_propagator():
+    # |h| t = 1e20 overflows the squarings of exp(t Liouvillian), as in
+    # evolve_expm; RuntimeWarnings are errors under pytest, so this also
+    # checks that none is printed.
+    with pytest.raises(BadStepError, match="not finite") as info:
+        choi_check([0, 0, 1e20], np.diag([0.0, 1.0, 1.0]), [1.0])
+    assert "\n" not in str(info.value)
 
 
 def test_not_cp_stays_not_cp_under_scaling():

@@ -55,6 +55,43 @@ def test_matrix_exponential_against_scipy():
         assert np.max(np.abs(matrix_exponential(a) - ref)) < 5e-12 * scale
 
 
+def _exact_expm(a) -> np.ndarray:
+    with mpmath.workdps(40):
+        exact = mpmath.expm(mpmath.matrix(a.tolist()))
+        return np.array(exact.tolist(), dtype=a.dtype)
+
+
+def _relative_expm_error(a) -> float:
+    exact = _exact_expm(a)
+    return float(np.max(np.abs(matrix_exponential(a) - exact)) / np.max(np.abs(exact)))
+
+
+def test_matrix_exponential_against_mpmath_real():
+    # Real 3x3 matrices at infinity norms from 1e-3 to 300, which take 0 to
+    # 10 squarings, against a 40-digit reference. The error is relative to
+    # the largest entry of exp(a). Worst over these cases: 1.0e-13 for the
+    # Paterson-Stockmeyer evaluation, 3.1e-13 for the term-by-term Taylor
+    # loop it replaced.
+    rng = np.random.default_rng(149)
+    for norm in np.geomspace(1e-3, 300.0, 200):
+        a = rng.normal(size=(3, 3))
+        a *= norm / np.abs(a).sum(axis=1).max()
+        assert _relative_expm_error(a) < 3e-13, norm
+
+
+def test_matrix_exponential_against_mpmath_liouvillian():
+    # t times complex 4x4 Liouvillians of CP models at the times of the Choi
+    # witness, against a 40-digit reference. The squarings at t = 2 set the
+    # worst case: 4.6e-15 for the Paterson-Stockmeyer evaluation, 4.2e-15
+    # for the term-by-term Taylor loop it replaced (medians 1.2e-16 and
+    # 2.4e-16).
+    rng = np.random.default_rng(151)
+    for _ in range(20):
+        lv = liouvillian(rng.normal(size=3), random_form_b(rng, int(rng.integers(1, 4))))
+        for t in (0.02, 0.1, 0.5, 2.0):
+            assert _relative_expm_error(t * lv) < 1e-14, t
+
+
 def test_evolve_expm_identity_generator():
     gen = build_generator([0.0, 0.0, 0.0], ZERO_L)
     r0 = np.array([0.3, -0.2, 0.5])

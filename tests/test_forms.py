@@ -44,7 +44,7 @@ from lindblad2.errors import (
     NotHermitianError,
     NotSymmetricError,
 )
-from lindblad2.forms import gram_condition_margins
+from lindblad2.forms import gram_condition_margins, require_symmetric
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +151,25 @@ def test_gram_dissipation_round_trip_random():
 def test_require_symmetric_rejects_asymmetry():
     with pytest.raises(NotSymmetricError):
         gram_from_dissipation(np.array([[0.0, 1.0, 0.0], [0, 0, 0], [0, 0, 0]]))
+
+
+def test_require_symmetric_is_scale_free():
+    # Rounding leaves Q diag(e) Q^T asymmetric by ~1e-16 of its largest
+    # entry at every scale; an asymmetry of 1e-3 of it is refused at every
+    # scale. At 5e307 the largest entry is near the top of the double range,
+    # where a + a^T overflows.
+    rng = np.random.default_rng(163)
+    for scale in (1e-300, 1.0, 1e300, 5e307):
+        for _ in range(200):
+            q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+            gram = q @ np.diag([1.0, 2.0, 3.0]) @ q.T * scale
+            out = require_symmetric(gram)
+            assert np.array_equal(out, out.T)
+            assert np.max(np.abs(out - gram)) <= 1e-15 * np.max(np.abs(gram))
+        skewed = np.diag([1.0, 2.0, 3.0]) * scale
+        skewed[0, 1] = 1e-3 * scale
+        with pytest.raises(NotSymmetricError):
+            require_symmetric(skewed)
 
 
 # ---------------------------------------------------------------------------
