@@ -52,22 +52,16 @@ def frobenius_normalized(a: np.ndarray) -> np.ndarray:
     a / np.linalg.norm(a).
     """
     a = np.asarray(a, dtype=float)
-    peak = float(np.max(np.abs(a)))
+    peak = float(abs(a).max())
     if peak == 0.0:
         return a
     a = np.ldexp(a, -math.frexp(peak)[1])
-    return a / np.linalg.norm(a)
-
-
-def hermiticity_defect(m: np.ndarray) -> float:
-    """Largest entrywise deviation of m from its conjugate transpose."""
-    m = np.asarray(m, dtype=complex)
-    return float(np.max(np.abs(m - m.conj().T)))
+    return a / math.sqrt(np.vdot(a, a))
 
 
 def require_hermitian(m: np.ndarray, what: str = "matrix") -> np.ndarray:
     m = np.asarray(m, dtype=complex)
-    defect = hermiticity_defect(m)
+    defect = float(abs(m - m.conj().T).max())
     if defect > HERMITIAN_TOL:
         raise NotHermitianError(f"{what} is not hermitian (defect {defect:.3e})")
     return m
@@ -118,12 +112,10 @@ class DensityState:
         r = np.asarray(self.bloch, dtype=float)
         if r.shape != (3,):
             raise BlochOutOfBallError("bloch vector must have 3 components")
-        if np.linalg.norm(r) > 1.0 + BALL_TOL:
-            raise BlochOutOfBallError(
-                f"bloch vector has length {np.linalg.norm(r)!r} > 1"
-            )
+        if (norm := math.sqrt(r.dot(r))) > 1.0 + BALL_TOL:
+            raise BlochOutOfBallError(f"bloch vector has length {norm!r} > 1")
         rebuilt = matrix_from_pauli(0.5, 0.5 * r)
-        if np.max(np.abs(rebuilt - m)) > ROUNDTRIP_TOL:
+        if abs(rebuilt - m).max() > ROUNDTRIP_TOL:
             raise BlochOutOfBallError("matrix and bloch fields are inconsistent")
         object.__setattr__(self, "matrix", _readonly(m))
         object.__setattr__(self, "bloch", _readonly(r))
@@ -132,10 +124,10 @@ class DensityState:
 def density_from_bloch(r) -> DensityState:
     """Build the state (1/2)(I + r . sigma) from a Bloch vector inside the ball."""
     r = np.asarray(r, dtype=float)
-    if r.shape != (3,) or not np.all(np.isfinite(r)):
+    if r.shape != (3,) or not np.isfinite(r).all():
         raise BlochOutOfBallError("bloch vector must be a finite real 3-vector")
-    if np.linalg.norm(r) > 1.0 + BALL_TOL:
-        raise BlochOutOfBallError(f"bloch vector has length {np.linalg.norm(r)!r} > 1")
+    if (norm := math.sqrt(r.dot(r))) > 1.0 + BALL_TOL:
+        raise BlochOutOfBallError(f"bloch vector has length {norm!r} > 1")
     return DensityState(matrix=matrix_from_pauli(0.5, 0.5 * r), bloch=r)
 
 
@@ -167,8 +159,8 @@ def bloch_entropies(states) -> np.ndarray:
 
 
 def _xlogx(lam: np.ndarray) -> np.ndarray:
-    """lam ln lam, taken as 0 where lam is not positive."""
-    positive = lam > 0.0
+    """lam ln lam, taken as 0 where lam <= 0; a NaN stays NaN."""
+    positive = ~(lam <= 0.0)
     return np.where(positive, lam * np.log(np.where(positive, lam, 1.0)), 0.0)
 
 
@@ -195,7 +187,7 @@ class Hamiltonian:
 
     def __post_init__(self):
         h = np.asarray(self.h, dtype=float)
-        if h.shape != (3,) or not np.all(np.isfinite(h)):
+        if h.shape != (3,) or not np.isfinite(h).all():
             raise ValueError("h must be a finite real 3-vector")
         if not np.isfinite(self.h0):
             raise ValueError("h0 must be finite")
@@ -211,7 +203,7 @@ def as_field_vector(h) -> np.ndarray:
     if isinstance(h, Hamiltonian):
         return np.asarray(h.h, dtype=float)
     h = np.asarray(h, dtype=float)
-    if h.shape != (3,) or not np.all(np.isfinite(h)):
+    if h.shape != (3,) or not np.isfinite(h).all():
         raise ValueError("field must be a finite real 3-vector")
     return h
 
@@ -220,7 +212,7 @@ def unit_vector(n) -> np.ndarray:
     n = np.asarray(n, dtype=float)
     if n.shape != (3,):
         raise NotUnitError("axis must have 3 components")
-    norm = float(np.linalg.norm(n))
-    if not np.isfinite(norm) or abs(norm - 1.0) > UNIT_TOL:
+    norm = math.sqrt(n.dot(n))  # the bits of np.linalg.norm(n)
+    if not math.isfinite(norm) or abs(norm - 1.0) > UNIT_TOL:
         raise NotUnitError(f"axis has length {norm!r}, expected 1")
     return n

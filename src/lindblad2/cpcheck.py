@@ -23,14 +23,12 @@ import numpy as np
 from .core import as_field_vector, frobenius_normalized
 from .dynamics import _propagator, liouvillian
 from .errors import VerdictMismatchError
+from .forms import _factor, _gram_margins, _scaled_gram
 from .forms import (
     FormE,
     first_violation,
-    form_b_from_dissipation,
-    form_e_pack,
+    form_b_from_gram,
     form_e_unpack,
-    gram_condition_margins,
-    gram_from_dissipation,
     require_symmetric,
 )
 from .tolerances import MISMATCH_BAND, PSD_TOL
@@ -66,28 +64,29 @@ def form_e_margins(fe: FormE) -> list:
     to dominate the squared off-diagonals, and the cubic combination
     R S T >= 2 b c beta + R beta^2 + S c^2 + T b^2.
     """
-    half = 0.5 * frobenius_normalized(form_e_unpack(fe))
-    a, b, c = half[0, 0], half[0, 1], half[0, 2]
-    alpha, beta, gamma = half[1, 1], half[1, 2], half[2, 2]
+    return _form_e_margins(0.5 * frobenius_normalized(form_e_unpack(fe)))
+
+
+def _form_e_margins(half) -> list:
+    """The margins from half of L normalized by its Frobenius norm."""
+    (a, b, c), (_, alpha, beta), (_, _, gamma) = half.tolist()
     big_r = 0.5 * (alpha + gamma - a)
     big_s = 0.5 * (a + gamma - alpha)
     big_t = 0.5 * (a + alpha - gamma)
     return [
-        ("(a) R >= 0", float(big_r)),
-        ("(a) S >= 0", float(big_s)),
-        ("(a) T >= 0", float(big_t)),
-        ("(b) R*S >= b^2", float(big_r * big_s - b * b)),
-        ("(b) R*T >= c^2", float(big_r * big_t - c * c)),
-        ("(b) S*T >= beta^2", float(big_s * big_t - beta * beta)),
+        ("(a) R >= 0", big_r),
+        ("(a) S >= 0", big_s),
+        ("(a) T >= 0", big_t),
+        ("(b) R*S >= b^2", big_r * big_s - b * b),
+        ("(b) R*T >= c^2", big_r * big_t - c * c),
+        ("(b) S*T >= beta^2", big_s * big_t - beta * beta),
         (
             "(c) R*S*T >= 2*b*c*beta + R*beta^2 + S*c^2 + T*b^2",
-            float(
-                big_r * big_s * big_t
-                - 2.0 * b * c * beta
-                - big_r * beta * beta
-                - big_s * c * c
-                - big_t * b * b
-            ),
+            big_r * big_s * big_t
+            - 2.0 * b * c * beta
+            - big_r * beta * beta
+            - big_s * c * c
+            - big_t * b * b,
         ),
     ]
 
@@ -105,9 +104,9 @@ def check_gram_psd(m) -> Verdict:
     a disagreement with both margins outside MISMATCH_BAND raises
     VerdictMismatchError.
     """
-    m = require_symmetric(m, what="gram matrix")
-    verdict = _verdict_from_margins(gram_condition_margins(m))
-    min_eig = float(np.linalg.eigvalsh(frobenius_normalized(m))[0])
+    m = frobenius_normalized(require_symmetric(m, what="gram matrix"))
+    verdict = _verdict_from_margins(_gram_margins(m))
+    min_eig = float(np.linalg.eigvalsh(m)[0])
     oracle_cp = min_eig >= -PSD_TOL
     if verdict.cp != oracle_cp and min(abs(verdict.margin), abs(min_eig)) > MISMATCH_BAND:
         raise VerdictMismatchError(
@@ -123,10 +122,12 @@ def is_completely_positive(ell):
     Returns (Verdict, certificate) where the certificate is the minimal
     rate/axis FormB whenever the matrix is CP (no terms for L = 0) and None
     when it is not. The two routes must agree outside the margin band.
+    Both routes and the certificate work on one L and M prescaled by a power
+    of four (see forms._scaled_gram), so M cannot overflow.
     """
-    ell = require_symmetric(ell, what="dissipation matrix")
-    via_e = check_form_e(form_e_pack(ell))
-    via_m = check_gram_psd(gram_from_dissipation(ell))
+    scaled, m, shift = _scaled_gram(require_symmetric(ell, what="dissipation matrix"))
+    via_e = _verdict_from_margins(_form_e_margins(0.5 * frobenius_normalized(scaled)))
+    via_m = check_gram_psd(m)
     if via_e.cp != via_m.cp and min(abs(via_e.margin), abs(via_m.margin)) > MISMATCH_BAND:
         raise VerdictMismatchError(
             f"internal bug: six-constant route says cp={via_e.cp} (margin {via_e.margin:.3e}) "
@@ -134,8 +135,7 @@ def is_completely_positive(ell):
         )
     if not via_m.cp:
         return via_m, None
-    certificate, _ = form_b_from_dissipation(ell)
-    return via_m, certificate
+    return via_m, form_b_from_gram(np.ldexp(_factor(m), shift))
 
 
 def choi_check(h, ell, times) -> np.ndarray:
@@ -151,10 +151,7 @@ def choi_check(h, ell, times) -> np.ndarray:
     hv = as_field_vector(h)
     ell = require_symmetric(ell, what="dissipation matrix")
     generator = liouvillian(hv, ell)
-    minima = []
-    for t in times:
-        prop = _propagator(generator, float(t))
-        choi = prop.reshape(2, 2, 2, 2).transpose(2, 0, 3, 1).reshape(4, 4)
-        choi = 0.5 * (choi + choi.conj().T)
-        minima.append(float(np.linalg.eigvalsh(choi)[0]))
-    return np.array(minima)
+    props = np.array([_propagator(generator, float(t)) for t in times])
+    choi = props.reshape(-1, 2, 2, 2, 2).transpose(0, 3, 1, 4, 2).reshape(-1, 4, 4)
+    choi = 0.5 * (choi + choi.conj().transpose(0, 2, 1))
+    return np.linalg.eigvalsh(choi)[:, 0]

@@ -20,6 +20,7 @@ they have no effect on the dissipator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,7 @@ from .core import (
 )
 from .core import _readonly
 from .errors import (
+    LindbladError,
     NotCPError,
     NotHermitianError,
     NotPSDError,
@@ -51,11 +53,12 @@ def require_symmetric(a, what: str = "matrix") -> np.ndarray:
     entries up to the largest double.
     """
     a = np.asarray(a, dtype=float)
-    if a.shape != (3, 3) or not np.all(np.isfinite(a)):
+    # The largest |entry| is NaN or inf exactly when some entry is.
+    if a.shape != (3, 3) or not (peak := float(abs(a).max())) < math.inf:
         raise NotSymmetricError(f"{what} must be a finite real 3x3 matrix")
     half = 0.5 * a  # halved first, so neither a - a^T nor a + a^T overflows
-    defect = 2.0 * float(np.abs(half - half.T).max())
-    if defect > SYMMETRY_TOL * float(np.abs(a).max()):
+    defect = 2.0 * float(abs(half - half.T).max())
+    if defect > SYMMETRY_TOL * peak:
         raise NotSymmetricError(f"{what} is not symmetric (defect {defect:.3e})")
     return half + half.T
 
@@ -94,7 +97,7 @@ class FormB:
         terms = []
         for rate, axis in self.terms:
             rate = float(rate)
-            if not np.isfinite(rate) or rate <= 0.0:
+            if not 0.0 < rate < math.inf:
                 raise ValueError(f"rate must be positive, got {rate!r}")
             terms.append((rate, _readonly(unit_vector(axis))))
         object.__setattr__(self, "terms", tuple(terms))
@@ -205,8 +208,16 @@ def gram_from_dissipation(ell) -> np.ndarray:
     M_aa = -L_aa + L_bb + L_cc for distinct a, b, c. L is completely
     positive exactly when M is a Gram matrix.
     """
-    ell = require_symmetric(ell, what="dissipation matrix")
-    return np.trace(ell) * np.eye(3) - 2.0 * ell
+    _, m, shift = _scaled_gram(require_symmetric(ell, what="dissipation matrix"))
+    return np.ldexp(m, 2 * shift)
+
+
+def _scaled_gram(ell) -> tuple:
+    """(L', M of L', s) for a validated L, with L' = L 4^-s and max|L'| in
+    [1/4, 1): exact, so M cannot overflow and 2^s times its factor is L's."""
+    shift = (math.frexp(float(abs(ell).max()))[1] + 1) // 2
+    ell = np.ldexp(ell, -2 * shift)
+    return ell, ell.trace() * np.eye(3) - 2.0 * ell, shift
 
 
 def dissipation_from_gram(m) -> np.ndarray:
@@ -234,11 +245,15 @@ def gram_condition_margins(m) -> list:
     together exactly when M is positive semidefinite. Margins are evaluated
     on M normalized by its Frobenius norm, so the verdict is scale free.
     """
-    m = frobenius_normalized(require_symmetric(m, what="gram matrix"))
+    return _gram_margins(frobenius_normalized(require_symmetric(m, what="gram matrix")))
+
+
+def _gram_margins(m_unit) -> list:
+    """gram_condition_margins of a validated M already normalized."""
     # np.linalg.det flags a division by zero on an exactly singular pivot
     # (subnormal entries reach one) and still returns the right 0.
     with np.errstate(divide="ignore"):
-        return [(label, float(value(m))) for label, value in _GRAM_CONDITIONS]
+        return [(label, float(value(m_unit))) for label, value in _GRAM_CONDITIONS]
 
 
 def first_violation(margins):
@@ -263,19 +278,23 @@ def gram_decompose(m):
     Raises NotCPError when a principal-minor condition fails beyond PSD_TOL.
     """
     m = require_symmetric(m, what="gram matrix")
-    violation = first_violation(gram_condition_margins(m))
+    violation = first_violation(_gram_margins(frobenius_normalized(m)))
     if violation is not None:
         label, margin = violation
         raise NotCPError(f"condition {label} violated (margin {margin:.3e})")
+    return _factor(m)
 
+
+def _factor(m) -> np.ndarray:
+    """The pivoted triangular factor of a validated PSD M (see gram_decompose)."""
     q = np.zeros((3, 3))
-    floor = RANK_TOL * float(np.max(np.diag(m)))
+    floor = RANK_TOL * float(m.diagonal().max())
     rest = m
     for k in range(3):
-        p = int(np.argmax(np.diag(rest)))
+        p = int(rest.diagonal().argmax())
         if not rest[p, p] > floor:
             break
-        root = np.sqrt(rest[p, p])
+        root = math.sqrt(rest[p, p])
         q[:, k] = rest[:, p] / root
         q[p, k] = root
         rest = rest - np.outer(q[:, k], q[:, k])
@@ -294,13 +313,14 @@ def form_b_from_gram(q) -> FormB:
     """Form B from Form D: lambda_j = sum_a (q_a)_j^2, n_j the unit column.
 
     Zero columns are dropped, so all-zero columns give the zero dissipator.
+    A rate above the largest double raises LindbladError.
     """
     q = np.asarray(q, dtype=float)
-    terms = []
-    for j in range(q.shape[1]):
-        lam = float(q[:, j] @ q[:, j])
-        if lam > 0.0:
-            terms.append((lam, q[:, j] / np.sqrt(lam)))
+    with np.errstate(over="ignore"):  # an infinite rate is refused below
+        rates = [float(col @ col) for col in q.T]
+    if math.inf in rates:
+        raise LindbladError("a rate is above the largest double, 1.8e308")
+    terms = [(lam, col / math.sqrt(lam)) for lam, col in zip(rates, q.T) if lam > 0.0]
     return FormB(terms=terms)
 
 
@@ -324,9 +344,11 @@ def form_b_from_dissipation(ell):
     """Recover minimal rate/axis terms from a CP dissipation matrix.
 
     Returns (FormB, term count); L = 0 gives no terms. Raises NotCPError
-    when L is not completely positive.
+    when L is not completely positive. M is built from L scaled by a power
+    of four, so it cannot overflow, and the rates are scaled back.
     """
-    fb = form_b_from_gram(gram_decompose(gram_from_dissipation(ell)))
+    _, m, shift = _scaled_gram(require_symmetric(ell, what="dissipation matrix"))
+    fb = form_b_from_gram(np.ldexp(gram_decompose(m), shift))
     return fb, len(fb.terms)
 
 
@@ -423,14 +445,14 @@ def gks_minimal(c) -> FormA:
     if c.shape != (3, 3):
         raise NotHermitianError("coefficient matrix must be 3x3")
     require_hermitian(c, what="coefficient matrix")
-    if float(np.max(np.abs(c.imag))) > HERMITIAN_TOL:
+    if float(abs(c.imag).max()) > HERMITIAN_TOL:
         raise NotHermitianError(
             "coefficient matrix has a complex part; only real symmetric "
             "matrices (hermitian Lindblad operators) are supported"
         )
     sym = 0.5 * (c.real + c.real.T)
     evals, evecs = np.linalg.eigh(sym)
-    scale = float(np.max(np.abs(evals)))
+    scale = float(abs(evals).max())
     if evals[0] < -PSD_TOL * scale:
         raise NotPSDError(f"coefficient matrix has eigenvalue {evals[0]!r} < 0")
     ops = []

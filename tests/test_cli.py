@@ -539,10 +539,9 @@ def test_reduce_drops_rate_under_rank_floor(capsys, tmp_path):
 
 
 def test_route_disagreement_exits_two(monkeypatch, capsys):
-    from lindblad2.cpcheck import Verdict
-
-    broken = Verdict(cp=False, reason="patched", margin=-0.5)
-    monkeypatch.setattr("lindblad2.cpcheck.check_form_e", lambda fe: broken)
+    # The gate takes the six-constant margins from _form_e_margins.
+    broken = [("patched", -0.5)]
+    monkeypatch.setattr("lindblad2.cpcheck._form_e_margins", lambda half: broken)
     code, out, err = run_cli(["--model", model("isotropic"), "check"], capsys)
     assert code == 2 and out == ""
     assert err.count("\n") == 1
@@ -593,3 +592,26 @@ def test_huge_rates_keep_verdicts(scale, capsys, tmp_path):
         code, out, _ = run_cli(["--model", orthogonal, "reduce"], capsys)
         axes = sorted(tuple(axis) for _, axis in _parse_printed_terms(out))
         assert axes == [(0.0, 1.0, 0.0), (1.0, 0.0, 0.0)]
+
+
+def test_matrix_at_the_top_of_the_double_range(capsys, tmp_path):
+    # tr(L) I - 2L overflowed on these finite models: four RuntimeWarnings
+    # (errors here), then exit 2 with "gram matrix must be a finite real
+    # 3x3 matrix".
+    def run(matrix):
+        path = _write_model(tmp_path / "m.json", {"form": "matrix", "matrix": matrix})
+        return run_cli(["--model", path, "check"], capsys)
+
+    code, out, err = run(np.diag([1e308, 1e308, 1e308]).tolist())
+    assert code == 0 and err == ""
+    axes = ["(1, 0, 0)", "(0, 1, 0)", "(0, 0, 1)"]
+    assert out == "verdict: CP\nindex: 3\ncertificate:\n" + "".join(
+        f"  lambda=1e+308 n={axis}\n" for axis in axes
+    )
+    code, out, err = run(np.diag([1e308, 1e308, -1e308]).tolist())
+    assert code == 1 and err == ""
+    assert out.startswith("verdict: NotCP\nreason: condition (i) M11 >= 0 violated\n")
+    # CP, but its one certificate rate is tr(M) = 3e308.
+    code, out, err = run((1.5e308 * np.eye(3) - 5e307 * np.ones((3, 3))).tolist())
+    assert code == 2 and out == ""
+    assert err == "error: a rate is above the largest double, 1.8e308\n"

@@ -44,8 +44,12 @@ def test_density_from_bloch_pure_x():
 
 
 def test_density_from_bloch_rejects_outside_ball():
-    with pytest.raises(BlochOutOfBallError):
+    # The length prints as a plain float, not as np.float64(...).
+    message = r"^bloch vector has length 1\.044030650891055 > 1$"
+    with pytest.raises(BlochOutOfBallError, match=message):
         density_from_bloch([1.0, 0.0, 0.3])
+    with pytest.raises(BlochOutOfBallError, match=message):
+        DensityState(matrix=0.5 * np.eye(2), bloch=np.array([1.0, 0.0, 0.3]))
 
 
 def test_bloch_from_density_examples():
@@ -115,6 +119,14 @@ def test_bloch_entropies_bits_match_norm_formula():
     states = np.concatenate([inside, unit, edges, above])
     assert bloch_entropies(states).tobytes() == _entropies_by_norm(states).tobytes()
     assert np.all(bloch_entropies(above[np.linalg.norm(above, axis=1) >= 1.0]) == 0.0)
+
+
+def test_entropy_of_a_nan_row_is_nan():
+    # The clamp and the entropy branches used to send NaN to -0.0, the
+    # entropy of a pure state.
+    assert np.isnan(entropy_from_bloch([np.nan, 0.0, 0.0]))
+    rows = bloch_entropies(np.array([[np.nan, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]))
+    assert np.isnan(rows[0]) and rows[1] == 0.0 and rows[2] == np.log(2.0)
 
 
 def projector(n) -> np.ndarray:

@@ -15,7 +15,6 @@ from lindblad2 import (
 )
 from lindblad2.core import matrix_from_pauli, pauli_coefficients
 from lindblad2.dynamics import cross_matrix
-from lindblad2.cpcheck import Verdict
 from lindblad2.errors import BadStepError, NegativeTimeError, VerdictMismatchError
 
 
@@ -103,10 +102,36 @@ def test_is_completely_positive_zero_dissipator():
 def test_route_disagreement_raises(monkeypatch):
     # A six-constant route broken to say NotCP, far outside the band, on a
     # full-rank CP matrix whose minor route says CP with margin ~0.19.
-    broken = Verdict(cp=False, reason="patched", margin=-0.5)
-    monkeypatch.setattr("lindblad2.cpcheck.check_form_e", lambda fe: broken)
+    # The gate takes the six-constant margins from _form_e_margins.
+    broken = [("patched", -0.5)]
+    monkeypatch.setattr("lindblad2.cpcheck._form_e_margins", lambda half: broken)
     with pytest.raises(VerdictMismatchError, match="^internal bug: six-constant route"):
         is_completely_positive(np.eye(3))
+
+
+def test_cp_gate_validates_two_matrices_and_evaluates_the_minors_once(monkeypatch):
+    from lindblad2 import cpcheck, forms
+
+    calls = dict.fromkeys(("require_symmetric", "_gram_margins"), 0)
+
+    def counted(name):
+        real = getattr(forms, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        wrapper = counted(name)
+        for module in (forms, cpcheck):
+            monkeypatch.setattr(module, name, wrapper)
+    for ell in (np.diag([1.0, 2.0, 3.0]), np.diag([1.0, 1.0, -1.0])):  # CP, NotCP
+        calls.update(dict.fromkeys(calls, 0))
+        is_completely_positive(ell)
+        assert calls["require_symmetric"] <= 2  # L and M
+        assert calls["_gram_margins"] == 1
 
 
 def test_verdict_scale_invariant():

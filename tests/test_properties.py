@@ -1,6 +1,7 @@
 """Property tests: the minimal number of Lindblad terms is the rank of the
 Gram matrix M, whatever the units of the rates; a Gram matrix at the edge
 of the CP slack gets a consistent verdict and certificate at every scale;
+the CP gate gives the bits of the separate public routes at every scale;
 without dissipation the Bloch vector precesses rigidly about h."""
 
 import json
@@ -8,21 +9,28 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lindblad2 import (
     FormB,
+    check_gram_psd,
+    cpcheck,
     dissipation_from_gram,
     dissipation_matrix,
     form_a_from_form_b,
     form_a_to_form_b,
+    form_b_from_dissipation,
+    form_e_pack,
     gks_matrix,
     gks_minimal,
+    gram_from_dissipation,
     is_completely_positive,
     reduce_terms,
 )
 from lindblad2.cli import main
+from lindblad2.errors import NotCPError
 from lindblad2.tolerances import PSD_TOL, RANK_TOL
 
 # Smallest singular value of the matrix of unit axes: the terms of a drawn
@@ -95,6 +103,46 @@ def test_certificate_exactly_when_cp_at_the_slack(case):
         # bound.)
         drift = np.max(np.abs(dissipation_matrix(certificate) - ell)) / np.max(np.abs(ell))
         assert drift <= 2.0 * RANK_TOL + 1e-15
+
+
+@st.composite
+def dissipation_matrices(draw):
+    """A symmetric L with largest |entry| 10^k, k in [-300, 300]: the L of a
+    Gram matrix A A^T, so CP, or any symmetric L, mostly NotCP."""
+    a = np.array([[draw(st.floats(-1.0, 1.0)) for _ in range(3)] for _ in range(3)])
+    ell = dissipation_from_gram(a @ a.T) if draw(st.booleans()) else a + a.T
+    peak = np.max(np.abs(ell))
+    return 10.0 ** draw(st.floats(-300.0, 300.0)) * (ell / peak if peak > 0.0 else ell)
+
+
+def _bits(margins):
+    return [(label, float(margin).hex()) for label, margin in margins]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(dissipation_matrices())
+def test_cp_gate_gives_the_bits_of_the_separate_routes(ell):
+    # The gate takes its Form E margins from the prescaled L, its minors and
+    # spectrum from one M and its certificate from the factor of that M;
+    # each must be what the public route computes on its own.
+    form_e = []
+    margins = cpcheck._form_e_margins
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cpcheck, "_form_e_margins", lambda half: form_e.append(margins(half)) or form_e[-1])
+        verdict, certificate = is_completely_positive(ell)
+    assert _bits(form_e[0]) == _bits(cpcheck.form_e_margins(form_e_pack(ell)))
+    separate = check_gram_psd(gram_from_dissipation(ell))
+    assert (verdict.cp, verdict.reason) == (separate.cp, separate.reason)
+    assert float(verdict.margin).hex() == float(separate.margin).hex()
+    if not verdict.cp:
+        assert certificate is None
+        with pytest.raises(NotCPError):
+            form_b_from_dissipation(ell)
+        return
+    fb, index = form_b_from_dissipation(ell)
+    assert index == len(certificate.terms)
+    assert certificate.rates.tobytes() == fb.rates.tobytes()
+    assert certificate.axes.tobytes() == fb.axes.tobytes()
 
 
 def rodrigues(h, r0, t):

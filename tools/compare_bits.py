@@ -1,0 +1,96 @@
+"""Compare the exact bits of the analysis outputs of two checkouts.
+
+    python tools/compare_bits.py dump <checkout> <out.pkl>
+    python tools/compare_bits.py compare <a.pkl> <b.pkl>
+
+``dump`` imports lindblad2 and perfbench from <checkout> and records, as
+bytes, everything the sweep workload's ``analyze`` returns for 3200 seeded
+models (160 blocks, seed 424242), plus the margins and verdicts of each
+public CP route, ``form_b_from_dissipation`` and ``gram_decompose`` of each
+model's L. It then records a scale sweep: the CP gate, the certificate and
+both public verdicts of every sixth L times 10^k, k = -300, -240, ..., 300.
+``compare`` prints the record counts and how many records differ, and
+exits 1 if any does.
+"""
+
+import pickle
+import sys
+import warnings
+from pathlib import Path
+
+
+def dump(checkout: Path, out: Path) -> None:
+    sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
+    import numpy as np
+
+    import workloads
+    from lindblad2 import asymptotics, cli, core, cpcheck, dynamics, forms
+    from lindblad2.errors import LindbladError
+
+    warnings.simplefilter("error")
+
+    def enc(x):
+        if isinstance(x, np.ndarray):
+            return ("arr", x.dtype.str, x.shape, x.tobytes())
+        if isinstance(x, (float, np.floating)):
+            return ("f", float(x).hex())
+        if isinstance(x, (tuple, list)):
+            return tuple(enc(v) for v in x)
+        if isinstance(x, dict):
+            return tuple((k, enc(v)) for k, v in sorted(x.items()))
+        if isinstance(x, forms.FormB):
+            return ("B", enc(list(x.terms)))
+        if isinstance(x, forms.FormA):
+            return ("A", enc(list(x.operators)))
+        if hasattr(x, "__dataclass_fields__"):
+            return (type(x).__name__, enc({k: getattr(x, k) for k in x.__dataclass_fields__}))
+        return x
+
+    def safe(f, *args):
+        try:
+            return enc(f(*args))
+        except LindbladError as exc:
+            return ("err", type(exc).__name__, str(exc))
+
+    def routes(ell):
+        return {
+            "margins_m": safe(lambda e: forms.gram_condition_margins(forms.gram_from_dissipation(e)), ell),
+            "margins_e": safe(lambda e: cpcheck.form_e_margins(forms.form_e_pack(e)), ell),
+            "psd": safe(lambda e: cpcheck.check_gram_psd(forms.gram_from_dissipation(e)), ell),
+            "form_e": safe(lambda e: cpcheck.check_form_e(forms.form_e_pack(e)), ell),
+            "form_b": safe(forms.form_b_from_dissipation, ell),
+            "decompose": safe(lambda e: forms.gram_decompose(forms.gram_from_dissipation(e)), ell),
+        }
+
+    lb = (asymptotics, cli, core, cpcheck, dynamics, forms)
+    records, ells = [], []
+    for block in workloads.sweep_prepare(np.random.default_rng(424242), 10, None):
+        for model in block:
+            out_ = workloads.analyze(model, lb)
+            ell = np.asarray(model.ell, dtype=float)
+            records.append(("model", enc(out_), routes(ell)))
+            ells.append(ell)
+    for ell in ells[::6]:
+        for k in range(-300, 301, 60):
+            scaled = 10.0**k * ell
+            records.append(("scale", safe(cpcheck.is_completely_positive, scaled), routes(scaled)))
+    with open(out, "wb") as fh:
+        pickle.dump(records, fh)
+    print(f"{sum(r[0] == 'model' for r in records)} models, {sum(r[0] == 'scale' for r in records)} scale records")
+
+
+def compare(a: Path, b: Path) -> int:
+    with open(a, "rb") as fa, open(b, "rb") as fb:
+        left, right = pickle.load(fa), pickle.load(fb)
+    differ = sum(x != y for x, y in zip(left, right)) + abs(len(left) - len(right))
+    print(f"{len(left)} and {len(right)} records, {differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["dump"] and len(sys.argv) == 4:
+        dump(Path(sys.argv[2]).resolve(), Path(sys.argv[3]))
+    elif sys.argv[1:2] == ["compare"] and len(sys.argv) == 4:
+        sys.exit(compare(Path(sys.argv[2]), Path(sys.argv[3])))
+    else:
+        sys.exit(__doc__)
