@@ -50,6 +50,7 @@ from .dynamics import (
     Trajectory,
     build_generator,
     entropy_monotonicity_report,
+    evolve_bloch,
     evolve_density,
     evolve_expm,
     evolve_rk4,

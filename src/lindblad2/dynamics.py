@@ -23,6 +23,7 @@ from .tolerances import (
     REPEATED_ROOT_P_MIN,
     REPEATED_ROOT_TOL,
     STEP_FIT_TOL,
+    STEP_GROWTH_TOL,
 )
 
 
@@ -209,19 +210,45 @@ def propagate(step, v0, steps: int) -> np.ndarray:
     return out
 
 
-def evolve_rk4(gen: Generator, r0, t_max: float, dt: float) -> Trajectory:
-    """Classical fixed-step 4th-order integration of the Bloch equation.
+def _fixed_step_run(generator, v0, t_max: float, dt: float, method: str) -> tuple:
+    """(times, rows) of v0 stepped by rk4_step(dt G) or exp(dt G) up to t_max.
 
-    Each step is one multiplication by :func:`rk4_step` of dt G. t_max must
-    be a whole number of dt steps.
+    BadStepError refuses, before anything is propagated, a t_max that is not
+    a whole number of at most MAX_STEPS dt steps, an overflowing dt G, and a
+    step that is not finite or grows states: the exact flow of a CP
+    generator never grows, so a spectral radius above 1 + STEP_GROWTH_TOL
+    could only produce garbage.
     """
+    if method not in ("rk4", "expm"):
+        raise ValueError(f"method must be 'rk4' or 'expm', got {method!r}")
     steps = _step_count(t_max, dt)
-    states = propagate(rk4_step(dt * gen.matrix), r0, steps)
-    return Trajectory(
-        times=dt * np.arange(steps + 1),
-        states=states,
-        entropies=bloch_entropies(states),
-    )
+    with np.errstate(over="ignore"):  # caught as a non-finite entry
+        a = dt * generator
+    if not np.all(np.isfinite(a)):
+        raise BadStepError(f"dt {dt!r} times the generator overflows; use a smaller --dt")
+    with np.errstate(over="ignore", invalid="ignore"):  # caught as inf growth
+        step = rk4_step(a) if method == "rk4" else matrix_exponential(a)
+    finite = np.all(np.isfinite(step))
+    growth = float(np.max(np.abs(np.linalg.eigvals(step)))) if finite else np.inf
+    if not growth <= 1.0 + STEP_GROWTH_TOL:
+        hint = "a smaller --dt or --method expm" if method == "rk4" else "a smaller --dt"
+        raise BadStepError(
+            f"dt {dt!r} fails the step stability check (one {method} step "
+            f"grows states by {growth:.3g}); use {hint}"
+        )
+    return dt * np.arange(steps + 1), propagate(step, v0, steps)
+
+
+def evolve_bloch(gen: Generator, r0, t_max: float, dt: float, method: str) -> Trajectory:
+    """Fixed-step integration of the Bloch equation, by rk4_step(dt G) for
+    method "rk4" or exp(dt G) for "expm" (see :func:`_fixed_step_run`)."""
+    times, states = _fixed_step_run(gen.matrix, r0, t_max, dt, method)
+    return Trajectory(times=times, states=states, entropies=bloch_entropies(states))
+
+
+def evolve_rk4(gen: Generator, r0, t_max: float, dt: float) -> Trajectory:
+    """Classical fixed-step 4th-order integration of the Bloch equation."""
+    return evolve_bloch(gen, r0, t_max, dt, "rk4")
 
 
 def liouvillian(h, form) -> np.ndarray:
@@ -243,20 +270,18 @@ def evolve_density(h, form, rho0: DensityState, t_max: float, dt: float) -> Traj
 
     The dissipator enters natively in the supplied form (operators,
     rate/axis terms, or dissipation matrix) through :func:`liouvillian`.
-    As in :func:`evolve_rk4`, each step is one multiplication by
-    :func:`rk4_step` of dt times the Liouvillian. Samples store the
+    vec(rho) takes the guarded RK4 run of :func:`evolve_rk4`
+    (:func:`_fixed_step_run`) with the Liouvillian as G. Samples store the
     Bloch projection of rho; trace and hermiticity drift are the worst over
     all samples.
     """
-    steps = _step_count(t_max, dt)
-    step = rk4_step(dt * liouvillian(h, form))
-    vecs = propagate(step, rho0.matrix.reshape(4), steps)
+    times, vecs = _fixed_step_run(liouvillian(h, form), rho0.matrix.reshape(4), t_max, dt, "rk4")
     d00, d01, d10, d11 = vecs.T
     states = np.stack(
         [(d01 + d10).real, (1j * (d01 - d10)).real, (d00 - d11).real], axis=1
     )
     return Trajectory(
-        times=dt * np.arange(steps + 1),
+        times=times,
         states=states,
         entropies=bloch_entropies(states),
         max_trace_dev=float(np.max(np.abs((d00 + d11).real - 1.0))),

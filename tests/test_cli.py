@@ -398,12 +398,12 @@ def test_evolve_csv_matches_per_row_reference(method, capsys, tmp_path):
 def test_evolve_rk4_outside_stability_region_exits_two(capsys, tmp_path, monkeypatch):
     # dt |h| = 4 lies outside the RK4 stability interval |y| <= 2 sqrt(2) of
     # the imaginary axis: the run would grow without bound.
-    import lindblad2.cli as cli
+    import lindblad2.dynamics as dynamics
 
     def no_propagation(*args):
         raise AssertionError("the guard must reject the run before propagating")
 
-    monkeypatch.setattr(cli, "propagate", no_propagation)
+    monkeypatch.setattr(dynamics, "propagate", no_propagation)
     path = _write_model(
         tmp_path / "fast.json",
         {"form": "B", "terms": [{"rate": 0.5, "axis": [1.0, 0.0, 0.0]}]},

@@ -13,6 +13,7 @@ from lindblad2 import (
     density_from_bloch,
     dissipation_matrix,
     entropy_monotonicity_report,
+    evolve_bloch,
     evolve_density,
     evolve_expm,
     evolve_rk4,
@@ -411,6 +412,48 @@ def test_step_count_cap():
         evolve_rk4(gen, [1.0, 0.0, 0.0], 1e6, 1e-9)
     with pytest.raises(BadStepError, match="cap"):
         evolve_density([0.0, 0.0, 1.0], DEPHASING, density_from_bloch(EX), 1e6, 1e-9)
+
+
+# A field along z with transverse damping: |h| = 1, max|G| = 1.
+FIELD_Z = build_generator([0.0, 0.0, 1.0], np.diag([0.0, 1.0, 1.0]))
+
+
+def test_evolve_rk4_refuses_growing_step():
+    # dt |h| = 5 lies outside the RK4 stability region: the run would reach
+    # |r| ~ 1e22 where the exact flow decays.
+    with pytest.raises(BadStepError, match="stability") as info:
+        evolve_rk4(FIELD_Z, [0.0, 0.0, 0.5], 100.0, 5.0)
+    assert "\n" not in str(info.value)
+
+
+def test_evolve_rk4_refuses_overflowing_step():
+    # dt G is finite, but rk4_step(dt G) overflows; warnings are errors here.
+    with pytest.raises(BadStepError, match="stability") as info:
+        evolve_rk4(FIELD_Z, [0.0, 0.0, 0.5], 1e308, 1e306)
+    assert "\n" not in str(info.value)
+
+
+def test_evolve_density_refuses_growing_step():
+    # dt |h| = 4, as in the CLI's guard test, on the Liouvillian step.
+    rho0 = density_from_bloch([0.5, 0.0, 0.0])
+    with pytest.raises(BadStepError, match="stability") as info:
+        evolve_density(Hamiltonian(h=[0.0, 0.0, 8.0]), FormB(terms=[(0.5, EX)]), rho0, 200.0, 0.5)
+    assert "\n" not in str(info.value)
+
+
+def test_evolve_bloch_methods():
+    rng = np.random.default_rng(151)
+    dt, steps = 0.01, 300
+    for _ in range(5):
+        gen = build_generator(rng.normal(size=3), random_cp_matrix(rng, int(rng.integers(1, 4))))
+        r0 = rng.uniform(-0.5, 0.5, size=3)
+        traj = evolve_bloch(gen, r0, dt * steps, dt, "expm")
+        assert np.array_equal(traj.states, propagate(matrix_exponential(dt * gen.matrix), r0, steps))
+        assert np.array_equal(traj.times, dt * np.arange(steps + 1))
+        rk4 = evolve_bloch(gen, r0, dt * steps, dt, "rk4")
+        assert np.array_equal(rk4.states, evolve_rk4(gen, r0, dt * steps, dt).states)
+    with pytest.raises(ValueError, match="method"):
+        evolve_bloch(FIELD_Z, [0.0, 0.0, 0.5], 1.0, 0.1, "euler")
 
 
 def test_rotated_exceptional_point():
