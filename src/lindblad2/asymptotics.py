@@ -121,7 +121,8 @@ def verify_asymptote(h, fb: FormB, rho0: DensityState, horizon: float | None = N
 
     Reports the residual distance, the spectral gap g, and whether the
     residual respects the bound 2 exp(-g T). The default horizon
-    max(40/g, 10) pushes the bound far below double precision.
+    max(40/g, 10) pushes the bound far below double precision. Raises
+    BadStepError when exp(T G) is not finite, as evolve_expm does.
     """
     verdict = classify(h, fb)
     limit = asymptotic_state(verdict, rho0).bloch

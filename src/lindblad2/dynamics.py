@@ -92,17 +92,29 @@ def matrix_exponential(a) -> np.ndarray:
     return out
 
 
+def _times_generator(t: float, generator, message: str) -> np.ndarray:
+    """t G, or BadStepError(message) when its norm, the largest absolute
+    row sum that matrix_exponential scales by, overflows a double."""
+    with np.errstate(over="ignore"):  # caught as a non-finite norm
+        a = t * generator
+        norm = np.abs(a).sum(axis=1).max()
+    if not np.isfinite(norm):
+        raise BadStepError(message)
+    return a
+
+
 def _propagator(generator, t: float) -> np.ndarray:
     """exp(t G) for a generator matrix G and a time t >= 0.
 
-    Raises NegativeTimeError for t < 0 and BadStepError when exp(t G) is not
-    finite, which happens when |G| t is so large that the squarings
-    overflow; no RuntimeWarning is printed either way.
+    Raises NegativeTimeError for t < 0 and BadStepError when t G or exp(t G)
+    is not finite, which happens when |G| t is so large that the product or
+    the squarings overflow; no RuntimeWarning is printed either way.
     """
     if t < 0.0:
         raise NegativeTimeError(f"time must be nonnegative, got {t!r}")
+    a = _times_generator(t, generator, f"t {t!r} times the generator overflows")
     with np.errstate(over="ignore", invalid="ignore"):  # caught as a non-finite entry
-        prop = matrix_exponential(t * generator)
+        prop = matrix_exponential(a)
     if not np.isfinite(prop).all():
         raise BadStepError(f"exp(t G) is not finite at t = {t!r}; |G| t is too large")
     return prop
@@ -111,7 +123,7 @@ def _propagator(generator, t: float) -> np.ndarray:
 def evolve_expm(gen: Generator, r0, t: float) -> np.ndarray:
     """Exact propagation r(t) = exp(t G) r0 of the linear Bloch equation.
 
-    Raises BadStepError when exp(t G) is not finite (see
+    Raises BadStepError when t G or exp(t G) is not finite (see
     :func:`_propagator`).
     """
     return _propagator(gen.matrix, t) @ np.asarray(r0, dtype=float)
@@ -222,10 +234,9 @@ def _fixed_step_run(generator, v0, t_max: float, dt: float, method: str) -> tupl
     if method not in ("rk4", "expm"):
         raise ValueError(f"method must be 'rk4' or 'expm', got {method!r}")
     steps = _step_count(t_max, dt)
-    with np.errstate(over="ignore"):  # caught as a non-finite entry
-        a = dt * generator
-    if not np.all(np.isfinite(a)):
-        raise BadStepError(f"dt {dt!r} times the generator overflows; use a smaller --dt")
+    a = _times_generator(
+        dt, generator, f"dt {dt!r} times the generator overflows; use a smaller --dt"
+    )
     with np.errstate(over="ignore", invalid="ignore"):  # caught as inf growth
         step = rk4_step(a) if method == "rk4" else matrix_exponential(a)
     finite = np.all(np.isfinite(step))

@@ -206,10 +206,15 @@ def gram_from_dissipation(ell) -> np.ndarray:
 
     Entrywise: M_ab = -2 L_ab off the diagonal and
     M_aa = -L_aa + L_bb + L_cc for distinct a, b, c. L is completely
-    positive exactly when M is a Gram matrix.
+    positive exactly when M is a Gram matrix. An entry of M above the
+    largest double raises LindbladError.
     """
     _, m, shift = _scaled_gram(require_symmetric(ell, what="dissipation matrix"))
-    return np.ldexp(m, 2 * shift)
+    with np.errstate(over="ignore"):  # caught as a non-finite entry
+        m = np.ldexp(m, 2 * shift)
+    if not np.isfinite(m).all():
+        raise LindbladError("an entry of M is above the largest double, 1.8e308")
+    return m
 
 
 def _scaled_gram(ell) -> tuple:
@@ -336,7 +341,11 @@ def reduce_terms(fb: FormB):
     rank of the Gram matrix.
     """
     q = gram_from_form_b(fb)
-    fb_min = form_b_from_gram(gram_decompose(q @ q.T))
+    # Scaled by 2^-s to max|q| in [1/2, 1), an exact step, so q q^T cannot
+    # overflow; the factor of the scaled Gram matrix is 2^-s times q's.
+    shift = math.frexp(float(np.abs(q).max(initial=0.0)))[1]
+    q = np.ldexp(q, -shift)
+    fb_min = form_b_from_gram(np.ldexp(gram_decompose(q @ q.T), shift))
     return fb_min, len(fb_min.terms)
 
 

@@ -16,7 +16,7 @@ from lindblad2 import (
     verify_asymptote,
 )
 from lindblad2.asymptotics import DECOHERED, MAXIMALLY_MIXED, UNDAMPED
-from lindblad2.errors import NegativeHorizonError
+from lindblad2.errors import BadStepError, NegativeHorizonError
 
 
 def test_classify_commuting_single_axis():
@@ -208,6 +208,13 @@ def test_verify_asymptote_rejects_bad_horizon():
     fb = FormB(terms=[(1.0, EZ)])
     with pytest.raises(NegativeHorizonError):
         verify_asymptote([0.0, 0.0, 1.0], fb, density_from_bloch([0, 0, 0]), horizon=-1.0)
+
+
+def test_verify_asymptote_refuses_overflowing_horizon():
+    fb = FormB(terms=[(1.0, EX)])
+    with pytest.raises(BadStepError, match="overflows") as info:
+        verify_asymptote([0.0, 0.0, 1.0], fb, density_from_bloch([0, 0, 0.5]), horizon=1.7e308)
+    assert "\n" not in str(info.value)
 
 
 def test_strict_stability_for_two_or_more_axes():

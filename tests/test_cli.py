@@ -566,6 +566,20 @@ def test_evolve_expm_huge_rates(capsys, tmp_path):
         assert err.count("\n") == 1 and "overflows" in err
 
 
+def test_evolve_expm_overflowing_norm_exits_two(capsys, tmp_path):
+    # Every entry of dt G is finite at dt = 1.7e308, but its norm, a row sum
+    # of 2 dt, is not: refused before the exponential, with no traceback.
+    dissipator = {"form": "matrix", "matrix": np.diag([0.0, 1.0, 1.0]).tolist()}
+    path = _write_model(tmp_path / "m.json", dissipator)
+    out = tmp_path / "o.csv"
+    argv = ["--model", path, "evolve", "--method", "expm", "--t-max", "1.7e308",
+            "--dt", "1.7e308", "--out", str(out)]
+    code, stdout, err = run_cli(argv, capsys)
+    assert code == 2 and stdout == ""
+    assert err.count("\n") == 1 and "overflows" in err and "--dt" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("scale", [1e160, 1e300])
 def test_huge_rates_keep_verdicts(scale, capsys, tmp_path):
     # Overflow in a norm or a 2x2 minor used to turn these into CP verdicts

@@ -230,6 +230,13 @@ def test_choi_check_refuses_overflowing_propagator():
     assert "\n" not in str(info.value)
 
 
+def test_choi_check_refuses_overflowing_product():
+    # t times the Liouvillian has finite entries but an overflowing norm.
+    with pytest.raises(BadStepError, match="overflows") as info:
+        choi_check([0, 0, 1], np.diag([0.0, 1.0, 1.0]), [1.7e308])
+    assert "\n" not in str(info.value)
+
+
 def test_not_cp_stays_not_cp_under_scaling():
     rng = np.random.default_rng(83)
     found = 0

@@ -131,6 +131,15 @@ def test_evolve_expm_refuses_overflowing_propagator():
     assert "\n" not in str(info.value)
 
 
+def test_evolve_expm_refuses_overflowing_product():
+    # Every entry of t G is finite at t = 1.7e308, but its norm, a row sum
+    # of 2 t, is not.
+    gen = build_generator([0, 0, 1], np.diag([0.0, 1.0, 1.0]))
+    with pytest.raises(BadStepError, match="overflows") as info:
+        evolve_expm(gen, [0, 0, 0.5], 1.7e308)
+    assert "\n" not in str(info.value)
+
+
 def test_evolve_rk4_constant_for_zero_generator():
     gen = build_generator([0.0, 0.0, 0.0], ZERO_L)
     traj = evolve_rk4(gen, [0.2, 0.1, -0.4], 1.0, 0.1)

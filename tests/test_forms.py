@@ -40,6 +40,7 @@ from lindblad2 import (
 )
 from lindblad2.core import IDENTITY2, SIGMA_X, SIGMA_Y, SIGMA_Z, frobenius_normalized
 from lindblad2.errors import (
+    LindbladError,
     NotCPError,
     NotHermitianError,
     NotSymmetricError,
@@ -129,6 +130,13 @@ def test_gram_from_dissipation_examples():
     lam = 0.9
     assert np.allclose(gram_from_dissipation(lam * np.eye(3)), lam * np.eye(3))
     assert np.allclose(gram_from_dissipation(np.zeros((3, 3))), np.zeros((3, 3)))
+
+
+def test_gram_from_dissipation_refuses_overflowing_entry():
+    # M_11 = L_22 + L_33 = 2e308; warnings are errors here.
+    with pytest.raises(LindbladError, match="largest double") as info:
+        gram_from_dissipation(np.diag([0.0, 1e308, 1e308]))
+    assert "\n" not in str(info.value)
 
 
 def test_dissipation_from_gram_examples():
@@ -360,6 +368,17 @@ def test_reduce_terms_collapses_repeats():
     assert rate == pytest.approx(4.0)
     assert np.allclose(np.abs(axis), EZ)
     assert np.max(np.abs(dissipation_matrix(fb_min) - dissipation_matrix(fb))) < 1e-12
+
+
+def test_reduce_terms_huge_rates():
+    # q q^T would overflow at rate 1e308; the prescaled Gram matrix does
+    # not, and the collapsed rate 2e308 is refused in one line.
+    with pytest.raises(LindbladError, match="above the largest double") as info:
+        reduce_terms(FormB(terms=[(1e308, EX)] * 2))
+    assert "\n" not in str(info.value)
+    fb_min, index = reduce_terms(FormB(terms=[(1e307, EX)] * 2 + [(1e307, EY)]))
+    assert index == 2
+    assert sorted(rate for rate, _ in fb_min.terms) == pytest.approx([1e307, 2e307])
 
 
 def test_reduce_terms_keeps_independent_pair():

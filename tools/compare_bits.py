@@ -9,12 +9,17 @@ models (160 blocks, seed 424242), plus the margins and verdicts of each
 public CP route, ``form_b_from_dissipation`` and ``gram_decompose`` of each
 model's L. It then records a scale sweep: the CP gate, the certificate and
 both public verdicts of every sixth L times 10^k, k = -300, -240, ..., 300.
+Last it records the outputs of the trajectory workload's ``integrate`` for
+13 seeded bundles (seed 424243): ``evolve_density`` with the dissipator as
+Form A, Form B and matrix, ``evolve_rk4``, ``evolve_expm`` at the sample
+times, and the bytes of the ``--method rk4`` and ``--method expm`` CSVs.
 ``compare`` prints the record counts and how many records differ, and
 exits 1 if any does.
 """
 
 import pickle
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -74,9 +79,15 @@ def dump(checkout: Path, out: Path) -> None:
         for k in range(-300, 301, 60):
             scaled = 10.0**k * ell
             records.append(("scale", safe(cpcheck.is_completely_positive, scaled), routes(scaled)))
+    with tempfile.TemporaryDirectory() as work:
+        for bundle in workloads.trajectory_prepare(np.random.default_rng(424243), 3, Path(work)):
+            out_ = workloads.integrate(bundle, lb, dict.fromkeys(workloads.STAGES, 0.0))
+            csvs = {method: Path(path).read_bytes() for method, path in bundle.csv.items()}
+            records.append(("trajectory", enc(out_), csvs))
     with open(out, "wb") as fh:
         pickle.dump(records, fh)
-    print(f"{sum(r[0] == 'model' for r in records)} models, {sum(r[0] == 'scale' for r in records)} scale records")
+    counts = {kind: sum(r[0] == kind for r in records) for kind in ("model", "scale", "trajectory")}
+    print(", ".join(f"{n} {kind} records" for kind, n in counts.items()))
 
 
 def compare(a: Path, b: Path) -> int:
