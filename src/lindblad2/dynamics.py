@@ -94,11 +94,11 @@ def matrix_exponential(a) -> np.ndarray:
 
 def _times_generator(t: float, generator, message: str) -> np.ndarray:
     """t G, or BadStepError(message) when its norm, the largest absolute
-    row sum that matrix_exponential scales by, overflows a double."""
-    with np.errstate(over="ignore"):  # caught as a non-finite norm
-        a = t * generator
-        norm = np.abs(a).sum(axis=1).max()
-    if not np.isfinite(norm):
+    row sum that matrix_exponential scales by, overflows a double. Call it
+    under np.errstate(over="ignore"); the row sums add Python floats, which
+    overflow to inf without a warning."""
+    a = t * generator
+    if not math.isfinite(max(map(sum, np.abs(a).tolist()))):
         raise BadStepError(message)
     return a
 
@@ -106,14 +106,14 @@ def _times_generator(t: float, generator, message: str) -> np.ndarray:
 def _propagator(generator, t: float) -> np.ndarray:
     """exp(t G) for a generator matrix G and a time t >= 0.
 
-    Raises NegativeTimeError for t < 0 and BadStepError when t G or exp(t G)
-    is not finite, which happens when |G| t is so large that the product or
-    the squarings overflow; no RuntimeWarning is printed either way.
+    Raises NegativeTimeError for t < 0 or NaN and BadStepError when t G or
+    exp(t G) is not finite, which happens when |G| t is so large that the
+    product or the squarings overflow; no RuntimeWarning is printed either way.
     """
-    if t < 0.0:
+    if not t >= 0.0:
         raise NegativeTimeError(f"time must be nonnegative, got {t!r}")
-    a = _times_generator(t, generator, f"t {t!r} times the generator overflows")
     with np.errstate(over="ignore", invalid="ignore"):  # caught as a non-finite entry
+        a = _times_generator(t, generator, f"t {t!r} times the generator overflows")
         prop = matrix_exponential(a)
     if not np.isfinite(prop).all():
         raise BadStepError(f"exp(t G) is not finite at t = {t!r}; |G| t is too large")
@@ -234,10 +234,10 @@ def _fixed_step_run(generator, v0, t_max: float, dt: float, method: str) -> tupl
     if method not in ("rk4", "expm"):
         raise ValueError(f"method must be 'rk4' or 'expm', got {method!r}")
     steps = _step_count(t_max, dt)
-    a = _times_generator(
-        dt, generator, f"dt {dt!r} times the generator overflows; use a smaller --dt"
-    )
-    with np.errstate(over="ignore", invalid="ignore"):  # caught as inf growth
+    with np.errstate(over="ignore", invalid="ignore"):  # caught as overflow or inf growth
+        a = _times_generator(
+            dt, generator, f"dt {dt!r} times the generator overflows; use a smaller --dt"
+        )
         step = rk4_step(a) if method == "rk4" else matrix_exponential(a)
     finite = np.all(np.isfinite(step))
     growth = float(np.max(np.abs(np.linalg.eigvals(step)))) if finite else np.inf

@@ -118,8 +118,9 @@ def test_evolve_expm_quarter_turn_with_rk4_oracle():
 
 def test_evolve_expm_rejects_negative_time():
     gen = build_generator([0.0, 0.0, 0.0], ZERO_L)
-    with pytest.raises(NegativeTimeError):
-        evolve_expm(gen, [0.0, 0.0, 0.0], -0.1)
+    for t in (-0.1, np.nan):
+        with pytest.raises(NegativeTimeError):
+            evolve_expm(gen, [0.0, 0.0, 0.0], t)
 
 
 def test_evolve_expm_refuses_overflowing_propagator():
@@ -459,8 +460,6 @@ def test_evolve_bloch_methods():
         traj = evolve_bloch(gen, r0, dt * steps, dt, "expm")
         assert np.array_equal(traj.states, propagate(matrix_exponential(dt * gen.matrix), r0, steps))
         assert np.array_equal(traj.times, dt * np.arange(steps + 1))
-        rk4 = evolve_bloch(gen, r0, dt * steps, dt, "rk4")
-        assert np.array_equal(rk4.states, evolve_rk4(gen, r0, dt * steps, dt).states)
     with pytest.raises(ValueError, match="method"):
         evolve_bloch(FIELD_Z, [0.0, 0.0, 0.5], 1.0, 0.1, "euler")
 
