@@ -92,17 +92,6 @@ def matrix_exponential(a) -> np.ndarray:
     return out
 
 
-def _times_generator(t: float, generator, message: str) -> np.ndarray:
-    """t G, or BadStepError(message) when its norm, the largest absolute
-    row sum that matrix_exponential scales by, overflows a double. Call it
-    under np.errstate(over="ignore"); the row sums add Python floats, which
-    overflow to inf without a warning."""
-    a = t * generator
-    if not math.isfinite(max(map(sum, np.abs(a).tolist()))):
-        raise BadStepError(message)
-    return a
-
-
 def _propagator(generator, t: float) -> np.ndarray:
     """exp(t G) for a generator matrix G and a time t >= 0.
 
@@ -113,8 +102,10 @@ def _propagator(generator, t: float) -> np.ndarray:
     if not t >= 0.0:
         raise NegativeTimeError(f"time must be nonnegative, got {t!r}")
     with np.errstate(over="ignore", invalid="ignore"):  # caught as a non-finite entry
-        a = _times_generator(t, generator, f"t {t!r} times the generator overflows")
-        prop = matrix_exponential(a)
+        try:
+            prop = matrix_exponential(t * generator)
+        except ValueError:  # the norm of t G is not finite, as in _fixed_step_run
+            raise BadStepError(f"t {t!r} times the generator overflows") from None
     if not np.isfinite(prop).all():
         raise BadStepError(f"exp(t G) is not finite at t = {t!r}; |G| t is too large")
     return prop
@@ -235,11 +226,12 @@ def _fixed_step_run(generator, v0, t_max: float, dt: float, method: str) -> tupl
         raise ValueError(f"method must be 'rk4' or 'expm', got {method!r}")
     steps = _step_count(t_max, dt)
     with np.errstate(over="ignore", invalid="ignore"):  # caught as overflow or inf growth
-        a = _times_generator(
-            dt, generator, f"dt {dt!r} times the generator overflows; use a smaller --dt"
-        )
+        a = dt * generator
+        # The norm matrix_exponential scales by; Python floats overflow silently.
+        if not math.isfinite(max(map(sum, np.abs(a).tolist()))):
+            raise BadStepError(f"dt {dt!r} times the generator overflows; use a smaller --dt")
         step = rk4_step(a) if method == "rk4" else matrix_exponential(a)
-    finite = np.all(np.isfinite(step))
+    finite = np.isfinite(step).all()
     growth = float(np.max(np.abs(np.linalg.eigvals(step)))) if finite else np.inf
     if not growth <= 1.0 + STEP_GROWTH_TOL:
         hint = "a smaller --dt or --method expm" if method == "rk4" else "a smaller --dt"
