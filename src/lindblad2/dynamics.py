@@ -231,8 +231,10 @@ def _fixed_step_run(generator, v0, t_max: float, dt: float, method: str) -> tupl
         if not math.isfinite(max(map(sum, np.abs(a).tolist()))):
             raise BadStepError(f"dt {dt!r} times the generator overflows; use a smaller --dt")
         step = rk4_step(a) if method == "rk4" else matrix_exponential(a)
-    finite = np.isfinite(step).all()
-    growth = float(np.max(np.abs(np.linalg.eigvals(step)))) if finite else np.inf
+    try:
+        growth = max(map(abs, np.linalg.eigvals(step).tolist()))
+    except np.linalg.LinAlgError:  # eigvals refuses a step with a non-finite entry
+        growth = math.inf
     if not growth <= 1.0 + STEP_GROWTH_TOL:
         hint = "a smaller --dt or --method expm" if method == "rk4" else "a smaller --dt"
         raise BadStepError(
