@@ -19,7 +19,14 @@ from .core import DensityState, as_field_vector, density_from_bloch, frobenius_n
 from .dynamics import build_generator, evolve_expm, generator_spectrum
 from .errors import NegativeHorizonError
 from .forms import FormB, dissipation_matrix, reduce_terms
-from .tolerances import CONVERGED_TOL, DECAY_BOUND_SLACK, GAP_TOL, PARALLEL_TOL
+from .tolerances import (
+    CONVERGED_TOL,
+    DECAY_BOUND_SLACK,
+    GAP_TOL,
+    HORIZON_DECAY_TIMES,
+    HORIZON_MIN,
+    PARALLEL_TOL,
+)
 
 MAXIMALLY_MIXED = "maximally-mixed"
 DECOHERED = "decohered"
@@ -121,7 +128,8 @@ def verify_asymptote(h, fb: FormB, rho0: DensityState, horizon: float | None = N
 
     Reports the residual distance, the spectral gap g, and whether the
     residual respects the bound 2 exp(-g T). The default horizon
-    max(40/g, 10) pushes the bound far below double precision. Raises
+    max(HORIZON_DECAY_TIMES / g, HORIZON_MIN) pushes the bound far below
+    double precision. Raises
     BadStepError when exp(T G) is not finite, as evolve_expm does.
     """
     verdict = classify(h, fb)
@@ -129,7 +137,7 @@ def verify_asymptote(h, fb: FormB, rho0: DensityState, horizon: float | None = N
     gen = build_generator(h, dissipation_matrix(fb))
     gap = spectral_gap(gen)
     if horizon is None:
-        horizon = max(40.0 / gap, 10.0) if gap > 0.0 else 10.0
+        horizon = max(HORIZON_DECAY_TIMES / gap, HORIZON_MIN) if gap > 0.0 else HORIZON_MIN
     if horizon <= 0.0:
         raise NegativeHorizonError(f"horizon must be positive, got {horizon!r}")
     r_final = evolve_expm(gen, rho0.bloch, horizon)

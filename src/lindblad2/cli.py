@@ -20,7 +20,7 @@ import numpy as np
 from .asymptotics import asymptotic_state, classify, spectral_gap
 from .core import DensityState, Hamiltonian, density_from_bloch, density_from_matrix
 from .dynamics import build_generator, evolve_bloch
-from .errors import LindbladError, NotCPError
+from .errors import LindbladError, NotCPError, StepSizeError
 from .forms import (
     FormA,
     FormB,
@@ -316,7 +316,11 @@ def cmd_evolve(model: Model, args) -> int:
     gen = build_generator(model.hamiltonian, ell)
     limit = asymptotic_state(classify(model.hamiltonian, fb), state).bloch
 
-    traj = evolve_bloch(gen, state.bloch, args.t_max, args.dt, args.method)
+    try:
+        traj = evolve_bloch(gen, state.bloch, args.t_max, args.dt, args.method)
+    except StepSizeError as exc:
+        hint = "a smaller --dt or --method expm" if exc.rk4_unstable else "a smaller --dt"
+        raise LindbladError(f"{exc.reason}; use {hint}") from None
     # Row-wise inner products by matmul keep the bits of the scalar
     # np.linalg.norm(r - limit); norm(axis=1) sums in another order.
     diff = (traj.states - limit)[:, None, :]

@@ -59,8 +59,12 @@ def frobenius_normalized(a: np.ndarray) -> np.ndarray:
     return a / math.sqrt(np.vdot(a, a))
 
 
-def require_hermitian(m: np.ndarray, what: str = "matrix") -> np.ndarray:
+def require_hermitian(m: np.ndarray, what: str = "matrix", size: int = 2) -> np.ndarray:
+    """Validate a finite hermitian size x size matrix and return it as complex."""
     m = np.asarray(m, dtype=complex)
+    # The largest |entry| is NaN or inf exactly when some entry is.
+    if m.shape != (size, size) or not float(abs(m).max()) < math.inf:
+        raise NotHermitianError(f"{what} must be a finite {size}x{size} matrix")
     defect = float(abs(m - m.conj().T).max())
     if defect > HERMITIAN_TOL:
         raise NotHermitianError(f"{what} is not hermitian (defect {defect:.3e})")
@@ -110,8 +114,8 @@ class DensityState:
         if abs(tr - 1.0) > TRACE_TOL:
             raise BadTraceError(f"density matrix trace {tr!r} != 1")
         r = np.asarray(self.bloch, dtype=float)
-        if r.shape != (3,):
-            raise BlochOutOfBallError("bloch vector must have 3 components")
+        if r.shape != (3,) or not np.isfinite(r).all():
+            raise BlochOutOfBallError("bloch vector must be a finite real 3-vector")
         if (norm := math.sqrt(r.dot(r))) > 1.0 + BALL_TOL:
             raise BlochOutOfBallError(f"bloch vector has length {norm!r} > 1")
         rebuilt = matrix_from_pauli(0.5, 0.5 * r)

@@ -9,9 +9,9 @@ Three independent routes must agree:
 The first two are evaluated after normalizing by the Frobenius norm, so a
 verdict is invariant under positive rescaling. Disagreement beyond a small
 margin band signals an implementation bug, not a property of the input, and
-raises VerdictMismatchError. A fourth, fully dynamical witness reshuffles
-the exact 4x4 propagator into the Choi matrix of the evolved map and reports
-its smallest eigenvalue.
+raises VerdictMismatchError. A fourth, fully dynamical witness builds the
+Choi matrix of the evolved map from the exact 3x3 Bloch propagator and
+reports its smallest eigenvalue.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_field_vector, frobenius_normalized
-from .dynamics import _propagator, liouvillian
+from .core import SIGMA, frobenius_normalized
+from .dynamics import _propagator, build_generator
 from .errors import VerdictMismatchError
 from .forms import _factor, _gram_margins, _scaled_gram
 from .forms import (
@@ -138,20 +138,24 @@ def is_completely_positive(ell):
     return via_m, form_b_from_gram(np.ldexp(_factor(m), shift))
 
 
+# The evolved map is unital: Phi(c0 I + c . sigma) = c0 I + (T c) . sigma for
+# the Bloch propagator T = exp(t G). Its Choi matrix sum_ij E_ij (x) Phi(E_ij)
+# is therefore (I (x) I + sum_ab T_ab conj(sigma_b) (x) sigma_a) / 2; row
+# 3a + b of CHOI_TERMS holds conj(sigma_b) (x) sigma_a / 2, flattened.
+CHOI_TERMS = 0.5 * np.einsum("bij,akl->abikjl", SIGMA.conj(), SIGMA).reshape(9, 16)
+
+
 def choi_check(h, ell, times) -> np.ndarray:
     """Minimum Choi eigenvalue of the evolved map at each requested time.
 
-    The exact propagator exp(t Liouvillian) sends vec(E_ij) to vec(map(E_ij));
-    reshuffling its indices gives the Choi matrix sum_ij E_ij (x) map(E_ij).
+    The Choi matrix sum_ij E_ij (x) map(E_ij) is a fixed linear function of
+    the Bloch propagator T = exp(t G), G = Omega(h) - L (see CHOI_TERMS).
     It stays positive semidefinite at all times exactly for CP generators; a
     clearly negative eigenvalue witnesses the CP failure. At t = 0 the
     spectrum is {2, 0, 0, 0} (twice the maximally entangled projector).
     Raises BadStepError when a propagator is not finite, as evolve_expm does.
     """
-    hv = as_field_vector(h)
-    ell = require_symmetric(ell, what="dissipation matrix")
-    generator = liouvillian(hv, ell)
+    generator = build_generator(h, ell).matrix
     props = np.array([_propagator(generator, float(t)) for t in times])
-    choi = props.reshape(-1, 2, 2, 2, 2).transpose(0, 3, 1, 4, 2).reshape(-1, 4, 4)
-    choi = 0.5 * (choi + choi.conj().transpose(0, 2, 1))
+    choi = props.reshape(-1, 9).dot(CHOI_TERMS).reshape(-1, 4, 4) + 0.5 * np.eye(4)
     return np.linalg.eigvalsh(choi)[:, 0]

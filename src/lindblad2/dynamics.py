@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DensityState, as_field_vector, bloch_entropies, matrix_from_pauli, _readonly
-from .errors import BadStepError, NegativeTimeError
+from .errors import BadStepError, NegativeTimeError, StepSizeError
 from .forms import apply_dissipator, require_symmetric
 from .tolerances import (
     MAX_STEPS,
@@ -217,10 +217,10 @@ def _fixed_step_run(generator, v0, t_max: float, dt: float, method: str) -> tupl
     """(times, rows) of v0 stepped by rk4_step(dt G) or exp(dt G) up to t_max.
 
     BadStepError refuses, before anything is propagated, a t_max that is not
-    a whole number of at most MAX_STEPS dt steps, an overflowing dt G, and a
-    step that is not finite or grows states: the exact flow of a CP
-    generator never grows, so a spectral radius above 1 + STEP_GROWTH_TOL
-    could only produce garbage.
+    a whole number of at most MAX_STEPS dt steps; its StepSizeError subclass
+    refuses an overflowing dt G and a step that is not finite or grows
+    states: the exact flow of a CP generator never grows, so a spectral
+    radius above 1 + STEP_GROWTH_TOL could only produce garbage.
     """
     if method not in ("rk4", "expm"):
         raise ValueError(f"method must be 'rk4' or 'expm', got {method!r}")
@@ -229,17 +229,17 @@ def _fixed_step_run(generator, v0, t_max: float, dt: float, method: str) -> tupl
         a = dt * generator
         # The norm matrix_exponential scales by; Python floats overflow silently.
         if not math.isfinite(max(map(sum, np.abs(a).tolist()))):
-            raise BadStepError(f"dt {dt!r} times the generator overflows; use a smaller --dt")
+            raise StepSizeError(f"dt {dt!r} times the generator overflows")
         step = rk4_step(a) if method == "rk4" else matrix_exponential(a)
     try:
         growth = max(map(abs, np.linalg.eigvals(step).tolist()))
     except np.linalg.LinAlgError:  # eigvals refuses a step with a non-finite entry
         growth = math.inf
     if not growth <= 1.0 + STEP_GROWTH_TOL:
-        hint = "a smaller --dt or --method expm" if method == "rk4" else "a smaller --dt"
-        raise BadStepError(
+        raise StepSizeError(
             f"dt {dt!r} fails the step stability check (one {method} step "
-            f"grows states by {growth:.3g}); use {hint}"
+            f"grows states by {growth:.3g})",
+            rk4_unstable=method == "rk4",
         )
     return dt * np.arange(steps + 1), propagate(step, v0, steps)
 

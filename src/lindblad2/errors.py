@@ -41,6 +41,21 @@ class BadStepError(LindbladError):
     pass
 
 
+class StepSizeError(BadStepError):
+    """dt is too large for the generator: dt G overflows, or one step is not
+    finite or grows states.
+
+    ``reason`` says which. ``rk4_unstable`` is True when the refused step was
+    an RK4 step that grows states, which the exact exp(dt G) step would not.
+    The message names the ``dt`` parameter; the CLI names its own flags.
+    """
+
+    def __init__(self, reason: str, rk4_unstable: bool = False):
+        super().__init__(f"{reason}; use a smaller dt")
+        self.reason = reason
+        self.rk4_unstable = rk4_unstable
+
+
 class NegativeTimeError(LindbladError):
     pass
 

@@ -80,9 +80,6 @@ class FormA:
             _readonly(require_hermitian(op, what="Lindblad operator"))
             for op in self.operators
         )
-        for op in ops:
-            if op.shape != (2, 2):
-                raise NotHermitianError("Lindblad operators must be 2x2")
         object.__setattr__(self, "operators", ops)
 
 
@@ -450,10 +447,7 @@ def gks_minimal(c) -> FormA:
     rate first, so gks_minimal(gks_matrix(fa)) is again a FormA; c = 0
     yields the zero dissipator FormA(operators=()).
     """
-    c = np.asarray(c, dtype=complex)
-    if c.shape != (3, 3):
-        raise NotHermitianError("coefficient matrix must be 3x3")
-    require_hermitian(c, what="coefficient matrix")
+    c = require_hermitian(c, what="coefficient matrix", size=3)
     if float(abs(c.imag).max()) > HERMITIAN_TOL:
         raise NotHermitianError(
             "coefficient matrix has a complex part; only real symmetric "

@@ -87,3 +87,12 @@ STEP_GROWTH_TOL = 1e-10
 # and the absolute slack added to the decay bound 2 exp(-gap T).
 CONVERGED_TOL = 1e-8
 DECAY_BOUND_SLACK = 1e-12
+
+# Default horizon of that check, max(HORIZON_DECAY_TIMES / gap, HORIZON_MIN).
+# 40 decay times put the bound 2 exp(-40) ~ 8.5e-18 below double precision
+# on a unit Bloch vector. HORIZON_MIN, in the time units of h and L, is the
+# horizon when no mode decays (gap 0), where the bound 2 holds at any T, and
+# the shortest default, so a fast decay is still checked over that long a
+# span of precession.
+HORIZON_DECAY_TIMES = 40.0
+HORIZON_MIN = 10.0

@@ -64,11 +64,17 @@ def test_bloch_from_density_rejects_bad_input():
         bloch_from_density(np.array([[0.5, 1.0], [0.0, 0.5]]))
     with pytest.raises(BadTraceError):
         bloch_from_density(np.eye(2))
+    # Non-finite or non-2x2 input, with no RuntimeWarning on the way.
+    for bad in (np.full((2, 2), np.nan), np.diag([np.inf, 0.0]), np.eye(3) / 3.0):
+        with pytest.raises(NotHermitianError, match="finite 2x2"):
+            density_from_matrix(bad)
 
 
 def test_density_state_rejects_inconsistent_fields():
     with pytest.raises(BlochOutOfBallError):
         DensityState(matrix=0.5 * np.eye(2), bloch=np.array([0.0, 0.0, 0.5]))
+    with pytest.raises(BlochOutOfBallError, match="finite"):
+        DensityState(matrix=0.5 * np.eye(2), bloch=np.array([np.nan, 0.0, 0.0]))
 
 
 def test_entropy_examples():

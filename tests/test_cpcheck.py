@@ -222,7 +222,7 @@ def test_choi_rejects_negative_time():
 
 
 def test_choi_check_refuses_overflowing_propagator():
-    # |h| t = 1e20 overflows the squarings of exp(t Liouvillian), as in
+    # |h| t = 1e20 overflows the squarings of exp(t G), as in
     # evolve_expm; RuntimeWarnings are errors under pytest, so this also
     # checks that none is printed.
     with pytest.raises(BadStepError, match="not finite") as info:
@@ -231,7 +231,7 @@ def test_choi_check_refuses_overflowing_propagator():
 
 
 def test_choi_check_refuses_overflowing_product():
-    # t times the Liouvillian has finite entries but an overflowing norm.
+    # t G has finite entries but an overflowing norm.
     with pytest.raises(BadStepError, match="overflows") as info:
         choi_check([0, 0, 1], np.diag([0.0, 1.0, 1.0]), [1.7e308])
     assert "\n" not in str(info.value)

@@ -449,6 +449,8 @@ def test_evolve_density_refuses_growing_step():
     with pytest.raises(BadStepError, match="stability") as info:
         evolve_density(Hamiltonian(h=[0.0, 0.0, 8.0]), FormB(terms=[(0.5, EX)]), rho0, 200.0, 0.5)
     assert "\n" not in str(info.value)
+    # The hint names evolve_density's own dt parameter, not a CLI flag.
+    assert str(info.value).endswith("; use a smaller dt") and "--" not in str(info.value)
 
 
 def test_evolve_bloch_methods():

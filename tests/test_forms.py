@@ -74,8 +74,9 @@ def test_form_a_to_form_b_mixed_operator():
 
 
 def test_form_a_rejects_non_hermitian():
-    with pytest.raises(NotHermitianError):
-        FormA(operators=(SIGMA_X + 1j * SIGMA_Y,))
+    for op in (SIGMA_X + 1j * SIGMA_Y, np.zeros((2, 3)), np.full((2, 2), np.nan)):
+        with pytest.raises(NotHermitianError):
+            FormA(operators=(op,))
 
 
 def test_dissipation_matrix_examples():
@@ -540,6 +541,9 @@ def test_gks_minimal_rejects_indefinite():
 
     with pytest.raises(NotPSDError):
         gks_minimal(np.diag([-1.0, 0.0, 0.0]))
+    # An infinite entry is refused, not read as the zero dissipator.
+    with pytest.raises(NotHermitianError, match="finite 3x3"):
+        gks_minimal(np.diag([np.inf, 0.0, 0.0]))
 
 
 def test_gks_minimal_rank_two():

@@ -13,14 +13,17 @@ Last it records the outputs of the trajectory workload's ``integrate`` for
 13 seeded bundles (seed 424243): ``evolve_density`` with the dissipator as
 Form A, Form B and matrix, ``evolve_rk4``, ``evolve_expm`` at the sample
 times, and the bytes of the ``--method rk4`` and ``--method expm`` CSVs.
-``compare`` prints the record counts and how many records differ, and
-exits 1 if any does.
+Each record is a kind ("model", "scale" or "trajectory") and a dict of
+named output fields. ``compare`` prints the record counts and how many
+records differ, then the number of differing records per kind and per
+kind.field (for example ``model.choi 3200``), and exits 1 if any differs.
 """
 
 import pickle
 import sys
 import tempfile
 import warnings
+from collections import Counter
 from pathlib import Path
 
 
@@ -59,13 +62,16 @@ def dump(checkout: Path, out: Path) -> None:
 
     def routes(ell):
         return {
-            "margins_m": safe(lambda e: forms.gram_condition_margins(forms.gram_from_dissipation(e)), ell),
-            "margins_e": safe(lambda e: cpcheck.form_e_margins(forms.form_e_pack(e)), ell),
-            "psd": safe(lambda e: cpcheck.check_gram_psd(forms.gram_from_dissipation(e)), ell),
-            "form_e": safe(lambda e: cpcheck.check_form_e(forms.form_e_pack(e)), ell),
-            "form_b": safe(forms.form_b_from_dissipation, ell),
-            "decompose": safe(lambda e: forms.gram_decompose(forms.gram_from_dissipation(e)), ell),
+            "route.margins_m": safe(lambda e: forms.gram_condition_margins(forms.gram_from_dissipation(e)), ell),
+            "route.margins_e": safe(lambda e: cpcheck.form_e_margins(forms.form_e_pack(e)), ell),
+            "route.psd": safe(lambda e: cpcheck.check_gram_psd(forms.gram_from_dissipation(e)), ell),
+            "route.form_e": safe(lambda e: cpcheck.check_form_e(forms.form_e_pack(e)), ell),
+            "route.form_b": safe(forms.form_b_from_dissipation, ell),
+            "route.decompose": safe(lambda e: forms.gram_decompose(forms.gram_from_dissipation(e)), ell),
         }
+
+    def fields(out_):
+        return {name: enc(value) for name, value in out_.items()}
 
     lb = (asymptotics, cli, core, cpcheck, dynamics, forms)
     records, ells = [], []
@@ -73,17 +79,17 @@ def dump(checkout: Path, out: Path) -> None:
         for model in block:
             out_ = workloads.analyze(model, lb)
             ell = np.asarray(model.ell, dtype=float)
-            records.append(("model", enc(out_), routes(ell)))
+            records.append(("model", {**fields(out_), **routes(ell)}))
             ells.append(ell)
     for ell in ells[::6]:
         for k in range(-300, 301, 60):
             scaled = 10.0**k * ell
-            records.append(("scale", safe(cpcheck.is_completely_positive, scaled), routes(scaled)))
+            records.append(("scale", {"gate": safe(cpcheck.is_completely_positive, scaled), **routes(scaled)}))
     with tempfile.TemporaryDirectory() as work:
         for bundle in workloads.trajectory_prepare(np.random.default_rng(424243), 3, Path(work)):
             out_ = workloads.integrate(bundle, lb, dict.fromkeys(workloads.STAGES, 0.0))
-            csvs = {method: Path(path).read_bytes() for method, path in bundle.csv.items()}
-            records.append(("trajectory", enc(out_), csvs))
+            csvs = {f"csv.{method}": Path(path).read_bytes() for method, path in bundle.csv.items()}
+            records.append(("trajectory", {**fields(out_), **csvs}))
     with open(out, "wb") as fh:
         pickle.dump(records, fh)
     counts = {kind: sum(r[0] == kind for r in records) for kind in ("model", "scale", "trajectory")}
@@ -93,8 +99,15 @@ def dump(checkout: Path, out: Path) -> None:
 def compare(a: Path, b: Path) -> int:
     with open(a, "rb") as fa, open(b, "rb") as fb:
         left, right = pickle.load(fa), pickle.load(fb)
-    differ = sum(x != y for x, y in zip(left, right)) + abs(len(left) - len(right))
+    kinds, names = Counter(), Counter()
+    for (kind, x), (_, y) in zip(left, right):
+        if x != y:
+            kinds[kind] += 1
+            names.update(f"{kind}.{name}" for name in x.keys() | y.keys() if x.get(name) != y.get(name))
+    differ = sum(kinds.values()) + abs(len(left) - len(right))
     print(f"{len(left)} and {len(right)} records, {differ} differ")
+    for name, n in sorted((kinds + names).items()):
+        print(f"{name} {n}")
     return 1 if differ else 0
 
 
