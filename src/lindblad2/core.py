@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import (
     BadTraceError,
+    BadValueError,
     BlochOutOfBallError,
     NotHermitianError,
     NotUnitError,
@@ -192,9 +193,9 @@ class Hamiltonian:
     def __post_init__(self):
         h = np.asarray(self.h, dtype=float)
         if h.shape != (3,) or not np.isfinite(h).all():
-            raise ValueError("h must be a finite real 3-vector")
+            raise BadValueError("h must be a finite real 3-vector")
         if not np.isfinite(self.h0):
-            raise ValueError("h0 must be finite")
+            raise BadValueError("h0 must be finite")
         object.__setattr__(self, "h", _readonly(h))
 
     @property
@@ -208,7 +209,7 @@ def as_field_vector(h) -> np.ndarray:
         return np.asarray(h.h, dtype=float)
     h = np.asarray(h, dtype=float)
     if h.shape != (3,) or not np.isfinite(h).all():
-        raise ValueError("field must be a finite real 3-vector")
+        raise BadValueError("field must be a finite real 3-vector")
     return h
 
 

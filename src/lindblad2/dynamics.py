@@ -17,43 +17,35 @@ import numpy as np
 from .core import DensityState, as_field_vector, bloch_entropies, matrix_from_pauli, _readonly
 from .errors import BadStepError, NegativeTimeError, StepSizeError
 from .forms import apply_dissipator, require_symmetric
-from .tolerances import (
-    MAX_STEPS,
-    NEWTON_SLOPE_FLOOR,
-    REPEATED_ROOT_P_MIN,
-    REPEATED_ROOT_TOL,
-    STEP_FIT_TOL,
-    STEP_GROWTH_TOL,
-)
+from .tolerances import MAX_STEPS, REPEATED_ROOT_TOL, STEP_FIT_TOL, STEP_GROWTH_TOL
 
 
 def cross_matrix(h) -> np.ndarray:
     """The antisymmetric matrix Omega with Omega x = h cross x."""
-    h = np.asarray(h, dtype=float)
-    return np.array(
-        [
-            [0.0, -h[2], h[1]],
-            [h[2], 0.0, -h[0]],
-            [-h[1], h[0], 0.0],
-        ]
-    )
+    x, y, z = np.asarray(h, dtype=float).tolist()
+    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
 @dataclass(frozen=True)
 class Generator:
-    """Constant Bloch-space generator G = Omega(h) - L."""
+    """Constant Bloch-space generator G = Omega(h) - L: the field h and the
+    dissipation matrix ell kept apart for the spectrum, and G as matrix."""
 
+    h: np.ndarray
+    ell: np.ndarray
     matrix: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", _readonly(self.matrix))
+        for name in ("h", "ell", "matrix"):
+            object.__setattr__(self, name, _readonly(getattr(self, name)))
 
 
 def build_generator(h, ell) -> Generator:
     """Assemble G = Omega(h) - L from a field (or Hamiltonian) and a
     symmetric dissipation matrix."""
     ell = require_symmetric(ell, what="dissipation matrix")
-    return Generator(matrix=cross_matrix(as_field_vector(h)) - ell)
+    h = as_field_vector(h)
+    return Generator(h=h, ell=ell, matrix=cross_matrix(h) - ell)
 
 
 # The degree-12 Taylor polynomial of exp(b) in Paterson-Stockmeyer form:
@@ -294,78 +286,81 @@ def evolve_density(h, form, rho0: DensityState, t_max: float, dt: float) -> Traj
     )
 
 
-# Kept over np.linalg.eigvals, which misses test_rotated_exceptional_point by ~1e-8.
-def _cubic_roots(trace: float, minors: float, det: float) -> np.ndarray:
-    """Roots of x^3 - trace x^2 + minors x - det, one real + a real or
-    conjugate pair."""
-    shift = trace / 3.0
-    p = minors - trace * trace / 3.0
-    q = -2.0 * trace**3 / 27.0 + minors * trace / 3.0 - det
-    disc = -4.0 * p**3 - 27.0 * q**2
-    band = REPEATED_ROOT_TOL * max(1.0, abs(4.0 * p**3) + 27.0 * q * q)
-    if abs(disc) <= band and abs(p) > REPEATED_ROOT_P_MIN:
-        # Repeated root: the square-root branches would amplify rounding to
-        # sqrt(eps) here, while the rational resolution is exact.
-        single = 3.0 * q / p
-        double = -1.5 * q / p
-        return np.array([single + shift, double + shift, double + shift], dtype=complex)
-    if disc >= 0.0 and p < 0.0:
-        # Three real roots: trigonometric form of the depressed cubic.
-        amp = 2.0 * np.sqrt(-p / 3.0)
-        cos3 = np.clip(-4.0 * q / amp**3, -1.0, 1.0)
-        phi = np.arccos(cos3) / 3.0
-        ys = amp * np.cos(phi - 2.0 * np.pi * np.arange(3) / 3.0)
-        return (ys + shift).astype(complex)
-    if disc >= 0.0:
-        # Nonnegative discriminant with p >= 0 forces p = q = 0: triple root.
-        return np.full(3, shift, dtype=complex)
-    # One real root via Cardano, picking the larger-magnitude cube root to
-    # avoid cancellation, then the conjugate pair from the quadratic factor.
-    s = np.sqrt(max(q * q / 4.0 + p**3 / 27.0, 0.0))
-    u3 = -q / 2.0 - s if q >= 0.0 else -q / 2.0 + s
-    u = np.cbrt(u3)
-    y1 = u + (-p / (3.0 * u)) if u != 0.0 else 0.0
-    rem = max(3.0 * y1 * y1 + 4.0 * p, 0.0)
-    imag = 0.5 * np.sqrt(rem)
-    real = -0.5 * y1 + shift
-    return np.array([y1 + shift, real + 1j * imag, real - 1j * imag])
+def _dot(p, q) -> float:
+    return p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
+
+
+def _pair_discriminant(lam: float, h: list, ell: list) -> tuple:
+    """(disc, size): the eigenvalues of G besides its real one lam are their
+    mean -/+ sqrt(disc), those of G on the plane orthogonal to lam's unit
+    eigenvector v (the longest cross product of two rows of lam I - G, any v
+    if G = lam I). With L on that plane [[p, r], [r, q]], disc = s - (h.v)^2,
+    s = ((p - q)/2)^2 + r^2 half the squared norm of P (L - m I) P, P = I - v v^T
+    and m the mean: s meets (h.v)^2 only at an exceptional point; size = s + (h.v)^2.
+    """
+    (a, b, c), (_, d, e), (_, _, f) = ell
+    x, y, z = h
+    rows = [[lam + a, b + z, c - y], [b - z, lam + d, e + x], [c + y, e - x, lam + f]]  # lam I - G
+    v = max(([p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0]]
+             for p, q in zip(rows, rows[1:] + rows[:1])), key=lambda w: _dot(w, w))
+    v = [t / norm for t in v] if (norm := math.sqrt(_dot(v, v))) else [1.0, 0.0, 0.0]
+    lv = [_dot(row, v) for row in ell]
+    mean = 0.5 * (a + d + f - _dot(v, lv))
+    w = [p - mean * q for p, q in zip(lv, v)]  # (L - m I) v
+    g = _dot(v, w)
+    spread = 0.5 * sum((ell[i][j] - mean * (i == j) - v[i] * w[j] - w[i] * v[j] + g * v[i] * v[j]) ** 2
+                       for i in range(3) for j in range(3))
+    return spread - _dot(h, v) ** 2, spread + _dot(h, v) ** 2
 
 
 def generator_spectrum(gen: Generator) -> np.ndarray:
-    """The three eigenvalues of the real generator matrix.
+    """The three eigenvalues of G = Omega(h) - L, from h and L kept apart.
 
-    Solved in closed form from the characteristic cubic (trigonometric
-    branch for three real roots, stabilized Cardano otherwise) and refined
-    by one Newton step each. Their sum reproduces the trace.
+    They are the roots of p(x) = det(xI + L) + x|h|^2 + h^T L h, for h and L
+    prescaled by one power of two. Every real part lies in the spectrum of
+    -L, so Newton bracketed in (-rho, rho), rho twice L's largest absolute
+    row sum, finds a real root lam; if all three are real, again from the
+    one farthest from their mean -tr L / 3. The other two, of sum -tr L - lam,
+    split by :func:`_pair_discriminant`; |disc| within REPEATED_ROOT_TOL of
+    its size is a double root.
     """
-    a = np.asarray(gen.matrix, dtype=float)
-    scale = float(np.max(np.abs(a)))
-    if scale == 0.0:
-        return np.zeros(3, dtype=complex)
-    b = a / scale
-    trace = b[0, 0] + b[1, 1] + b[2, 2]
-    minors = (
-        b[0, 0] * b[1, 1]
-        - b[0, 1] * b[1, 0]
-        + b[0, 0] * b[2, 2]
-        - b[0, 2] * b[2, 0]
-        + b[1, 1] * b[2, 2]
-        - b[1, 2] * b[2, 1]
-    )
-    det = (
-        b[0, 0] * (b[1, 1] * b[2, 2] - b[1, 2] * b[2, 1])
-        - b[0, 1] * (b[1, 0] * b[2, 2] - b[1, 2] * b[2, 0])
-        + b[0, 2] * (b[1, 0] * b[2, 1] - b[1, 1] * b[2, 0])
-    )
-    roots = _cubic_roots(trace, minors, det)
-    polished = []
-    for x in roots:
-        f = x**3 - trace * x**2 + minors * x - det
-        fp = 3.0 * x**2 - 2.0 * trace * x + minors
-        if abs(fp) > NEWTON_SLOPE_FLOOR:
-            x = x - f / fp
-        polished.append(x)
-    return scale * np.array(polished)
+    hl, ll = gen.h.tolist(), gen.ell.tolist()
+    shift = -math.frexp(max(map(abs, hl + ll[0] + ll[1] + ll[2])))[1]
+    h = [math.ldexp(x, shift) for x in hl]  # h and L now peak in [1/2, 1), so |h|^2 < 3
+    ell = [[math.ldexp(x, shift) for x in row] for row in ll]
+    (a, b, c), (_, d, e), (_, _, f) = ell
+    trace, hh, hlh = a + d + f, _dot(h, h), _dot(h, [_dot(r, h) for r in ell])
+    rho = 2.0 * max(abs(a) + abs(b) + abs(c), abs(b) + abs(d) + abs(e), abs(c) + abs(e) + abs(f))
+
+    def real_root(x: float) -> float:
+        # p(x) = det B + h^T B h for B = xI + L; each pass moves an end inward.
+        lo, hi = -rho, rho
+        while True:
+            ba, bd, bf = x + a, x + d, x + f
+            ma, md, mf = bd * bf - e * e, ba * bf - c * c, ba * bd - b * b
+            value = ba * ma - b * (b * bf - c * e) + c * (b * e - c * bd) + x * hh + hlh
+            if value == 0.0:
+                return x
+            lo, hi = (x, hi) if value < 0.0 else (lo, x)
+            slope = ma + md + mf + hh
+            step = x - value / slope if slope else lo
+            if not lo < step < hi:
+                step = 0.5 * (lo + hi)
+            if abs(step - x) <= math.ulp(rho):
+                return step
+            x = step
+
+    lam = real_root(0.0)
+    mu = -0.5 * (trace + lam)  # p(x) / (x - lam) = (x - mu)^2 + w2
+    w2 = a * d - b * b + a * f - c * c + d * f - e * e + hh + lam * (trace + lam) - mu * mu
+    if w2 <= 0.0:
+        half = math.sqrt(-w2)
+        lam = real_root(max((lam, mu - half, mu + half), key=lambda x: abs(x + trace / 3.0)))
+        mu = -0.5 * (trace + lam)
+    disc, size = _pair_discriminant(lam, h, ell)
+    half = math.sqrt(abs(disc)) if abs(disc) > REPEATED_ROOT_TOL * size else 0.0
+    pair = (mu - half, mu + half) if disc >= 0.0 else (complex(mu, half), complex(mu, -half))
+    return math.ldexp(1.0, -shift) * np.array([lam, *pair], dtype=complex)
 
 
 def entropy_monotonicity_report(traj: Trajectory) -> float:

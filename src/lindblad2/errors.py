@@ -5,6 +5,10 @@ class LindbladError(Exception):
     """Base class for all validation and computation errors in lindblad2."""
 
 
+class BadValueError(LindbladError, ValueError):
+    """A NaN, infinite or misshapen rate or field, or a rate that is not positive."""
+
+
 class NotHermitianError(LindbladError):
     pass
 

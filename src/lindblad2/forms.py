@@ -36,6 +36,7 @@ from .core import (
 )
 from .core import _readonly
 from .errors import (
+    BadValueError,
     LindbladError,
     NotCPError,
     NotHermitianError,
@@ -95,7 +96,7 @@ class FormB:
         for rate, axis in self.terms:
             rate = float(rate)
             if not 0.0 < rate < math.inf:
-                raise ValueError(f"rate must be positive, got {rate!r}")
+                raise BadValueError(f"rate must be positive, got {rate!r}")
             terms.append((rate, _readonly(unit_vector(axis))))
         object.__setattr__(self, "terms", tuple(terms))
 

@@ -43,8 +43,9 @@ CHOI_TOL = 1e-8
 # Cross-product test for "h parallel to the projector axis", on unit vectors.
 PARALLEL_TOL = 1e-9
 
-# Generator eigenvalues with real part below -GAP_TOL * max(1, max|G_ij|)
-# count as decaying modes in the spectral gap.
+# Generator eigenvalues with real part below -GAP_TOL * max|L_ij| count as
+# decaying modes in the spectral gap. Every real part lies in the spectrum of
+# -L whatever the field, so the floor is relative to L alone.
 GAP_TOL = 1e-12
 
 # Relative drift of the dissipation matrix that term reduction may cause,
@@ -62,13 +63,10 @@ GAP_TOL = 1e-12
 # rounding.
 REDUCE_DRIFT_TOL = 3 * RANK_TOL
 
-# Characteristic cubic of the generator: a discriminant within
-# REPEATED_ROOT_TOL of zero (relative) with |p| above REPEATED_ROOT_P_MIN is
-# a repeated root, resolved rationally; the Newton polish of each root is
-# skipped where the cubic's slope is below NEWTON_SLOPE_FLOOR.
+# The generator's complex or real pair is a double root when its
+# discriminant is within REPEATED_ROOT_TOL of the sum of its terms, which
+# cancel only at an exceptional point (dynamics._pair_discriminant).
 REPEATED_ROOT_TOL = 1e-13
-REPEATED_ROOT_P_MIN = 1e-8
-NEWTON_SLOPE_FLOOR = 1e-8
 
 # Integration horizon: t_max / dt must lie within STEP_FIT_TOL * n of a whole
 # number n >= 1 of steps.

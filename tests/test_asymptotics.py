@@ -267,3 +267,12 @@ def test_spectral_gap_survives_huge_rates():
     gen = build_generator([0.0, 0.0, 1.0], dissipation_matrix(fb))
     ref = -max(e.real for e in np.linalg.eigvals(gen.matrix))
     assert spectral_gap(gen) == pytest.approx(ref, rel=1e-8)
+
+
+def test_spectral_gap_of_tiny_rates():
+    # Two terms of rate 1e-20 on x and y under h = z: the slowest mode decays
+    # at 5e-21, far below 1 but not below the floor GAP_TOL max|L|.
+    fb = FormB(terms=[(1e-20, EX), (1e-20, EY)])
+    assert classify([0.0, 0.0, 1.0], fb).kind == MAXIMALLY_MIXED
+    gap = spectral_gap(build_generator([0.0, 0.0, 1.0], dissipation_matrix(fb)))
+    assert abs(gap / 5e-21 - 1.0) <= 1e-12

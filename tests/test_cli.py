@@ -350,6 +350,16 @@ def _write_model(path, dissipator, h=(0.0, 0.0, 1.0), bloch=(0.3, -0.2, 0.4)):
     return str(path)
 
 
+def test_asymptote_gap_under_a_strong_field(capsys, tmp_path):
+    # One term of rate 1 on x under h = 1e12 z: the decay rates are 0.5 and
+    # 0.25 at any field strength, so the gap stays 0.25, not 0.
+    dissipator = {"form": "B", "terms": [{"rate": 1.0, "axis": [1.0, 0.0, 0.0]}]}
+    path = _write_model(tmp_path / "strong.json", dissipator, h=(0.0, 0.0, 1e12))
+    code, out, err = run_cli(["--model", path, "asymptote"], capsys)
+    assert (code, err) == (0, "")
+    assert out == "kind: maximally-mixed\nindex: 1\ncommuting: no\nlimit: (0, 0, 0)\ngap: 0.25\n"
+
+
 @pytest.mark.parametrize("method", ["rk4", "expm"])
 def test_evolve_csv_matches_per_row_reference(method, capsys, tmp_path):
     # The vectorised output stage writes each row exactly as the per-row

@@ -23,6 +23,7 @@ from lindblad2.core import (
 from lindblad2.errors import (
     BadTraceError,
     BlochOutOfBallError,
+    LindbladError,
     NotHermitianError,
     NotUnitError,
 )
@@ -186,6 +187,10 @@ def test_hamiltonian_matrix_and_h0():
     assert np.allclose(
         Hamiltonian(h=np.array([0.0, 0.0, 2.0])).matrix, np.diag([1.0, -1.0])
     )
+    for h, h0 in (([np.inf, 0.0, 0.0], 0.0), ([0.0, np.nan, 0.0], 0.0), ([0.0, 0.0, 1.0], np.nan)):
+        with pytest.raises(LindbladError, match="finite") as info:
+            Hamiltonian(h=np.array(h), h0=h0)
+        assert isinstance(info.value, ValueError)
 
 
 def test_density_from_matrix_round_trip():

@@ -15,7 +15,7 @@ from lindblad2 import (
 )
 from lindblad2.core import matrix_from_pauli, pauli_coefficients
 from lindblad2.dynamics import cross_matrix
-from lindblad2.errors import BadStepError, NegativeTimeError, VerdictMismatchError
+from lindblad2.errors import BadStepError, LindbladError, NegativeTimeError, VerdictMismatchError
 
 
 def reference_choi(h, ell, t) -> np.ndarray:
@@ -219,6 +219,10 @@ def test_choi_random_cp_generators():
 def test_choi_rejects_negative_time():
     with pytest.raises(NegativeTimeError):
         choi_check([0.0, 0.0, 0.0], np.eye(3), [-1.0])
+    # So is a non-finite field, as a LindbladError that is also a ValueError.
+    with pytest.raises(LindbladError, match="finite real 3-vector") as info:
+        choi_check([np.inf, 0.0, 0.0], np.eye(3), [1.0])
+    assert isinstance(info.value, ValueError)
 
 
 def test_choi_check_refuses_overflowing_propagator():

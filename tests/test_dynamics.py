@@ -23,7 +23,7 @@ from lindblad2 import (
 )
 from lindblad2.asymptotics import spectral_gap
 from lindblad2.dynamics import Trajectory, cross_matrix, propagate, rk4_step
-from lindblad2.errors import BadStepError, NegativeTimeError
+from lindblad2.errors import BadStepError, LindbladError, NegativeTimeError
 
 DEPHASING = np.diag([0.5, 0.5, 0.0])
 ZERO_L = np.zeros((3, 3))
@@ -41,8 +41,16 @@ def test_build_generator_examples():
 
     gen = build_generator([0.0, 0.0, 1.0], DEPHASING)
     assert np.allclose(gen.matrix, cross_matrix([0, 0, 1.0]) - DEPHASING)
-    # Antisymmetric and symmetric parts split into the two ingredients.
+    # Antisymmetric and symmetric parts split into the two ingredients,
+    # which the generator also keeps apart.
     assert np.allclose(0.5 * (gen.matrix + gen.matrix.T), -DEPHASING)
+    assert np.array_equal(gen.h, [0.0, 0.0, 1.0]) and np.array_equal(gen.ell, DEPHASING)
+
+    # A non-finite field is a LindbladError that is also a ValueError.
+    for h in ([np.nan, 0.0, 0.0], [0.0, -np.inf, 0.0]):
+        with pytest.raises(LindbladError, match="finite real 3-vector") as info:
+            build_generator(h, DEPHASING)
+        assert isinstance(info.value, ValueError)
 
 
 def test_matrix_exponential_against_scipy():
@@ -470,7 +478,10 @@ def test_rotated_exceptional_point():
     # One axis n at rate lam with h perpendicular to n and |h| = lam / 4:
     # the generator has spectrum {-lam/2, -lam/4, -lam/4} with a Jordan
     # block, in a generic orientation. np.linalg.eigvals misses the double
-    # root by up to ~1e-8 here; the closed-form cubic must hold 1e-10.
+    # root by up to ~1e-8 here. generator_spectrum takes the simple root
+    # -lam/2, the one farthest from the mean, and gets the double root as
+    # the pair of a discriminant within REPEATED_ROOT_TOL of zero; it must
+    # hold 1e-10.
     rng = np.random.default_rng(139)
     for _ in range(500):
         lam = rng.uniform(0.1, 5.0)

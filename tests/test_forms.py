@@ -585,8 +585,11 @@ def test_plane_projector_matches_dissipation_matrix():
 
 
 def test_form_b_rejects_bad_terms():
-    with pytest.raises(ValueError):
-        FormB(terms=[(-1.0, EZ)])
+    # A LindbladError that is also the ValueError it always was.
+    for rate in (-1.0, 0.0, np.nan, np.inf):
+        with pytest.raises(LindbladError, match="rate must be positive") as info:
+            FormB(terms=[(rate, EZ)])
+        assert isinstance(info.value, ValueError)
 
 
 def test_empty_forms_are_the_zero_dissipator():

@@ -2,12 +2,14 @@
 Gram matrix M, whatever the units of the rates; a Gram matrix at the edge
 of the CP slack gets a consistent verdict and certificate at every scale;
 the CP gate gives the bits of the separate public routes at every scale;
-without dissipation the Bloch vector precesses rigidly about h."""
+without dissipation the Bloch vector precesses rigidly about h; the
+generator spectrum holds its real parts to the scale of L whatever |h| is."""
 
 import json
 import tempfile
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -15,7 +17,9 @@ from hypothesis import strategies as st
 
 from lindblad2 import (
     FormB,
+    build_generator,
     check_gram_psd,
+    classify,
     cpcheck,
     dissipation_from_gram,
     dissipation_matrix,
@@ -23,12 +27,15 @@ from lindblad2 import (
     form_a_to_form_b,
     form_b_from_dissipation,
     form_e_pack,
+    generator_spectrum,
     gks_matrix,
     gks_minimal,
     gram_from_dissipation,
     is_completely_positive,
     reduce_terms,
+    spectral_gap,
 )
+from lindblad2.asymptotics import MAXIMALLY_MIXED
 from lindblad2.cli import main
 from lindblad2.errors import NotCPError
 from lindblad2.tolerances import PSD_TOL, RANK_TOL
@@ -181,3 +188,43 @@ def test_zero_dissipator_precesses(case):
     expected = np.array([rodrigues(h, r0, t) for t in table[:, 0]])
     assert np.max(np.abs(table[:, 1:4] - expected)) < 1e-12
     assert np.ptp(table[:, 5]) < 1e-12
+
+
+@st.composite
+def fields_and_dissipators(draw):
+    """(k, h, L): the L of a Gram matrix A A^T, so CP, or any symmetric L,
+    mostly indefinite, and a field with |h| / max|L_ij| = |n| 10^k,
+    k in [-150, 150], |n| <= sqrt(3). The larger of h and L is of order 1,
+    so |h|^2 cannot overflow."""
+    a = np.array([[draw(st.floats(-1.0, 1.0)) for _ in range(3)] for _ in range(3)])
+    ell = dissipation_from_gram(a @ a.T) if draw(st.booleans()) else a + a.T
+    peak = np.max(np.abs(ell))
+    assume(peak > 0.0)
+    n = np.array([draw(st.floats(-1.0, 1.0)) for _ in range(3)])
+    k = draw(st.floats(-150.0, 150.0))
+    return k, n * 10.0 ** min(0.0, k), ell / peak * 10.0 ** min(0.0, -k)
+
+
+def reference_spectrum(k, h, ell):
+    """The eigenvalues of G = Omega(h) - L from h and L apart, in enough
+    digits that every entry of G is exact."""
+    with mpmath.workdps(40 + int(abs(k))):
+        omega = mpmath.matrix([[0, -h[2], h[1]], [h[2], 0, -h[0]], [-h[1], h[0], 0]])
+        g = omega - mpmath.matrix(ell.tolist())
+        return [complex(z) for z in mpmath.eig(g, left=False, right=False)]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(fields_and_dissipators())
+def test_spectrum_with_h_and_l_apart(case):
+    k, h, ell = case
+    gen = build_generator(h, ell)
+    eigs = generator_spectrum(gen)
+    unit = np.max(np.abs(ell))
+    reference = sorted(z.real for z in reference_spectrum(k, h, ell))
+    assert np.max(np.abs(np.sort(eigs.real) - reference)) <= 1e-14 * unit
+    assert abs(np.sum(eigs) + np.trace(ell)) <= 1e-14 * unit
+    if is_completely_positive(ell)[0].cp:
+        fb, _ = form_b_from_dissipation(ell)
+        if classify(h, fb).kind == MAXIMALLY_MIXED:
+            assert spectral_gap(gen) > 0.0
