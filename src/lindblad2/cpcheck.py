@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SIGMA, frobenius_normalized
-from .dynamics import _propagator, build_generator
+from .dynamics import _propagators, build_generator
 from .errors import VerdictMismatchError
 from .forms import _factor, _gram_margins, _scaled_gram
 from .forms import (
@@ -155,7 +155,6 @@ def choi_check(h, ell, times) -> np.ndarray:
     spectrum is {2, 0, 0, 0} (twice the maximally entangled projector).
     Raises BadStepError when a propagator is not finite, as evolve_expm does.
     """
-    generator = build_generator(h, ell).matrix
-    props = np.array([_propagator(generator, float(t)) for t in times])
+    props = _propagators(build_generator(h, ell), times)
     choi = props.reshape(-1, 9).dot(CHOI_TERMS).reshape(-1, 4, 4) + 0.5 * np.eye(4)
     return np.linalg.eigvalsh(choi)[:, 0]

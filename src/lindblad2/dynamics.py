@@ -11,13 +11,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .core import DensityState, as_field_vector, bloch_entropies, matrix_from_pauli, _readonly
 from .errors import BadStepError, NegativeTimeError, StepSizeError
 from .forms import apply_dissipator, require_symmetric
-from .tolerances import MAX_STEPS, REPEATED_ROOT_TOL, STEP_FIT_TOL, STEP_GROWTH_TOL
+from .tolerances import (
+    MAX_STEPS,
+    REPEATED_ROOT_TOL,
+    SERIES_SPREAD,
+    STEP_FIT_TOL,
+    STEP_GROWTH_TOL,
+    TERM_LIMIT,
+)
 
 
 def cross_matrix(h) -> np.ndarray:
@@ -29,7 +37,9 @@ def cross_matrix(h) -> np.ndarray:
 @dataclass(frozen=True)
 class Generator:
     """Constant Bloch-space generator G = Omega(h) - L: the field h and the
-    dissipation matrix ell kept apart for the spectrum, and G as matrix."""
+    dissipation matrix ell kept apart for the spectrum and the propagator,
+    and G as matrix. Both are computed once, on first use; the arrays are
+    read-only, so they cannot go stale."""
 
     h: np.ndarray
     ell: np.ndarray
@@ -39,6 +49,14 @@ class Generator:
         for name in ("h", "ell", "matrix"):
             object.__setattr__(self, name, _readonly(getattr(self, name)))
 
+    @cached_property
+    def _roots(self) -> tuple:
+        return _real_roots(self.h.tolist(), self.ell.tolist())
+
+    @cached_property
+    def _closed_form(self) -> "_ClosedForm":
+        return _ClosedForm(self)
+
 
 def build_generator(h, ell) -> Generator:
     """Assemble G = Omega(h) - L from a field (or Hamiltonian) and a
@@ -46,6 +64,128 @@ def build_generator(h, ell) -> Generator:
     ell = require_symmetric(ell, what="dissipation matrix")
     h = as_field_vector(h)
     return Generator(h=h, ell=ell, matrix=cross_matrix(h) - ell)
+
+
+def _unscaled(x: float, shift: int) -> float:
+    """x * 2**-shift, infinite where that overflows."""
+    try:
+        return math.ldexp(x, -shift)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
+class _ClosedForm:
+    """exp(t G) = C I + S E + K N for every t, from G's spectrum.
+
+    With h and L prescaled by 2**shift as in :func:`generator_spectrum`, G's
+    eigenvalues are lam and mu -/+ sqrt(disc), the pair the roots of
+    p(x) / (x - lam); E = G - mu I and N = E^2 - disc I are taken at that
+    scale and fixed, so each time costs three scalars and one product with
+    ``basis``, the stacked flat I, E, N.
+    Interpolating e^{xt} at the eigenvalues, with delta = lam - mu, gives
+    C = e^{mu t} c, S = e^{mu t} s and K = (e^{lam t} - C - delta S) /
+    (delta^2 - disc), where c = cosh(sqrt(disc) t) and s = sinh(sqrt(disc) t)
+    / sqrt(disc) are entire in disc (cos and sin for disc < 0, s = t at 0).
+    K is e^{mu t} times the second divided difference of e^{xt} at delta and
+    -/+ sqrt(disc). lam is the root farthest from the mean when all three are
+    real, so delta^2 - disc is at least a quarter of the squared spread of
+    the roots; the quotient loses digits only when the spread times t is
+    small, and for spread t <= SERIES_SPREAD K is summed as the power
+    series of that divided difference instead. Exponent arguments use the
+    unscaled eigenvalues, so neither an undamped field nor a long time
+    overflows a product the answer does not need.
+    """
+
+    def __init__(self, gen: Generator):
+        shift, h, ell, lam, mu = gen._roots
+        (x, y, z), ((a, b, c), (_, d, e), (_, _, f)) = h, ell
+        # The pair's roots are those of p(x) / (x - lam), so that the three
+        # interpolation nodes have the characteristic polynomial of G even
+        # where lam is known only to eps^(1/3), at a triple root.
+        disc = mu * mu - (a * d - b * b + a * f - c * c + d * f - e * e + _dot(h, h) + lam * (a + d + f + lam))
+        self.shift, self.disc, self.delta = shift, disc, lam - mu
+        self.denominator = self.delta * self.delta - disc
+        self.root = math.sqrt(abs(disc))
+        self.lam, self.mu, self.delta_t, self.root_t = (
+            _unscaled(v, shift) for v in (lam, mu, self.delta, self.root)
+        )
+        self.spread = max(abs(self.delta_t), self.root_t)
+        rows = [[-a - mu, -z - b, y - c], [z - b, -d - mu, -x - e], [-y - c, x - e, -f - mu]]  # E
+        square = [[_dot(row, col) - disc * (i == j) for j, col in enumerate(zip(*rows))]
+                  for i, row in enumerate(rows)]  # N
+        self.basis = np.array([[1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0],
+                               [v for row in rows for v in row], [v for row in square for v in row]])
+        self.sizes = np.abs(self.basis).max(axis=1).tolist()
+        self.curved = self.sizes[2] > 0.0  # N = 0: K does not matter, even where it overflows
+
+    def coefficients(self, t: float) -> tuple:
+        """(C, S, K) at a time t >= 0, NaN where exp(t G) is not finite."""
+        if t == math.inf:
+            return math.nan, math.nan, math.nan
+        try:
+            decay = math.exp(self.mu * t)
+            turn = self.root_t * t
+            if self.disc > 0.0:
+                top = math.exp((self.mu + self.root_t) * t)  # e^{mu t} cosh, sinh without overflow
+                c = 0.5 * top * (1.0 + math.exp(-2.0 * turn))
+                s = -0.5 * top * math.expm1(-2.0 * turn) / self.root
+            elif self.disc < 0.0 and decay:
+                c, s = decay * math.cos(turn), decay * math.sin(turn) / self.root
+            elif self.disc < 0.0:
+                c = s = 0.0  # the phase of a decayed mode is not needed
+            else:
+                c, s = decay, math.ldexp(decay * t, -self.shift)
+            return c, s, self._curvature(t, decay, c, s) if self.curved else 0.0
+        except (OverflowError, ValueError):
+            return math.nan, math.nan, math.nan
+
+    def _curvature(self, t: float, decay: float, c: float, s: float) -> float:
+        if not self.spread * t <= SERIES_SPREAD:
+            return (math.exp(self.lam * t) - c - self.delta * s) / self.denominator
+        # sum_j Q_j / (j + 2)! with Q_j = h_j(u, w, -w), u = delta t, w^2 = disc t^2:
+        # Q_j = u Q_{j-1} + v Q_{j-2} - u v Q_{j-3}, |Q_j| <= (j + 1) x^j.
+        u, w, x = self.delta_t * t, self.root_t * t, self.spread * t
+        v = math.copysign(w * w, self.disc)
+        q3, q2, q1 = 0.0, 0.0, 1.0
+        total = weight = factor = 0.5
+        j = 0
+        while total + weight != total:  # until the bound on the next term is below half an ulp
+            j += 1
+            q3, q2, q1 = q2, q1, u * q1 + v * q2 - u * v * q3
+            factor /= j + 2
+            total += q1 * factor
+            weight *= x / (j + 1)
+        scaled = math.ldexp(t, -self.shift)
+        return decay * scaled * scaled * total
+
+
+def _propagators(gen: Generator, times) -> np.ndarray:
+    """exp(t G) for each time t >= 0, stacked as an (n, 3, 3) array.
+
+    Raises NegativeTimeError for t < 0 or NaN and BadStepError when exp(t G)
+    is not finite: a growing mode at a large t, t = inf, or the phase of an
+    undamped mode beyond the double range. Every time shares G's one
+    :class:`_ClosedForm` and one product; no RuntimeWarning is printed.
+    """
+    form = gen._closed_form
+    rows = []
+    for t in times:
+        t = float(t)
+        if not t >= 0.0:
+            raise NegativeTimeError(f"time must be nonnegative, got {t!r}")
+        row = form.coefficients(t)
+        if not all(abs(x) * size < TERM_LIMIT for x, size in zip(row, form.sizes)):
+            raise BadStepError(f"exp(t G) is not finite at t = {t!r}")
+        rows.append(row)
+    return np.dot(rows, form.basis).reshape(-1, 3, 3)
+
+
+def evolve_expm(gen: Generator, r0, t: float) -> np.ndarray:
+    """Exact propagation r(t) = exp(t G) r0 of the linear Bloch equation.
+
+    Raises BadStepError when exp(t G) is not finite (see :func:`_propagators`).
+    """
+    return _propagators(gen, (t,))[0] @ np.asarray(r0, dtype=float)
 
 
 # The degree-12 Taylor polynomial of exp(b) in Paterson-Stockmeyer form:
@@ -63,6 +203,10 @@ def matrix_exponential(a) -> np.ndarray:
     The polynomial is evaluated by Paterson-Stockmeyer: the powers b^2, b^3
     and b^4, one product of TAYLOR_CHUNKS with the stacked I, b, b^2, b^3,
     and three Horner steps in b^4, so six matrix products in all.
+
+    The library's own propagators no longer call it: they use the closed
+    form of :class:`_ClosedForm`. It stays public for general real or
+    complex matrices, such as t times the 4x4 Liouvillian.
     """
     a = np.asarray(a, dtype=complex if np.iscomplexobj(a) else float)
     n = a.shape[0]
@@ -82,34 +226,6 @@ def matrix_exponential(a) -> np.ndarray:
     for _ in range(squarings):
         out = out.dot(out)
     return out
-
-
-def _propagator(generator, t: float) -> np.ndarray:
-    """exp(t G) for a generator matrix G and a time t >= 0.
-
-    Raises NegativeTimeError for t < 0 or NaN and BadStepError when t G or
-    exp(t G) is not finite, which happens when |G| t is so large that the
-    product or the squarings overflow; no RuntimeWarning is printed either way.
-    """
-    if not t >= 0.0:
-        raise NegativeTimeError(f"time must be nonnegative, got {t!r}")
-    with np.errstate(over="ignore", invalid="ignore"):  # caught as a non-finite entry
-        try:
-            prop = matrix_exponential(t * generator)
-        except ValueError:  # the norm of t G is not finite, as in _fixed_step_run
-            raise BadStepError(f"t {t!r} times the generator overflows") from None
-    if not np.isfinite(prop).all():
-        raise BadStepError(f"exp(t G) is not finite at t = {t!r}; |G| t is too large")
-    return prop
-
-
-def evolve_expm(gen: Generator, r0, t: float) -> np.ndarray:
-    """Exact propagation r(t) = exp(t G) r0 of the linear Bloch equation.
-
-    Raises BadStepError when t G or exp(t G) is not finite (see
-    :func:`_propagator`).
-    """
-    return _propagator(gen.matrix, t) @ np.asarray(r0, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -149,7 +265,7 @@ def _step_count(t_max: float, dt: float) -> int:
     if not np.isfinite(t_max) or t_max <= 0.0:
         raise BadStepError(f"t_max must be finite and positive, got {t_max!r}")
     if not np.isfinite(dt) or dt <= 0.0:
-        raise BadStepError(f"dt must be positive, got {dt!r}")
+        raise BadStepError(f"dt must be finite and positive, got {dt!r}")
     ratio = t_max / dt
     if not ratio <= MAX_STEPS:
         raise BadStepError(f"t_max / dt = {ratio:.3g} steps exceeds the cap of {MAX_STEPS}")
@@ -208,25 +324,27 @@ def propagate(step, v0, steps: int) -> np.ndarray:
 def _fixed_step_run(generator, v0, t_max: float, dt: float, method: str) -> tuple:
     """(times, rows) of v0 stepped by rk4_step(dt G) or exp(dt G) up to t_max.
 
+    generator is a Generator, or for method "rk4" any square generator matrix.
     BadStepError refuses, before anything is propagated, a t_max that is not
     a whole number of at most MAX_STEPS dt steps; its StepSizeError subclass
-    refuses an overflowing dt G and a step that is not finite or grows
-    states: the exact flow of a CP generator never grows, so a spectral
-    radius above 1 + STEP_GROWTH_TOL could only produce garbage.
+    refuses an overflowing dt G and a step that is not finite or
+    grows states: the exact flow of a CP generator never grows, so a
+    spectral radius above 1 + STEP_GROWTH_TOL could only produce garbage.
     """
     if method not in ("rk4", "expm"):
         raise ValueError(f"method must be 'rk4' or 'expm', got {method!r}")
     steps = _step_count(t_max, dt)
+    matrix = generator.matrix if isinstance(generator, Generator) else generator
     with np.errstate(over="ignore", invalid="ignore"):  # caught as overflow or inf growth
-        a = dt * generator
-        # The norm matrix_exponential scales by; Python floats overflow silently.
+        a = dt * matrix
+        # The row-sum norm of dt G; Python floats overflow silently.
         if not math.isfinite(max(map(sum, np.abs(a).tolist()))):
             raise StepSizeError(f"dt {dt!r} times the generator overflows")
-        step = rk4_step(a) if method == "rk4" else matrix_exponential(a)
-    try:
-        growth = max(map(abs, np.linalg.eigvals(step).tolist()))
-    except np.linalg.LinAlgError:  # eigvals refuses a step with a non-finite entry
-        growth = math.inf
+        try:
+            step = rk4_step(a) if method == "rk4" else _propagators(generator, (dt,))[0]
+            growth = max(map(abs, np.linalg.eigvals(step).tolist()))
+        except (BadStepError, np.linalg.LinAlgError):  # a step that is not finite
+            growth = math.inf
     if not growth <= 1.0 + STEP_GROWTH_TOL:
         raise StepSizeError(
             f"dt {dt!r} fails the step stability check (one {method} step "
@@ -239,7 +357,7 @@ def _fixed_step_run(generator, v0, t_max: float, dt: float, method: str) -> tupl
 def evolve_bloch(gen: Generator, r0, t_max: float, dt: float, method: str) -> Trajectory:
     """Fixed-step integration of the Bloch equation, by rk4_step(dt G) for
     method "rk4" or exp(dt G) for "expm" (see :func:`_fixed_step_run`)."""
-    times, states = _fixed_step_run(gen.matrix, r0, t_max, dt, method)
+    times, states = _fixed_step_run(gen, r0, t_max, dt, method)
     return Trajectory(times=times, states=states, entropies=bloch_entropies(states))
 
 
@@ -313,21 +431,14 @@ def _pair_discriminant(lam: float, h: list, ell: list) -> tuple:
     return spread - _dot(h, v) ** 2, spread + _dot(h, v) ** 2
 
 
-def generator_spectrum(gen: Generator) -> np.ndarray:
-    """The three eigenvalues of G = Omega(h) - L, from h and L kept apart.
-
-    They are the roots of p(x) = det(xI + L) + x|h|^2 + h^T L h, for h and L
-    prescaled by one power of two. Every real part lies in the spectrum of
-    -L, so Newton bracketed in (-rho, rho), rho twice L's largest absolute
-    row sum, finds a real root lam; if all three are real, again from the
-    one farthest from their mean -tr L / 3. The other two, of sum -tr L - lam,
-    split by :func:`_pair_discriminant`; |disc| within REPEATED_ROOT_TOL of
-    its size is a double root.
-    """
-    hl, ll = gen.h.tolist(), gen.ell.tolist()
-    shift = -math.frexp(max(map(abs, hl + ll[0] + ll[1] + ll[2])))[1]
-    h = [math.ldexp(x, shift) for x in hl]  # h and L now peak in [1/2, 1), so |h|^2 < 3
-    ell = [[math.ldexp(x, shift) for x in row] for row in ll]
+def _real_roots(h: list, ell: list) -> tuple:
+    """(shift, h, ell, lam, mu) for G = Omega(h) - L: h and L prescaled by
+    2**shift as lists, G's real eigenvalue lam (the one farthest from the
+    mean when all three are real) and the mean mu of the other two, at that
+    scale (see :func:`generator_spectrum`)."""
+    shift = -math.frexp(max(map(abs, h + ell[0] + ell[1] + ell[2])))[1]
+    h = [math.ldexp(x, shift) for x in h]  # h and L now peak in [1/2, 1), so |h|^2 < 3
+    ell = [[math.ldexp(x, shift) for x in row] for row in ell]
     (a, b, c), (_, d, e), (_, _, f) = ell
     trace, hh, hlh = a + d + f, _dot(h, h), _dot(h, [_dot(r, h) for r in ell])
     rho = 2.0 * max(abs(a) + abs(b) + abs(c), abs(b) + abs(d) + abs(e), abs(c) + abs(e) + abs(f))
@@ -357,6 +468,21 @@ def generator_spectrum(gen: Generator) -> np.ndarray:
         half = math.sqrt(-w2)
         lam = real_root(max((lam, mu - half, mu + half), key=lambda x: abs(x + trace / 3.0)))
         mu = -0.5 * (trace + lam)
+    return shift, h, ell, lam, mu
+
+
+def generator_spectrum(gen: Generator) -> np.ndarray:
+    """The three eigenvalues of G = Omega(h) - L, from h and L kept apart.
+
+    They are the roots of p(x) = det(xI + L) + x|h|^2 + h^T L h, for h and L
+    prescaled by one power of two. Every real part lies in the spectrum of
+    -L, so Newton bracketed in (-rho, rho), rho twice L's largest absolute
+    row sum, finds a real root lam; if all three are real, again from the
+    one farthest from their mean -tr L / 3. The other two, of sum -tr L - lam,
+    split by :func:`_pair_discriminant`; |disc| within REPEATED_ROOT_TOL of
+    its size is a double root. The Generator keeps lam and mu.
+    """
+    shift, h, ell, lam, mu = gen._roots
     disc, size = _pair_discriminant(lam, h, ell)
     half = math.sqrt(abs(disc)) if abs(disc) > REPEATED_ROOT_TOL * size else 0.0
     pair = (mu - half, mu + half) if disc >= 0.0 else (complex(mu, half), complex(mu, -half))

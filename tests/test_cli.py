@@ -373,10 +373,9 @@ def test_evolve_csv_matches_per_row_reference(method, capsys, tmp_path):
         dissipation_matrix,
         entropy_from_bloch,
         evolve_rk4,
-        matrix_exponential,
     )
     from lindblad2.cli import _fmt
-    from lindblad2.dynamics import propagate
+    from lindblad2.dynamics import _propagators, propagate
 
     rng = np.random.default_rng(211)
     for case in range(6):
@@ -397,7 +396,7 @@ def test_evolve_csv_matches_per_row_reference(method, capsys, tmp_path):
         if method == "rk4":
             states = evolve_rk4(gen, r0, dt * steps, dt).states
         else:
-            states = propagate(matrix_exponential(dt * gen.matrix), r0, steps)
+            states = propagate(_propagators(gen, (dt,))[0], r0, steps)
         expected = ["t,rx,ry,rz,entropy,dist_to_limit"]
         for k, r in enumerate(states):
             values = [dt * k, *r, entropy_from_bloch(r), np.linalg.norm(r - limit)]
@@ -430,22 +429,47 @@ def test_evolve_rk4_outside_stability_region_exits_two(capsys, tmp_path, monkeyp
 
 
 def test_evolve_expm_non_finite_step_exits_two(capsys, tmp_path):
-    # dt |h| = 1e20: the squarings of matrix_exponential overflow, and the
-    # step is NaN. The step guard that rejects a growing RK4 step rejects
-    # it too, before any row is written; warnings are errors here.
+    # dt |h| = 1e20 overflowed the squarings of a scaling-and-squaring
+    # exp(dt G) into a NaN step. The closed-form step is exact: L =
+    # diag(0, 1/2, 1/2), so z decays at rate 1/2 and, up to O(1e-20), the
+    # transverse length at the mean rate 1/4. Warnings are errors here.
     path = _write_model(
         tmp_path / "field.json",
         {"form": "B", "terms": [{"rate": 1.0, "axis": [1.0, 0.0, 0.0]}]},
         h=(0.0, 0.0, 1e20),
     )
     out = tmp_path / "o.csv"
-    argv = ["--model", path, "evolve", "--method", "expm", "--t-max", "3", "--dt", "1",
-            "--out", str(out)]
-    code, stdout, err = run_cli(argv, capsys)
+    argv = ["--model", path, "evolve", "--method", "expm", "--t-max", "3", "--out", str(out)]
+    code, stdout, err = run_cli([*argv, "--dt", "1"], capsys)
+    assert (code, stdout, err) == (0, "", "")
+    t, rx, ry, rz = np.loadtxt(out, delimiter=",", skiprows=1)[-1, :4]
+    assert t == 3.0 and abs(rz - 0.4 * np.exp(-1.5)) < 1e-16
+    assert abs(np.hypot(rx, ry) - np.hypot(0.3, -0.2) * np.exp(-0.75)) < 1e-15
+    # A step that is not finite, dt = inf, still exits 2 with one line.
+    out.unlink()
+    code, stdout, err = run_cli([*argv, "--dt", "inf"], capsys)
     assert code == 2 and stdout == ""
-    assert err.count("\n") == 1
-    assert "stability" in err and "expm" in err and "--dt" in err
+    assert err.count("\n") == 1 and "dt must be finite" in err
     assert not out.exists()
+
+
+def test_evolve_expm_keeps_the_damping_under_a_huge_field(capsys, tmp_path):
+    # |h| = 1e300 along z and one term of rate 1 on x: L = diag(0, 1/2, 1/2),
+    # so z decays at rate 1/2 whatever the field. Scaling dt G down for the
+    # rotation used to drop the damping below rounding, and rz stayed 0.1.
+    path = _write_model(
+        tmp_path / "field.json",
+        {"form": "B", "terms": [{"rate": 1.0, "axis": [1.0, 0.0, 0.0]}]},
+        h=(0.0, 0.0, 1e300),
+        bloch=(0.5, 0.0, 0.1),
+    )
+    out = tmp_path / "o.csv"
+    for t_max, dt, rz in (("1e10", "1e8", 0.0), ("40", "1", 0.1 * np.exp(-20.0))):
+        argv = ["--model", path, "evolve", "--method", "expm", "--t-max", t_max, "--dt", dt,
+                "--out", str(out)]
+        assert run_cli(argv, capsys) == (0, "", "")
+        final = np.loadtxt(out, delimiter=",", skiprows=1)[-1]
+        assert final[0] == float(t_max) and abs(final[3] - rz) <= 1e-13
 
 
 def test_evolve_step_cap_exits_two(capsys, tmp_path):

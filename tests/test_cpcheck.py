@@ -226,18 +226,26 @@ def test_choi_rejects_negative_time():
 
 
 def test_choi_check_refuses_overflowing_propagator():
-    # |h| t = 1e20 overflows the squarings of exp(t G), as in
-    # evolve_expm; RuntimeWarnings are errors under pytest, so this also
-    # checks that none is printed.
+    # |h| t = 1e20 overflowed the squarings of a scaling-and-squaring
+    # exp(t G). Up to O(1e-20), the exact T is a rotation about z times
+    # diag(e^-1/2, e^-1/2, e^-1), and the Choi spectrum does not see the
+    # rotation: the minimum is (1 + e^-1 - 2 e^-1/2) / 2. RuntimeWarnings
+    # are errors under pytest, so this also checks that none is printed.
+    minimum = choi_check([0, 0, 1e20], np.diag([0.0, 1.0, 1.0]), [1.0])[0]
+    assert abs(minimum - 0.5 * (1.0 + np.exp(-1.0) - 2.0 * np.exp(-0.5))) < 1e-15
+    # A growing NotCP mode, e^1000, does overflow: one line, no warning.
     with pytest.raises(BadStepError, match="not finite") as info:
-        choi_check([0, 0, 1e20], np.diag([0.0, 1.0, 1.0]), [1.0])
+        choi_check([0, 0, 1e20], np.diag([0.0, 1.0, -1.0]), [1.0, 1000.0])
     assert "\n" not in str(info.value)
 
 
 def test_choi_check_refuses_overflowing_product():
-    # t G has finite entries but an overflowing norm.
-    with pytest.raises(BadStepError, match="overflows") as info:
-        choi_check([0, 0, 1], np.diag([0.0, 1.0, 1.0]), [1.7e308])
+    # t G has finite entries but an overflowing norm; every mode has decayed,
+    # T = 0, and the Choi matrix is I / 2.
+    assert np.array_equal(choi_check([0, 0, 1], np.diag([0.0, 1.0, 1.0]), [1.7e308]), [0.5])
+    # t = inf has no propagator.
+    with pytest.raises(BadStepError, match="not finite") as info:
+        choi_check([0, 0, 1], np.diag([0.0, 1.0, 1.0]), [1.0, np.inf])
     assert "\n" not in str(info.value)
 
 

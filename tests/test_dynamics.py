@@ -22,7 +22,7 @@ from lindblad2 import (
     matrix_exponential,
 )
 from lindblad2.asymptotics import spectral_gap
-from lindblad2.dynamics import Trajectory, cross_matrix, propagate, rk4_step
+from lindblad2.dynamics import Trajectory, _propagators, cross_matrix, propagate, rk4_step
 from lindblad2.errors import BadStepError, LindbladError, NegativeTimeError
 
 DEPHASING = np.diag([0.5, 0.5, 0.0])
@@ -132,20 +132,29 @@ def test_evolve_expm_rejects_negative_time():
 
 
 def test_evolve_expm_refuses_overflowing_propagator():
-    # |h| t = 1e20 overflows the squarings of exp(t G); RuntimeWarnings are
-    # errors under pytest, so this also checks that none is printed.
+    # |h| t = 1e20 overflowed the squarings of a scaling-and-squaring exp(t G);
+    # the closed form gives the exact state: the field along z keeps x and y
+    # at 0, and z decays at L_zz = 1. RuntimeWarnings are errors under
+    # pytest, so this also checks that none is printed.
     gen = build_generator([0, 0, 1e20], np.diag([0.0, 1.0, 1.0]))
+    r = evolve_expm(gen, [0, 0, 0.5], 1.0)
+    assert r[0] == r[1] == 0.0 and abs(r[2] - 0.5 / np.e) <= 1e-16
+    # A growing NotCP mode, e^1000, does overflow: one line, no warning.
+    growing = build_generator([0, 0, 1e20], np.diag([0.0, 1.0, -1.0]))
     with pytest.raises(BadStepError, match="not finite") as info:
-        evolve_expm(gen, [0, 0, 0.5], 1.0)
+        evolve_expm(growing, [0, 0, 0.5], 1000.0)
     assert "\n" not in str(info.value)
 
 
 def test_evolve_expm_refuses_overflowing_product():
     # Every entry of t G is finite at t = 1.7e308, but its norm, a row sum
-    # of 2 t, is not.
+    # of 2 t, is not; the closed form never forms t G, and every mode has
+    # decayed to exactly 0.
     gen = build_generator([0, 0, 1], np.diag([0.0, 1.0, 1.0]))
-    with pytest.raises(BadStepError, match="overflows") as info:
-        evolve_expm(gen, [0, 0, 0.5], 1.7e308)
+    assert np.array_equal(evolve_expm(gen, [0, 0, 0.5], 1.7e308), [0.0, 0.0, 0.0])
+    # t = inf has no propagator.
+    with pytest.raises(BadStepError, match="not finite") as info:
+        evolve_expm(gen, [0, 0, 0.5], np.inf)
     assert "\n" not in str(info.value)
 
 
@@ -468,7 +477,7 @@ def test_evolve_bloch_methods():
         gen = build_generator(rng.normal(size=3), random_cp_matrix(rng, int(rng.integers(1, 4))))
         r0 = rng.uniform(-0.5, 0.5, size=3)
         traj = evolve_bloch(gen, r0, dt * steps, dt, "expm")
-        assert np.array_equal(traj.states, propagate(matrix_exponential(dt * gen.matrix), r0, steps))
+        assert np.array_equal(traj.states, propagate(_propagators(gen, (dt,))[0], r0, steps))
         assert np.array_equal(traj.times, dt * np.arange(steps + 1))
     with pytest.raises(ValueError, match="method"):
         evolve_bloch(FIELD_Z, [0.0, 0.0, 0.5], 1.0, 0.1, "euler")

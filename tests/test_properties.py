@@ -3,7 +3,11 @@ Gram matrix M, whatever the units of the rates; a Gram matrix at the edge
 of the CP slack gets a consistent verdict and certificate at every scale;
 the CP gate gives the bits of the separate public routes at every scale;
 without dissipation the Bloch vector precesses rigidly about h; the
-generator spectrum holds its real parts to the scale of L whatever |h| is."""
+generator spectrum holds its real parts to the scale of L whatever |h| is;
+the closed-form propagator holds the phase-free parts of the state to
+1e-13 whatever |h| is, and at triple roots and exceptional points; along
+an expm trajectory of a CP model |r| never rises and the entropy never
+falls."""
 
 import json
 import tempfile
@@ -18,6 +22,7 @@ from hypothesis import strategies as st
 from lindblad2 import (
     FormB,
     build_generator,
+    evolve_expm,
     check_gram_psd,
     classify,
     cpcheck,
@@ -228,3 +233,118 @@ def test_spectrum_with_h_and_l_apart(case):
         fb, _ = form_b_from_dissipation(ell)
         if classify(h, fb).kind == MAXIMALLY_MIXED:
             assert spectral_gap(gen) > 0.0
+
+
+@st.composite
+def special_generators(draw):
+    """(0, h, L) at a point where eigenvalues meet: the triple root of an
+    isotropic L with h = 0, a triple root split by about 1e-7, a triple root
+    with one 3x3 Jordan block (L = diag(g - 1, g + 1, g) for g >= 2 and
+    h = (1, 1, 0) / sqrt 2, CP) and its split by 1e-7, the rotated
+    exceptional point (one axis n at rate lam, h perpendicular to n with
+    |h| = lam / 4), and G = 0."""
+    kind = draw(st.sampled_from(["triple", "near-triple", "jordan", "exceptional", "zero"]))
+    gamma = draw(st.floats(0.1, 2.0))
+    v = np.array([draw(st.floats(-1.0, 1.0)) for _ in range(3)])
+    assume(np.linalg.norm(v) >= 0.1)
+    v /= np.linalg.norm(v)
+    if kind == "triple":
+        return 0, np.zeros(3), gamma * np.eye(3)
+    if kind == "near-triple":
+        split = np.outer(v, v) - np.diag(v[::-1] ** 2)
+        return 0, 1e-7 * gamma * v[::-1], gamma * (np.eye(3) + 1e-7 * (split + split.T))
+    if kind == "jordan":
+        g, split = draw(st.floats(2.0, 4.0)), draw(st.sampled_from([0.0, 1e-7]))
+        h = gamma * np.array([2**-0.5, 2**-0.5, split])
+        return 0, h, gamma * np.diag([g - 1.0, g + 1.0, g + split])
+    if kind == "exceptional":
+        p = np.cross(v, [1.0, 0.0, 0.0] if abs(v[0]) < 0.9 else [0.0, 1.0, 0.0])
+        h = 0.25 * gamma * p / np.linalg.norm(p)
+        return 0, h, dissipation_matrix(FormB(terms=[(gamma, v)]))
+    return 0, np.zeros(3), np.zeros((3, 3))
+
+
+@st.composite
+def propagator_cases(draw):
+    """(h, L, t, r0): a drawn or special generator, a time of up to three
+    decay times 1 / max|L_ij| (up to 3 for G = 0), and 0.2 <= |r0| <= 1."""
+    _, h, ell = draw(st.one_of(fields_and_dissipators(), special_generators()))
+    peak = float(np.max(np.abs(ell)))
+    t = draw(st.floats(0.0, 3.0)) / (peak if peak > 0.0 else 1.0)
+    r0 = np.array([draw(st.floats(-1.0, 1.0)) for _ in range(3)])
+    assume(np.linalg.norm(r0) >= 0.2)
+    return h, ell, t, r0 / max(1.0, float(np.linalg.norm(r0)))
+
+
+def reference_state(h, ell, t, r0):
+    """exp(t G) r0 for G = Omega(h) - L from h and L apart, in log10(|h| t)
+    + 40 digits, so that the angle |h| t keeps 40 digits."""
+    turn = float(np.linalg.norm(h)) * t
+    with mpmath.workdps(40 + max(0, int(np.log10(turn)) if turn > 0.0 else 0)):
+        omega = mpmath.matrix([[0, -h[2], h[1]], [h[2], 0, -h[0]], [-h[1], h[0], 0]])
+        g = omega - mpmath.matrix(ell.tolist())
+        return mpmath.expm(g * mpmath.mpf(t)) * mpmath.matrix(r0.tolist())
+
+
+def phase_free(h, r):
+    """(the component of r along h, |r perpendicular to h|), or r for h = 0."""
+    norm = mpmath.sqrt(sum(mpmath.mpf(x) ** 2 for x in h))
+    if norm == 0:
+        return [float(x) for x in r]
+    along = sum(mpmath.mpf(x) * y for x, y in zip(h, r)) / norm
+    return [float(along), float(mpmath.sqrt(max(sum(y * y for y in r) - along * along, 0)))]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(propagator_cases())
+def test_propagator_with_h_and_l_apart(case):
+    # The phase-free parts do not depend on the angle |h| t, which no double
+    # knows better than eps |h| t; the full vector may err by that much.
+    h, ell, t, r0 = case
+    r = evolve_expm(build_generator(h, ell), r0, t)
+    exact = reference_state(h, ell, t, r0)
+    # A NotCP L may grow the state; the bounds are relative to that growth.
+    size = max(1.0, float(mpmath.norm(exact)) / float(np.linalg.norm(r0)))
+    unit = float(np.linalg.norm(r0)) * size
+    got, want = phase_free(h, mpmath.matrix(r.tolist())), phase_free(h, exact)
+    assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-13 * unit
+    eps = np.finfo(float).eps
+    full = max(abs(float(exact[i]) - r[i]) for i in range(3))
+    assert full <= (1e-13 + 4.0 * eps * float(np.linalg.norm(h)) * t) * size
+    if is_completely_positive(ell)[0].cp:
+        assert np.linalg.norm(r) <= np.linalg.norm(r0) + 1e-14
+
+
+@st.composite
+def cp_models(draw):
+    """A model file's dict: a field with |h_a| <= 3, zero to three Form B
+    terms of rate 0.1 to 2 on drawn axes, and a Bloch vector in the ball."""
+    h = [draw(st.floats(-3.0, 3.0)) for _ in range(3)]
+    terms = []
+    for _ in range(draw(st.integers(0, 3))):
+        axis = np.array([draw(st.floats(-1.0, 1.0)) for _ in range(3)])
+        assume(np.linalg.norm(axis) >= 0.1)
+        terms.append({"rate": draw(st.floats(0.1, 2.0)), "axis": (axis / np.linalg.norm(axis)).tolist()})
+    r0 = np.array([draw(st.floats(-1.0, 1.0)) for _ in range(3)])
+    return {
+        "hamiltonian": {"h": h},
+        "dissipator": {"form": "B", "terms": terms},
+        "initial": {"bloch": (r0 / max(1.0, float(np.linalg.norm(r0)))).tolist()},
+    }
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=50)
+@given(cp_models(), st.sampled_from([0.01, 0.1, 0.5]))
+def test_expm_trajectory_never_grows_or_loses_entropy(spec, dt):
+    # d|r|^2/dt = -2 r^T L r <= 0, and a unital CP flow never lowers the
+    # entropy: both hold for every step of the exact exp(dt G).
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "model.json", Path(tmp) / "traj.csv"
+        path.write_text(json.dumps(spec))
+        argv = ["--model", str(path), "evolve", "--t-max", repr(200 * dt), "--dt", repr(dt),
+                "--method", "expm", "--out", str(out)]
+        assert main(argv) == 0
+        table = np.loadtxt(out, delimiter=",", skiprows=1)
+    length = np.sqrt(np.sum(table[:, 1:4] ** 2, axis=1))
+    assert np.max(np.diff(length)) <= 1e-13
+    assert np.min(np.diff(table[:, 4])) >= -1e-13

@@ -17,6 +17,10 @@ Each record is a kind ("model", "scale" or "trajectory") and a dict of
 named output fields. ``compare`` prints the record counts and how many
 records differ, then the number of differing records per kind and per
 kind.field (for example ``model.choi 3200``), and exits 1 if any differs.
+For each differing field it also prints the worst absolute change of a
+number and the worst change relative to max(|value|, 1), over every
+record: float arrays and floats are decoded, and CSV bytes are parsed as
+numbers.
 """
 
 import pickle
@@ -96,18 +100,49 @@ def dump(checkout: Path, out: Path) -> None:
     print(", ".join(f"{n} {kind} records" for kind, n in counts.items()))
 
 
+def numbers(x) -> list:
+    """The floats in an encoded field, in order: float arrays, floats and
+    the cells of CSV bytes after the header; an error or a non-float array
+    has none."""
+    import numpy as np
+
+    if isinstance(x, bytes):
+        return [float(v) for line in x.decode().splitlines()[1:] for v in line.split(",")]
+    if isinstance(x, tuple) and x[:1] == ("arr",) and np.dtype(x[1]).kind in "fc":
+        return np.frombuffer(x[3], dtype=x[1]).view(float).tolist()
+    if isinstance(x, tuple) and x[:1] == ("f",):
+        return [float.fromhex(x[1])]
+    if isinstance(x, tuple):
+        return [v for item in x for v in numbers(item)]
+    return []
+
+
 def compare(a: Path, b: Path) -> int:
     with open(a, "rb") as fa, open(b, "rb") as fb:
         left, right = pickle.load(fa), pickle.load(fb)
     kinds, names = Counter(), Counter()
+    worst = {}  # kind.field -> [absolute, relative]
     for (kind, x), (_, y) in zip(left, right):
         if x != y:
             kinds[kind] += 1
-            names.update(f"{kind}.{name}" for name in x.keys() | y.keys() if x.get(name) != y.get(name))
+            for name in x.keys() | y.keys():
+                if x.get(name) == y.get(name):
+                    continue
+                key = f"{kind}.{name}"
+                names[key] += 1
+                size = worst.setdefault(key, [0.0, 0.0])
+                old, new = numbers(x.get(name)), numbers(y.get(name))
+                if len(old) != len(new):
+                    size[:] = [float("inf")] * 2
+                for p, q in zip(old, new):
+                    change = abs(p - q) if p != q else 0.0
+                    size[0] = max(size[0], change)
+                    size[1] = max(size[1], change / max(abs(p), 1.0))
     differ = sum(kinds.values()) + abs(len(left) - len(right))
     print(f"{len(left)} and {len(right)} records, {differ} differ")
     for name, n in sorted((kinds + names).items()):
-        print(f"{name} {n}")
+        sizes = f" worst {worst[name][0]:.3g} absolute, {worst[name][1]:.3g} relative" if name in worst else ""
+        print(f"{name} {n}{sizes}")
     return 1 if differ else 0
 
 
