@@ -111,11 +111,11 @@ class _ClosedForm:
         )
         self.spread = max(abs(self.delta_t), self.root_t)
         rows = [[-a - mu, -z - b, y - c], [z - b, -d - mu, -x - e], [-y - c, x - e, -f - mu]]  # E
-        square = [[_dot(row, col) - disc * (i == j) for j, col in enumerate(zip(*rows))]
-                  for i, row in enumerate(rows)]  # N
-        self.basis = np.array([[1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0],
-                               [v for row in rows for v in row], [v for row in square for v in row]])
-        self.sizes = np.abs(self.basis).max(axis=1).tolist()
+        cols = list(zip(*rows))
+        flat = [v for row in rows for v in row]
+        square = [_dot(row, col) - disc * (i == j) for i, row in enumerate(rows) for j, col in enumerate(cols)]  # N
+        self.basis = np.array([[1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0], flat, square])
+        self.sizes = [1.0, max(map(abs, flat)), max(map(abs, square))]  # largest |entry| of I, E, N
         self.curved = self.sizes[2] > 0.0  # N = 0: K does not matter, even where it overflows
 
     def coefficients(self, t: float) -> tuple:
