@@ -56,7 +56,6 @@ from .dynamics import (
     evolve_rk4,
     generator_spectrum,
     liouvillian,
-    matrix_exponential,
 )
 from .asymptotics import (
     AsymptoteReport,

@@ -63,7 +63,8 @@ def build_generator(h, ell) -> Generator:
     symmetric dissipation matrix."""
     ell = require_symmetric(ell, what="dissipation matrix")
     h = as_field_vector(h)
-    return Generator(h=h, ell=ell, matrix=cross_matrix(h) - ell)
+    with np.errstate(over="ignore"):  # an infinite G is refused where a step needs it
+        return Generator(h=h, ell=ell, matrix=cross_matrix(h) - ell)
 
 
 def _unscaled(x: float, shift: int) -> float:
@@ -78,10 +79,12 @@ class _ClosedForm:
     """exp(t G) = C I + S E + K N for every t, from G's spectrum.
 
     With h and L prescaled by 2**shift as in :func:`generator_spectrum`, G's
-    eigenvalues are lam and mu -/+ sqrt(disc), the pair the roots of
-    p(x) / (x - lam); E = G - mu I and N = E^2 - disc I are taken at that
-    scale and fixed, so each time costs three scalars and one product with
-    ``basis``, the stacked flat I, E, N.
+    eigenvalues are lam and mu -/+ sqrt(disc) from :func:`_real_roots`, the
+    pair the roots of p(x) / (x - lam), so the three have G's characteristic
+    polynomial even where lam is known only to eps^(1/3), at a triple root.
+    E = G - mu I and N = E^2 - disc I are taken at that scale and fixed, so
+    each time costs three scalars and one product with ``basis``, the
+    stacked flat I, E, N.
     Interpolating e^{xt} at the eigenvalues, with delta = lam - mu, gives
     C = e^{mu t} c, S = e^{mu t} s and K = (e^{lam t} - C - delta S) /
     (delta^2 - disc), where c = cosh(sqrt(disc) t) and s = sinh(sqrt(disc) t)
@@ -97,12 +100,8 @@ class _ClosedForm:
     """
 
     def __init__(self, gen: Generator):
-        shift, h, ell, lam, mu = gen._roots
+        shift, h, ell, lam, mu, disc = gen._roots
         (x, y, z), ((a, b, c), (_, d, e), (_, _, f)) = h, ell
-        # The pair's roots are those of p(x) / (x - lam), so that the three
-        # interpolation nodes have the characteristic polynomial of G even
-        # where lam is known only to eps^(1/3), at a triple root.
-        disc = mu * mu - (a * d - b * b + a * f - c * c + d * f - e * e + _dot(h, h) + lam * (a + d + f + lam))
         self.shift, self.disc, self.delta = shift, disc, lam - mu
         self.denominator = self.delta * self.delta - disc
         self.root = math.sqrt(abs(disc))
@@ -122,9 +121,12 @@ class _ClosedForm:
         """(C, S, K) at a time t >= 0, NaN where exp(t G) is not finite."""
         if t == math.inf:
             return math.nan, math.nan, math.nan
+        if t == 0.0:
+            return 1.0, 0.0, 0.0  # exp(0 G) = I, even where G's rates overflow
         try:
             decay = math.exp(self.mu * t)
-            turn = self.root_t * t
+            # An infinite rate times a small t can still be a finite phase.
+            turn = self.root_t * t if self.root_t < math.inf else _unscaled(self.root * t, self.shift)
             if self.disc > 0.0:
                 top = math.exp((self.mu + self.root_t) * t)  # e^{mu t} cosh, sinh without overflow
                 c = 0.5 * top * (1.0 + math.exp(-2.0 * turn))
@@ -186,46 +188,6 @@ def evolve_expm(gen: Generator, r0, t: float) -> np.ndarray:
     Raises BadStepError when exp(t G) is not finite (see :func:`_propagators`).
     """
     return _propagators(gen, (t,))[0] @ np.asarray(r0, dtype=float)
-
-
-# The degree-12 Taylor polynomial of exp(b) in Paterson-Stockmeyer form:
-# row i holds 1/k! for k = 4i .. 4i+3, so that with b4 = b^4
-# exp(b) ~ C0 + b4 (C1 + b4 (C2 + b4 / 12!)), C_i = sum_j TAYLOR_CHUNKS[i, j] b^j.
-TAYLOR_CHUNKS = np.array([[1.0 / math.factorial(4 * i + j) for j in range(4)] for i in range(3)])
-TAYLOR_LAST = 1.0 / math.factorial(12)
-
-
-def matrix_exponential(a) -> np.ndarray:
-    """exp(a) for a small dense matrix by scaling and squaring.
-
-    The scaled matrix b is pushed below norm 1/2 and exponentiated with a
-    Taylor polynomial of degree 12, giving ~1e-14 accuracy at this size.
-    The polynomial is evaluated by Paterson-Stockmeyer: the powers b^2, b^3
-    and b^4, one product of TAYLOR_CHUNKS with the stacked I, b, b^2, b^3,
-    and three Horner steps in b^4, so six matrix products in all.
-
-    The library's own propagators no longer call it: they use the closed
-    form of :class:`_ClosedForm`. It stays public for general real or
-    complex matrices, such as t times the 4x4 Liouvillian.
-    """
-    a = np.asarray(a, dtype=complex if np.iscomplexobj(a) else float)
-    n = a.shape[0]
-    norm = float(np.abs(a).sum(axis=1).max())
-    if not np.isfinite(norm):
-        raise ValueError("matrix entries must be finite")
-    # The fewest squarings s with norm / 2^s < 1/2; the scaling is exact.
-    squarings = math.frexp(norm)[1] + 1 if norm >= 0.5 else 0
-    powers = np.empty((4, n, n), dtype=a.dtype)
-    powers[0] = np.eye(n)
-    b = powers[1] = a * math.ldexp(1.0, -squarings)
-    b2 = powers[2] = b.dot(b)
-    powers[3] = b2.dot(b)
-    b4 = b2.dot(b2)
-    c0, c1, c2 = TAYLOR_CHUNKS.dot(powers.reshape(4, n * n)).reshape(3, n, n)
-    out = c0 + b4.dot(c1 + b4.dot(c2 + b4 * TAYLOR_LAST))
-    for _ in range(squarings):
-        out = out.dot(out)
-    return out
 
 
 @dataclass(frozen=True)
@@ -432,10 +394,10 @@ def _pair_discriminant(lam: float, h: list, ell: list) -> tuple:
 
 
 def _real_roots(h: list, ell: list) -> tuple:
-    """(shift, h, ell, lam, mu) for G = Omega(h) - L: h and L prescaled by
-    2**shift as lists, G's real eigenvalue lam (the one farthest from the
-    mean when all three are real) and the mean mu of the other two, at that
-    scale (see :func:`generator_spectrum`)."""
+    """(shift, h, ell, lam, mu, disc) for G = Omega(h) - L: h and L prescaled
+    by 2**shift as lists, G's real eigenvalue lam (the one farthest from the
+    mean when all three are real), and the other two as mu -/+ sqrt(disc),
+    the roots of p(x) / (x - lam), at that scale (see :func:`generator_spectrum`)."""
     shift = -math.frexp(max(map(abs, h + ell[0] + ell[1] + ell[2])))[1]
     h = [math.ldexp(x, shift) for x in h]  # h and L now peak in [1/2, 1), so |h|^2 < 3
     ell = [[math.ldexp(x, shift) for x in row] for row in ell]
@@ -461,14 +423,17 @@ def _real_roots(h: list, ell: list) -> tuple:
                 return step
             x = step
 
+    def pair(lam: float) -> tuple:
+        mu = -0.5 * (trace + lam)  # p(x) / (x - lam) = (x - mu)^2 - disc
+        return mu, mu * mu - (a * d - b * b + a * f - c * c + d * f - e * e + hh + lam * (trace + lam))
+
     lam = real_root(0.0)
-    mu = -0.5 * (trace + lam)  # p(x) / (x - lam) = (x - mu)^2 + w2
-    w2 = a * d - b * b + a * f - c * c + d * f - e * e + hh + lam * (trace + lam) - mu * mu
-    if w2 <= 0.0:
-        half = math.sqrt(-w2)
+    mu, disc = pair(lam)
+    if disc >= 0.0:
+        half = math.sqrt(disc)
         lam = real_root(max((lam, mu - half, mu + half), key=lambda x: abs(x + trace / 3.0)))
-        mu = -0.5 * (trace + lam)
-    return shift, h, ell, lam, mu
+        mu, disc = pair(lam)
+    return shift, h, ell, lam, mu, disc
 
 
 def generator_spectrum(gen: Generator) -> np.ndarray:
@@ -482,11 +447,12 @@ def generator_spectrum(gen: Generator) -> np.ndarray:
     split by :func:`_pair_discriminant`; |disc| within REPEATED_ROOT_TOL of
     its size is a double root. The Generator keeps lam and mu.
     """
-    shift, h, ell, lam, mu = gen._roots
+    shift, h, ell, lam, mu, _ = gen._roots
     disc, size = _pair_discriminant(lam, h, ell)
     half = math.sqrt(abs(disc)) if abs(disc) > REPEATED_ROOT_TOL * size else 0.0
+    lam, mu, half = (_unscaled(v, shift) for v in (lam, mu, half))  # one at a time: 2**-shift may overflow
     pair = (mu - half, mu + half) if disc >= 0.0 else (complex(mu, half), complex(mu, -half))
-    return math.ldexp(1.0, -shift) * np.array([lam, *pair], dtype=complex)
+    return np.array([lam, *pair], dtype=complex)
 
 
 def entropy_monotonicity_report(traj: Trajectory) -> float:

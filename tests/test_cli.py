@@ -47,6 +47,7 @@ REPORT_CASES = [
     ("asymptote_isotropic.txt", ["--model", model("isotropic"), "asymptote"], 0),
     ("asymptote_matrix_cp.txt", ["--model", model("matrix_cp"), "asymptote"], 0),
     ("asymptote_redundant.txt", ["--model", model("redundant"), "asymptote"], 0),
+    ("asymptote_huge_field.txt", ["--model", model("huge_field"), "asymptote"], 0),
 ]
 
 
@@ -598,6 +599,23 @@ def test_evolve_expm_huge_rates(capsys, tmp_path):
         code, _, err = run_cli([*argv, "--dt", "1e9", "--method", method], capsys)
         assert code == 2
         assert err.count("\n") == 1 and "overflows" in err
+
+
+def test_generator_overflow_is_one_line(capsys, tmp_path):
+    # h_x = 1.7e308 and a term of rate 1.7e308 on (0, 0.6, 0.8): G_yz =
+    # -h_x - L_yz overflows. Building G printed a RuntimeWarning (an error
+    # here) before evolve's one error line; the spectrum needs only h and L.
+    dissipator = {"form": "B", "terms": [{"rate": 1.7e308, "axis": [0.0, 0.6, 0.8]}]}
+    path = _write_model(tmp_path / "m.json", dissipator, h=(1.7e308, 0.0, 0.0))
+    out = tmp_path / "o.csv"
+    argv = ["--model", path, "evolve", "--t-max", "1", "--dt", "0.5", "--out", str(out)]
+    code, stdout, err = run_cli(argv, capsys)
+    assert code == 2 and stdout == ""
+    assert err.count("\n") == 1 and "overflows" in err
+    assert not out.exists()
+    code, stdout, err = run_cli(["--model", path, "asymptote"], capsys)
+    assert code == 0 and err == ""
+    assert stdout.endswith("gap: 4.2499999999999998e+307\n")
 
 
 def test_evolve_expm_overflowing_norm_exits_two(capsys, tmp_path):

@@ -1,7 +1,6 @@
 import mpmath
 import numpy as np
 import pytest
-import scipy.linalg
 
 from conftest import EX, EY, EZ, forms_of, random_cp_matrix, random_form_a, random_form_b
 
@@ -10,6 +9,7 @@ from lindblad2 import (
     Hamiltonian,
     apply_dissipator,
     build_generator,
+    choi_check,
     density_from_bloch,
     dissipation_matrix,
     entropy_monotonicity_report,
@@ -19,7 +19,6 @@ from lindblad2 import (
     evolve_rk4,
     generator_spectrum,
     liouvillian,
-    matrix_exponential,
 )
 from lindblad2.asymptotics import spectral_gap
 from lindblad2.dynamics import Trajectory, _propagators, cross_matrix, propagate, rk4_step
@@ -51,54 +50,6 @@ def test_build_generator_examples():
         with pytest.raises(LindbladError, match="finite real 3-vector") as info:
             build_generator(h, DEPHASING)
         assert isinstance(info.value, ValueError)
-
-
-def test_matrix_exponential_against_scipy():
-    rng = np.random.default_rng(97)
-    for _ in range(200):
-        a = rng.uniform(-3.0, 3.0, size=(3, 3))
-        ref = scipy.linalg.expm(a)
-        scale = max(1.0, float(np.max(np.abs(ref))))
-        # Both methods carry their own squaring roundoff; observed worst
-        # relative deviation over this seed is ~7e-13.
-        assert np.max(np.abs(matrix_exponential(a) - ref)) < 5e-12 * scale
-
-
-def _exact_expm(a) -> np.ndarray:
-    with mpmath.workdps(40):
-        exact = mpmath.expm(mpmath.matrix(a.tolist()))
-        return np.array(exact.tolist(), dtype=a.dtype)
-
-
-def _relative_expm_error(a) -> float:
-    exact = _exact_expm(a)
-    return float(np.max(np.abs(matrix_exponential(a) - exact)) / np.max(np.abs(exact)))
-
-
-def test_matrix_exponential_against_mpmath_real():
-    # Real 3x3 matrices at infinity norms from 1e-3 to 300, which take 0 to
-    # 10 squarings, against a 40-digit reference. The error is relative to
-    # the largest entry of exp(a). Worst over these cases: 1.0e-13 for the
-    # Paterson-Stockmeyer evaluation, 3.1e-13 for the term-by-term Taylor
-    # loop it replaced.
-    rng = np.random.default_rng(149)
-    for norm in np.geomspace(1e-3, 300.0, 200):
-        a = rng.normal(size=(3, 3))
-        a *= norm / np.abs(a).sum(axis=1).max()
-        assert _relative_expm_error(a) < 3e-13, norm
-
-
-def test_matrix_exponential_against_mpmath_liouvillian():
-    # t times complex 4x4 Liouvillians of CP models at the times of the Choi
-    # witness, against a 40-digit reference. The squarings at t = 2 set the
-    # worst case: 4.6e-15 for the Paterson-Stockmeyer evaluation, 4.2e-15
-    # for the term-by-term Taylor loop it replaced (medians 1.2e-16 and
-    # 2.4e-16).
-    rng = np.random.default_rng(151)
-    for _ in range(20):
-        lv = liouvillian(rng.normal(size=3), random_form_b(rng, int(rng.integers(1, 4))))
-        for t in (0.02, 0.1, 0.5, 2.0):
-            assert _relative_expm_error(t * lv) < 1e-14, t
 
 
 def test_evolve_expm_identity_generator():
@@ -156,6 +107,25 @@ def test_evolve_expm_refuses_overflowing_product():
     with pytest.raises(BadStepError, match="not finite") as info:
         evolve_expm(gen, [0, 0, 0.5], np.inf)
     assert "\n" not in str(info.value)
+
+
+def test_evolve_expm_beyond_the_double_range():
+    # |h| = 2.1e308 has no double, so neither has the rotation rate; the
+    # phase |h| t still has one at small t. t = 0 returns r0 bit for bit,
+    # and the Choi minimum of the identity map is exactly 0.
+    h, ell = [1.5e308, 1.5e308, 0.0], np.diag([0.0, 1.0, 1.0])
+    gen = build_generator(h, ell)
+    r0 = np.array([0.1, 0.2, 0.3])
+    assert np.array_equal(evolve_expm(gen, r0, 0.0), r0)
+    assert np.array_equal(choi_check(h, ell, [0.0]), [0.0])
+    # A turn of 2.1e8 rad about h: the length is kept and the damping,
+    # e^-1e-300, is none.
+    r = evolve_expm(gen, r0, 1e-300)
+    assert np.all(np.isfinite(r)) and abs(np.linalg.norm(r) - np.linalg.norm(r0)) <= 1e-15
+    assert not np.allclose(r, r0)
+    # At t = 1 the phase itself overflows.
+    with pytest.raises(BadStepError, match="not finite"):
+        evolve_expm(gen, r0, 1.0)
 
 
 def test_evolve_rk4_constant_for_zero_generator():
@@ -412,7 +382,7 @@ def test_propagate_matches_exact_powers():
             gen = build_generator(h, dissipation_matrix(fb))
             cases = (
                 (rk4_step(dt * gen.matrix), r0),
-                (matrix_exponential(dt * gen.matrix), r0),
+                (_propagators(gen, (dt,))[0], r0),
                 (rk4_step(dt * liouvillian(h, fb)), rho0.matrix.reshape(4)),
             )
             for step, v0 in cases:
