@@ -41,23 +41,27 @@ class AsymptoticVerdict:
     ``decohered`` only occurs for a single dissipation axis commuting with
     the Hamiltonian, and then ``axis`` holds that direction. ``undamped`` is
     the zero dissipator; ``axis`` is then the unit field direction, or None
-    when h = 0.
+    when h = 0. ``commuting``, the field parallel to the one axis or no
+    dissipation at all, follows from kind: it holds for these two kinds.
     """
 
     kind: str
     index: int
-    commuting: bool
     axis: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind == DECOHERED and (self.axis is None or self.index != 1 or not self.commuting):
+        if self.kind == DECOHERED and (self.axis is None or self.index != 1):
             raise ValueError("decohered limit requires a single commuting axis")
-        if self.kind == UNDAMPED and (self.index != 0 or not self.commuting):
+        if self.kind == UNDAMPED and self.index != 0:
             raise ValueError("undamped limit requires the zero dissipator")
         if self.kind not in (MAXIMALLY_MIXED, DECOHERED, UNDAMPED):
             raise ValueError(f"unknown verdict kind {self.kind!r}")
         if self.axis is not None:
             object.__setattr__(self, "axis", _readonly(np.asarray(self.axis, dtype=float)))
+
+    @property
+    def commuting(self) -> bool:
+        return self.kind != MAXIMALLY_MIXED
 
 
 def classify(h, fb: FormB) -> AsymptoticVerdict:
@@ -73,15 +77,14 @@ def classify(h, fb: FormB) -> AsymptoticVerdict:
     hhat = frobenius_normalized(as_field_vector(h))
     fb_min, index = reduce_terms(fb)
     if index >= 2:
-        return AsymptoticVerdict(kind=MAXIMALLY_MIXED, index=index, commuting=False)
+        return AsymptoticVerdict(kind=MAXIMALLY_MIXED, index=index)
     if index == 0:
         axis = hhat if hhat.any() else None
-        return AsymptoticVerdict(kind=UNDAMPED, index=0, commuting=True, axis=axis)
+        return AsymptoticVerdict(kind=UNDAMPED, index=0, axis=axis)
     axis = fb_min.terms[0][1]
-    commuting = not hhat.any() or float(np.linalg.norm(np.cross(hhat, axis))) <= PARALLEL_TOL
-    if commuting:
-        return AsymptoticVerdict(kind=DECOHERED, index=1, commuting=True, axis=axis)
-    return AsymptoticVerdict(kind=MAXIMALLY_MIXED, index=1, commuting=False)
+    if not hhat.any() or float(np.linalg.norm(np.cross(hhat, axis))) <= PARALLEL_TOL:
+        return AsymptoticVerdict(kind=DECOHERED, index=1, axis=axis)
+    return AsymptoticVerdict(kind=MAXIMALLY_MIXED, index=1)
 
 
 def asymptotic_state(verdict: AsymptoticVerdict, rho0: DensityState) -> DensityState:

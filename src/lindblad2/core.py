@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,7 +23,6 @@ from .errors import (
 from .tolerances import (
     BALL_TOL,
     HERMITIAN_TOL,
-    ROUNDTRIP_TOL,
     TRACE_TOL,
     UNIT_TOL,
 )
@@ -100,44 +100,34 @@ def matrix_from_pauli(c0: complex, c: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DensityState:
-    """A qubit state carried in both pictures, kept consistent by construction.
-
-    ``matrix`` is hermitian with unit trace and ``bloch`` is the real 3-vector
-    with matrix = (1/2)(I + bloch . sigma), |bloch| <= 1.
+    """A qubit state, stored as its Bloch vector: a finite real 3-vector
+    with |bloch| <= 1. ``matrix`` = (1/2)(I + bloch . sigma) is derived
+    from it on first use; both are read-only.
     """
 
-    matrix: np.ndarray
     bloch: np.ndarray
 
     def __post_init__(self):
-        m = require_hermitian(self.matrix, what="density matrix")
-        tr = m[0, 0].real + m[1, 1].real
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise BadTraceError(f"density matrix trace {tr!r} != 1")
         r = np.asarray(self.bloch, dtype=float)
         if r.shape != (3,) or not np.isfinite(r).all():
             raise BlochOutOfBallError("bloch vector must be a finite real 3-vector")
         if (norm := math.sqrt(r.dot(r))) > 1.0 + BALL_TOL:
             raise BlochOutOfBallError(f"bloch vector has length {norm!r} > 1")
-        rebuilt = matrix_from_pauli(0.5, 0.5 * r)
-        if abs(rebuilt - m).max() > ROUNDTRIP_TOL:
-            raise BlochOutOfBallError("matrix and bloch fields are inconsistent")
-        object.__setattr__(self, "matrix", _readonly(m))
         object.__setattr__(self, "bloch", _readonly(r))
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return _readonly(matrix_from_pauli(0.5, 0.5 * self.bloch))
 
 
 def density_from_bloch(r) -> DensityState:
     """Build the state (1/2)(I + r . sigma) from a Bloch vector inside the ball."""
-    r = np.asarray(r, dtype=float)
-    if r.shape != (3,) or not np.isfinite(r).all():
-        raise BlochOutOfBallError("bloch vector must be a finite real 3-vector")
-    if (norm := math.sqrt(r.dot(r))) > 1.0 + BALL_TOL:
-        raise BlochOutOfBallError(f"bloch vector has length {norm!r} > 1")
-    return DensityState(matrix=matrix_from_pauli(0.5, 0.5 * r), bloch=r)
+    return DensityState(bloch=r)
 
 
 def bloch_from_density(m) -> np.ndarray:
-    """Extract the Bloch vector r_a = tr(m sigma_a) of a density matrix."""
+    """Extract the Bloch vector r_a = Re tr(m sigma_a) of a hermitian,
+    unit-trace density matrix, each within HERMITIAN_TOL and TRACE_TOL."""
     m = require_hermitian(m, what="density matrix")
     tr = m[0, 0].real + m[1, 1].real
     if abs(tr - 1.0) > TRACE_TOL:
@@ -147,7 +137,8 @@ def bloch_from_density(m) -> np.ndarray:
 
 
 def density_from_matrix(m) -> DensityState:
-    return DensityState(matrix=np.asarray(m, dtype=complex), bloch=bloch_from_density(m))
+    """The state with m's Bloch vector (see :func:`bloch_from_density`)."""
+    return DensityState(bloch=bloch_from_density(m))
 
 
 def bloch_entropies(states) -> np.ndarray:

@@ -36,18 +36,22 @@ def cross_matrix(h) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Generator:
-    """Constant Bloch-space generator G = Omega(h) - L: the field h and the
-    dissipation matrix ell kept apart for the spectrum and the propagator,
-    and G as matrix. Both are computed once, on first use; the arrays are
-    read-only, so they cannot go stale."""
+    """Constant Bloch-space generator G = Omega(h) - L, stored as the field
+    h and the dissipation matrix ell kept apart. G itself (``matrix``), the
+    spectrum and the propagator are each computed once, on first use; the
+    arrays are read-only, so they cannot go stale."""
 
     h: np.ndarray
     ell: np.ndarray
-    matrix: np.ndarray
 
     def __post_init__(self):
-        for name in ("h", "ell", "matrix"):
+        for name in ("h", "ell"):
             object.__setattr__(self, name, _readonly(getattr(self, name)))
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        with np.errstate(over="ignore"):  # an infinite G is refused where a step needs it
+            return _readonly(cross_matrix(self.h) - self.ell)
 
     @cached_property
     def _roots(self) -> tuple:
@@ -59,12 +63,10 @@ class Generator:
 
 
 def build_generator(h, ell) -> Generator:
-    """Assemble G = Omega(h) - L from a field (or Hamiltonian) and a
+    """The generator G = Omega(h) - L of a field (or Hamiltonian) and a
     symmetric dissipation matrix."""
     ell = require_symmetric(ell, what="dissipation matrix")
-    h = as_field_vector(h)
-    with np.errstate(over="ignore"):  # an infinite G is refused where a step needs it
-        return Generator(h=h, ell=ell, matrix=cross_matrix(h) - ell)
+    return Generator(h=as_field_vector(h), ell=ell)
 
 
 def _unscaled(x: float, shift: int) -> float:
@@ -94,21 +96,20 @@ class _ClosedForm:
     real, so delta^2 - disc is at least a quarter of the squared spread of
     the roots; the quotient loses digits only when the spread times t is
     small, and for spread t <= SERIES_SPREAD K is summed as the power
-    series of that divided difference instead. Exponent arguments use the
-    unscaled eigenvalues, so neither an undamped field nor a long time
-    overflows a product the answer does not need.
+    series of that divided difference instead. Every exponent, rate times
+    t, is taken by :meth:`_times` at the unscaled rate, so neither an
+    undamped field nor a long time overflows a product the answer does not
+    need, and a rate beyond the double range still gives a finite exponent
+    at a small enough t.
     """
 
     def __init__(self, gen: Generator):
         shift, h, ell, lam, mu, disc = gen._roots
         (x, y, z), ((a, b, c), (_, d, e), (_, _, f)) = h, ell
-        self.shift, self.disc, self.delta = shift, disc, lam - mu
+        self.shift, self.lam, self.mu, self.disc, self.delta = shift, lam, mu, disc, lam - mu
         self.denominator = self.delta * self.delta - disc
         self.root = math.sqrt(abs(disc))
-        self.lam, self.mu, self.delta_t, self.root_t = (
-            _unscaled(v, shift) for v in (lam, mu, self.delta, self.root)
-        )
-        self.spread = max(abs(self.delta_t), self.root_t)
+        self.spread = max(abs(self.delta), self.root)
         rows = [[-a - mu, -z - b, y - c], [z - b, -d - mu, -x - e], [-y - c, x - e, -f - mu]]  # E
         cols = list(zip(*rows))
         flat = [v for row in rows for v in row]
@@ -117,6 +118,15 @@ class _ClosedForm:
         self.sizes = [1.0, max(map(abs, flat)), max(map(abs, square))]  # largest |entry| of I, E, N
         self.curved = self.sizes[2] > 0.0  # N = 0: K does not matter, even where it overflows
 
+    def _times(self, rate: float, t: float) -> float:
+        """The unscaled rate times t, for a rate at the prescaled scale. An
+        unscaled rate beyond the double range times a small t can still be
+        a finite exponent; it is then taken as (rate t) 2**-shift."""
+        try:
+            return math.ldexp(rate, -self.shift) * t
+        except OverflowError:
+            return _unscaled(rate * t, self.shift)
+
     def coefficients(self, t: float) -> tuple:
         """(C, S, K) at a time t >= 0, NaN where exp(t G) is not finite."""
         if t == math.inf:
@@ -124,11 +134,10 @@ class _ClosedForm:
         if t == 0.0:
             return 1.0, 0.0, 0.0  # exp(0 G) = I, even where G's rates overflow
         try:
-            decay = math.exp(self.mu * t)
-            # An infinite rate times a small t can still be a finite phase.
-            turn = self.root_t * t if self.root_t < math.inf else _unscaled(self.root * t, self.shift)
+            decay = math.exp(self._times(self.mu, t))
+            turn = self._times(self.root, t)
             if self.disc > 0.0:
-                top = math.exp((self.mu + self.root_t) * t)  # e^{mu t} cosh, sinh without overflow
+                top = math.exp(self._times(self.mu + self.root, t))  # e^{mu t} cosh, sinh without overflow
                 c = 0.5 * top * (1.0 + math.exp(-2.0 * turn))
                 s = -0.5 * top * math.expm1(-2.0 * turn) / self.root
             elif self.disc < 0.0 and decay:
@@ -142,11 +151,12 @@ class _ClosedForm:
             return math.nan, math.nan, math.nan
 
     def _curvature(self, t: float, decay: float, c: float, s: float) -> float:
-        if not self.spread * t <= SERIES_SPREAD:
-            return (math.exp(self.lam * t) - c - self.delta * s) / self.denominator
+        x = self._times(self.spread, t)
+        if not x <= SERIES_SPREAD:
+            return (math.exp(self._times(self.lam, t)) - c - self.delta * s) / self.denominator
         # sum_j Q_j / (j + 2)! with Q_j = h_j(u, w, -w), u = delta t, w^2 = disc t^2:
         # Q_j = u Q_{j-1} + v Q_{j-2} - u v Q_{j-3}, |Q_j| <= (j + 1) x^j.
-        u, w, x = self.delta_t * t, self.root_t * t, self.spread * t
+        u, w = self._times(self.delta, t), self._times(self.root, t)
         v = math.copysign(w * w, self.disc)
         q3, q2, q1 = 0.0, 0.0, 1.0
         total = weight = factor = 0.5

@@ -17,9 +17,6 @@ SYMMETRY_TOL = 1e-9
 # |bloch| <= 1 slack for density-matrix positivity.
 BALL_TOL = 1e-9
 
-# Exact linear-algebra round trips (matrix <-> bloch, pack/unpack, Gram).
-ROUNDTRIP_TOL = 1e-12
-
 # Rank decision for the minimal number of Lindblad terms: a pivot of the
 # Gram factorization, or an eigenvalue of a GKS matrix, at or below
 # RANK_TOL times the largest one counts as zero. Relative, so the index

@@ -4,6 +4,7 @@ import pytest
 from conftest import EX, EY, EZ, random_axis, random_form_b
 
 from lindblad2 import (
+    AsymptoticVerdict,
     FormB,
     asymptotic_state,
     build_generator,
@@ -25,6 +26,24 @@ def test_classify_commuting_single_axis():
     assert verdict.index == 1
     assert verdict.commuting
     assert np.allclose(np.abs(verdict.axis), EZ)
+
+
+def test_asymptotic_verdict_refusals_and_commuting():
+    # commuting is derived from kind: only the maximally mixed limit has a
+    # field that does not commute with the dissipation.
+    assert AsymptoticVerdict(kind=DECOHERED, index=1, axis=EZ).commuting
+    assert AsymptoticVerdict(kind=UNDAMPED, index=0, axis=EX).commuting
+    assert AsymptoticVerdict(kind=UNDAMPED, index=0).commuting
+    for index in (1, 2, 3):
+        assert not AsymptoticVerdict(kind=MAXIMALLY_MIXED, index=index).commuting
+    with pytest.raises(ValueError, match="single commuting axis"):
+        AsymptoticVerdict(kind=DECOHERED, index=1)
+    with pytest.raises(ValueError, match="single commuting axis"):
+        AsymptoticVerdict(kind=DECOHERED, index=2, axis=EZ)
+    with pytest.raises(ValueError, match="zero dissipator"):
+        AsymptoticVerdict(kind=UNDAMPED, index=1, axis=EZ)
+    with pytest.raises(ValueError, match="unknown verdict kind 'unitary'"):
+        AsymptoticVerdict(kind="unitary", index=0)
 
 
 def test_classify_non_commuting_single_axis():

@@ -48,6 +48,7 @@ REPORT_CASES = [
     ("asymptote_matrix_cp.txt", ["--model", model("matrix_cp"), "asymptote"], 0),
     ("asymptote_redundant.txt", ["--model", model("redundant"), "asymptote"], 0),
     ("asymptote_huge_field.txt", ["--model", model("huge_field"), "asymptote"], 0),
+    ("asymptote_rho_near_tolerance.txt", ["--model", model("rho_near_tolerance"), "asymptote"], 0),
 ]
 
 

@@ -1,10 +1,14 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from conftest import EX, EZ, random_axis
 
 from lindblad2 import (
+    AsymptoticVerdict,
     DensityState,
+    Generator,
     Hamiltonian,
     bloch_from_density,
     density_from_bloch,
@@ -50,7 +54,7 @@ def test_density_from_bloch_rejects_outside_ball():
     with pytest.raises(BlochOutOfBallError, match=message):
         density_from_bloch([1.0, 0.0, 0.3])
     with pytest.raises(BlochOutOfBallError, match=message):
-        DensityState(matrix=0.5 * np.eye(2), bloch=np.array([1.0, 0.0, 0.3]))
+        DensityState(bloch=[1.0, 0.0, 0.3])
 
 
 def test_bloch_from_density_examples():
@@ -71,11 +75,33 @@ def test_bloch_from_density_rejects_bad_input():
             density_from_matrix(bad)
 
 
-def test_density_state_rejects_inconsistent_fields():
-    with pytest.raises(BlochOutOfBallError):
-        DensityState(matrix=0.5 * np.eye(2), bloch=np.array([0.0, 0.0, 0.5]))
+def test_density_state_rejects_non_finite_bloch():
     with pytest.raises(BlochOutOfBallError, match="finite"):
-        DensityState(matrix=0.5 * np.eye(2), bloch=np.array([np.nan, 0.0, 0.0]))
+        DensityState(bloch=[np.nan, 0.0, 0.0])
+
+
+def test_density_from_matrix_within_tolerance():
+    # A trace of 1 + 5e-10 and an off-diagonal asymmetry of 1e-10 are both
+    # inside TRACE_TOL and HERMITIAN_TOL = 1e-9. The state is the Bloch
+    # vector r_a = Re tr(m sigma_a), and its matrix is exactly hermitian
+    # with trace 1.
+    for m in (
+        np.array([[0.6 + 5e-10, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]]),
+        np.array([[0.6, 0.2 - 0.1j], [0.2 + 1e-10 + 0.1j, 0.4]]),
+    ):
+        state = density_from_matrix(m)
+        assert np.array_equal(state.bloch, bloch_from_density(m))
+        assert np.array_equal(state.matrix, state.matrix.conj().T)
+        assert np.trace(state.matrix) == 1.0
+        assert not state.matrix.flags.writeable and not state.bloch.flags.writeable
+
+
+def test_value_types_store_only_their_defining_fields():
+    # Every other attribute is derived from these: matrix from bloch,
+    # commuting from kind, G from h and ell.
+    assert [f.name for f in fields(DensityState)] == ["bloch"]
+    assert [f.name for f in fields(AsymptoticVerdict)] == ["kind", "index", "axis"]
+    assert [f.name for f in fields(Generator)] == ["h", "ell"]
 
 
 def test_entropy_examples():

@@ -128,6 +128,24 @@ def test_evolve_expm_beyond_the_double_range():
         evolve_expm(gen, r0, 1.0)
 
 
+def test_evolve_expm_rates_beyond_the_double_range():
+    # An indefinite (NotCP) L near the top of the double range has a real
+    # pair whose split, and the rates of every exponent, overflow; at a t
+    # small enough that t |L| is tiny each exponent rate * t is still a
+    # finite double, and the state matches 50-digit mpmath.
+    ell = 1.7e308 * np.array([[1.0, 1.0, -1.0], [1.0, 0.0, -1.0], [-1.0, -1.0, -1.0]])
+    gen = build_generator([0.0, 0.0, 0.0], ell)
+    r0 = np.array([0.1, 0.2, 0.3])
+    for t in (1e-320, 1e-310, 5e-310):
+        with mpmath.workdps(50):
+            exact = mpmath.expm(-mpmath.matrix(ell.tolist()) * mpmath.mpf(t)) * mpmath.matrix(r0.tolist())
+            want = np.array([float(x) for x in exact])
+        assert np.max(np.abs(evolve_expm(gen, r0, t) - want) / np.abs(want)) <= 1e-15
+    # At t = 1e-300, t |L| ~ 1.7e8 and one mode grows beyond the double range.
+    with pytest.raises(BadStepError, match="not finite"):
+        evolve_expm(gen, r0, 1e-300)
+
+
 def test_evolve_rk4_constant_for_zero_generator():
     gen = build_generator([0.0, 0.0, 0.0], ZERO_L)
     traj = evolve_rk4(gen, [0.2, 0.1, -0.4], 1.0, 0.1)

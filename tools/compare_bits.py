@@ -14,9 +14,11 @@ Last it records the outputs of the trajectory workload's ``integrate`` for
 Form A, Form B and matrix, ``evolve_rk4``, ``evolve_expm`` at the sample
 times, and the bytes of the ``--method rk4`` and ``--method expm`` CSVs.
 Each record is a kind ("model", "scale" or "trajectory") and a dict of
-named output fields. ``compare`` prints the record counts and how many
-records differ, then the number of differing records per kind and per
-kind.field (for example ``model.choi 3200``), and exits 1 if any differs.
+named output fields. A dataclass is recorded by its fields, except the
+types in ``VIEWS``, which are recorded by the attributes named there.
+``compare`` prints the record counts and how many records differ, then the
+number of differing records per kind and per kind.field (for example
+``model.choi 3200``), and exits 1 if any differs.
 For each differing field it also prints the worst absolute change of a
 number and the worst change relative to max(|value|, 1), over every
 record: float arrays and floats are decoded, and CSV bytes are parsed as
@@ -29,6 +31,14 @@ import tempfile
 import warnings
 from collections import Counter
 from pathlib import Path
+
+# Value types recorded by named attributes rather than by their dataclass
+# fields, so that a derived attribute (a state's matrix, a verdict's
+# commuting flag) is recorded whether the type stores it or derives it.
+VIEWS = {
+    "DensityState": ("matrix", "bloch"),
+    "AsymptoticVerdict": ("kind", "index", "commuting", "axis"),
+}
 
 
 def dump(checkout: Path, out: Path) -> None:
@@ -55,7 +65,8 @@ def dump(checkout: Path, out: Path) -> None:
         if isinstance(x, forms.FormA):
             return ("A", enc(list(x.operators)))
         if hasattr(x, "__dataclass_fields__"):
-            return (type(x).__name__, enc({k: getattr(x, k) for k in x.__dataclass_fields__}))
+            names = VIEWS.get(type(x).__name__, x.__dataclass_fields__)
+            return (type(x).__name__, enc({k: getattr(x, k) for k in names}))
         return x
 
     def safe(f, *args):
