@@ -33,7 +33,7 @@ DECOHERED = "decohered"
 UNDAMPED = "undamped"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AsymptoticVerdict:
     """Where the state ends up as t -> infinity.
 
@@ -104,7 +104,7 @@ def asymptotic_state(verdict: AsymptoticVerdict, rho0: DensityState) -> DensityS
     return density_from_bloch(float(r0 @ verdict.axis) * verdict.axis)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AsymptoteReport:
     distance: float
     gap: float

@@ -98,7 +98,7 @@ def matrix_from_pauli(c0: complex, c: np.ndarray) -> np.ndarray:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityState:
     """A qubit state, stored as its Bloch vector: a finite real 3-vector
     with |bloch| <= 1. ``matrix`` = (1/2)(I + bloch . sigma) is derived
@@ -170,7 +170,7 @@ def von_neumann_entropy(state: DensityState) -> float:
     return entropy_from_bloch(state.bloch)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Hamiltonian:
     """Hermitian qubit Hamiltonian (1/2)(h0 I + h . sigma).
 

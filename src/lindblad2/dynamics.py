@@ -34,7 +34,7 @@ def cross_matrix(h) -> np.ndarray:
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Generator:
     """Constant Bloch-space generator G = Omega(h) - L, stored as the field
     h and the dissipation matrix ell kept apart. G itself (``matrix``), the
@@ -200,7 +200,7 @@ def evolve_expm(gen: Generator, r0, t: float) -> np.ndarray:
     return _propagators(gen, (t,))[0] @ np.asarray(r0, dtype=float)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Time-ordered Bloch samples with per-sample entropy.
 

@@ -70,7 +70,7 @@ def plane_projector(n) -> np.ndarray:
     return np.eye(3) - np.outer(n, n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FormA:
     """Dissipator given by hermitian Lindblad operators; none is D = 0."""
 
@@ -84,7 +84,7 @@ class FormA:
         object.__setattr__(self, "operators", ops)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FormB:
     """Dissipator given by positive rates and unit projector axes; no
     terms is the zero dissipator D = 0."""

@@ -106,3 +106,8 @@ DECAY_BOUND_SLACK = 1e-12
 # span of precession.
 HORIZON_DECAY_TIMES = 40.0
 HORIZON_MIN = 10.0
+
+# The evolve CSV writer computes the 17 digits of a double to about 1e-14 of
+# its last digit; a value whose remainder is this close to a half of that
+# digit may round either way, so '%.17g' itself prints it.
+FORMAT_TIE_TOL = 1e-6

@@ -61,3 +61,11 @@ def forms_of(fa: FormA):
     """The same dissipator as operators, rate/axis terms, and a matrix."""
     fb = form_a_to_form_b(fa)
     return fa, fb, dissipation_matrix(fb)
+
+
+def percent_rows(table: np.ndarray) -> bytes:
+    """The oracle of the evolve CSV writer: each row of the table through
+    one '%.17g' row template."""
+    rows, cols = table.shape
+    row = ",".join(["%.17g"] * cols) + "\n"
+    return ((row * rows) % tuple(table.ravel().tolist())).encode()

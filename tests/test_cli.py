@@ -90,6 +90,20 @@ def test_evolve_golden(golden_name, argv, capsys, tmp_path):
     check_golden(golden_name, text_a)
 
 
+def test_parser_is_built_once_and_options_do_not_carry_over(capsys, tmp_path):
+    # One parser serves every main() call of a process; each call gets a
+    # new Namespace, so the second run takes the default --method expm.
+    from lindblad2.cli import build_parser
+
+    assert build_parser() is build_parser()
+    argv = ["--model", model("isotropic"), "evolve", "--t-max", "2", "--dt", "0.5"]
+    rk4, default = tmp_path / "rk4.csv", tmp_path / "default.csv"
+    assert run_cli(argv + ["--method", "rk4", "--out", str(rk4)], capsys) == (0, "", "")
+    assert run_cli(argv + ["--out", str(default)], capsys) == (0, "", "")
+    expm = (GOLDEN / "evolve_isotropic_expm.csv").read_bytes()
+    assert default.read_bytes() == expm != rk4.read_bytes()
+
+
 def test_evolve_csv_contract(capsys, tmp_path):
     out = tmp_path / "traj.csv"
     argv = [
@@ -404,6 +418,35 @@ def test_evolve_csv_matches_per_row_reference(method, capsys, tmp_path):
             values = [dt * k, *r, entropy_from_bloch(r), np.linalg.norm(r - limit)]
             expected.append(",".join(_fmt(x) for x in values))
         assert out.read_text(encoding="utf-8") == "\n".join(expected) + "\n"
+
+
+@pytest.mark.parametrize("method", ["rk4", "expm"])
+def test_long_evolve_csv_matches_percent_oracle(method, capsys, tmp_path, monkeypatch):
+    # 1e5 steps span many CSV_BLOCK_ROWS blocks, and r decays below 1e-5
+    # (to about 2e-9 at t = 20), so scientific cells occur too. The CSV
+    # must be the table through one '%.17g' row template.
+    import lindblad2._fmt17 as fmt17
+    from conftest import percent_rows
+    from lindblad2.cli import CSV_BLOCK_ROWS
+
+    format_rows = fmt17.format_rows
+    blocks = []
+
+    def recording(table):
+        blocks.append(table.copy())
+        return format_rows(table)
+
+    monkeypatch.setattr(fmt17, "format_rows", recording)
+    out = tmp_path / "long.csv"
+    argv = ["--model", model("isotropic"), "evolve", "--t-max", "20", "--dt", "2e-4",
+            "--method", method, "--out", str(out)]
+    assert run_cli(argv, capsys) == (0, "", "")
+
+    table = np.vstack(blocks)
+    assert table.shape == (100001, 6) and len(blocks) == -(-len(table) // CSV_BLOCK_ROWS)
+    text = out.read_bytes()
+    assert text == b"t,rx,ry,rz,entropy,dist_to_limit\n" + percent_rows(table)
+    assert np.max(np.abs(table[-1, 1:4])) < 1e-5 and b"e-" in text
 
 
 def test_evolve_rk4_outside_stability_region_exits_two(capsys, tmp_path, monkeypatch):

@@ -104,6 +104,29 @@ def test_value_types_store_only_their_defining_fields():
     assert [f.name for f in fields(Generator)] == ["h", "ell"]
 
 
+def test_array_holding_value_types_compare_and_hash_by_identity():
+    # Field-wise == on ndarray fields has no single truth value, so these
+    # types compare and hash as objects.
+    from lindblad2 import AsymptoteReport, FormA, FormB, Trajectory, build_generator
+    from lindblad2.cli import Model
+
+    for make in [
+        lambda: density_from_bloch([0.0, 0.0, 0.5]),
+        lambda: Hamiltonian(h=np.array([0.0, 0.0, 1.0])),
+        lambda: FormA(operators=(np.diag([1.0, -1.0]),)),
+        lambda: FormB(terms=[(1.0, EZ)]),
+        lambda: build_generator([0.0, 0.0, 1.0], np.diag([1.0, 1.0, 0.0])),
+        lambda: Trajectory(times=[0.0, 1.0], states=np.zeros((2, 3)), entropies=[0.5, 0.5]),
+        lambda: AsymptoticVerdict(kind="decohered", index=1, axis=EZ),
+        lambda: AsymptoteReport(0.0, 1.0, 2.0, np.zeros(3), True, True),
+        lambda: Model(Hamiltonian(h=EZ), np.zeros((3, 3)), None),
+    ]:
+        a, b = make(), make()
+        assert a == a and not (a == b) and a != b
+        assert hash(a) == hash(a)
+        assert len({a, b}) == 2
+
+
 def test_entropy_examples():
     assert von_neumann_entropy(density_from_bloch([0, 0, 0])) == pytest.approx(
         np.log(2.0), abs=1e-15

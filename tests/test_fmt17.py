@@ -1,0 +1,74 @@
+"""The evolve CSV writer against '%.17g' itself, the oracle it must match."""
+
+from decimal import Decimal
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import percent_rows
+from lindblad2._fmt17 import K_MAX, format_rows
+
+EDGES = [
+    0.0,
+    -0.0,
+    5e-324,
+    -5e-324,
+    2.225073858507201e-308,  # the largest subnormal
+    2.2250738585072014e-308,
+    1e-308,
+    1e308,
+    1.7976931348623157e308,
+    -1.7976931348623157e308,
+    float("inf"),
+    float("-inf"),
+    float("nan"),
+]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(
+    st.integers(1, 6),
+    st.lists(st.one_of(st.floats(), st.sampled_from(EDGES)), min_size=6, max_size=60),
+)
+def test_matches_percent_on_any_doubles(cols, values):
+    table = np.array(values[: len(values) // cols * cols]).reshape(-1, cols)
+    assert format_rows(table) == percent_rows(table)
+
+
+def test_matches_percent_at_every_power_of_ten():
+    # Every 10^j of the fast path and three beyond it on each side, where
+    # log10 may misjudge the exponent by one, with both neighbours.
+    powers = np.array([float(f"1e{j}") for j in range(-K_MAX - 3, K_MAX + 4)])
+    below = np.nextafter(powers, 0.0)
+    above = np.nextafter(powers, np.inf)
+    table = np.column_stack([powers, below, above, 2.0 * powers, 5.0 * powers, -below])
+    assert format_rows(table) == percent_rows(table)
+
+
+def test_matches_percent_on_rounding_ties():
+    # x = M / 2^(17-k) with M odd and 10^k <= x < 10^(k+1) has exactly 18
+    # significant digits, the last a 5: '%.17g' rounds it half to even.
+    rng = np.random.default_rng(5)
+    ties = []
+    for k in range(-4, 16):
+        scale = 2.0 ** (17 - k)
+        low = int(np.ceil(10.0**k * scale)) // 2
+        high = min(int(10.0 ** (k + 1) * scale), 2**53) // 2
+        ties.append((2 * rng.integers(low, high, size=60) + 1) / scale)
+    ties = np.concatenate(ties)
+    for x in ties:
+        digits = str(Decimal(float(x))).replace(".", "").lstrip("0")
+        assert len(digits) == 18 and digits[-1] == "5"
+    table = np.column_stack([ties, -ties, ties * 0.5, ties + 1.0]).reshape(-1, 6)
+    assert format_rows(table) == percent_rows(table)
+
+
+def test_matches_percent_on_a_block_of_typical_cells():
+    # Times, Bloch components and entropies of every scale the CSV shows:
+    # positional cells for 1e-4 <= |x| < 1e17, scientific cells otherwise.
+    rng = np.random.default_rng(11)
+    table = rng.uniform(-1.0, 1.0, (4096, 6)) * np.exp(rng.uniform(-60.0, 45.0, (4096, 6)))
+    table[:, 0] = np.arange(4096) * 0.01
+    table[::7, 3] = 0.0
+    assert format_rows(table) == percent_rows(table)
