@@ -174,6 +174,8 @@ def _parse_dissipator(spec):
 
 
 def _parse_initial(spec) -> DensityState:
+    if not isinstance(spec, dict):
+        raise ParseError("initial state must be a JSON object")
     if "bloch" in spec and "rho" in spec:
         raise ParseError("initial state must give either bloch or rho, not both")
     try:
@@ -192,6 +194,8 @@ def load_model(path: str) -> Model:
             raw = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read model file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"model file is not valid UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"model file is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):

@@ -104,9 +104,13 @@ def check_gram_psd(m) -> Verdict:
     a disagreement with both margins outside MISMATCH_BAND raises
     VerdictMismatchError.
     """
-    m = frobenius_normalized(require_symmetric(m, what="gram matrix"))
-    verdict = _verdict_from_margins(_gram_margins(m))
-    min_eig = float(np.linalg.eigvalsh(m)[0])
+    return _judge_gram(frobenius_normalized(require_symmetric(m, what="gram matrix")))
+
+
+def _judge_gram(m_unit) -> Verdict:
+    """check_gram_psd of a validated M already normalized."""
+    verdict = _verdict_from_margins(_gram_margins(m_unit))
+    min_eig = float(np.linalg.eigvalsh(m_unit)[0])
     oracle_cp = min_eig >= -PSD_TOL
     if verdict.cp != oracle_cp and min(abs(verdict.margin), abs(min_eig)) > MISMATCH_BAND:
         raise VerdictMismatchError(
@@ -127,7 +131,7 @@ def is_completely_positive(ell):
     """
     scaled, m, shift = _scaled_gram(require_symmetric(ell, what="dissipation matrix"))
     via_e = _verdict_from_margins(_form_e_margins(0.5 * frobenius_normalized(scaled)))
-    via_m = check_gram_psd(m)
+    via_m = _judge_gram(frobenius_normalized(m))
     if via_e.cp != via_m.cp and min(abs(via_e.margin), abs(via_m.margin)) > MISMATCH_BAND:
         raise VerdictMismatchError(
             f"internal bug: six-constant route says cp={via_e.cp} (margin {via_e.margin:.3e}) "

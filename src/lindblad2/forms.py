@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -87,7 +88,9 @@ class FormA:
 @dataclass(frozen=True, eq=False)
 class FormB:
     """Dissipator given by positive rates and unit projector axes; no
-    terms is the zero dissipator D = 0."""
+    terms is the zero dissipator D = 0. Its minimal reduction (see
+    reduce_terms) is computed once, on first use; the terms are read-only,
+    so it cannot go stale."""
 
     terms: tuple
 
@@ -107,6 +110,16 @@ class FormB:
     @property
     def axes(self) -> np.ndarray:
         return np.reshape([axis for _, axis in self.terms], (-1, 3))
+
+    @cached_property
+    def _minimal(self) -> tuple:
+        q = gram_from_form_b(self)
+        # Scaled by 2^-s to max|q| in [1/2, 1), an exact step, so q q^T cannot
+        # overflow; the factor of the scaled Gram matrix is 2^-s times q's.
+        shift = math.frexp(float(np.abs(q).max(initial=0.0)))[1]
+        q = np.ldexp(q, -shift)
+        fb_min = form_b_from_gram(np.ldexp(gram_decompose(q @ q.T), shift))
+        return fb_min, len(fb_min.terms)
 
 
 @dataclass(frozen=True)
@@ -229,17 +242,6 @@ def dissipation_from_gram(m) -> np.ndarray:
     return 0.5 * (np.trace(m) * np.eye(3) - m)
 
 
-_GRAM_CONDITIONS = (
-    ("(i) M11 >= 0", lambda m: m[0, 0]),
-    ("(i) M22 >= 0", lambda m: m[1, 1]),
-    ("(i) M33 >= 0", lambda m: m[2, 2]),
-    ("(ii) M11*M22 >= M12^2", lambda m: m[0, 0] * m[1, 1] - m[0, 1] ** 2),
-    ("(ii) M11*M33 >= M13^2", lambda m: m[0, 0] * m[2, 2] - m[0, 2] ** 2),
-    ("(ii) M22*M33 >= M23^2", lambda m: m[1, 1] * m[2, 2] - m[1, 2] ** 2),
-    ("(iii) det(M) >= 0", lambda m: np.linalg.det(m)),
-)
-
-
 def gram_condition_margins(m) -> list:
     """Signed slack of each Gram-matrix condition, most negative = violated.
 
@@ -253,10 +255,20 @@ def gram_condition_margins(m) -> list:
 
 def _gram_margins(m_unit) -> list:
     """gram_condition_margins of a validated M already normalized."""
+    (m11, m12, m13), (_, m22, m23), (_, _, m33) = m_unit.tolist()
     # np.linalg.det flags a division by zero on an exactly singular pivot
     # (subnormal entries reach one) and still returns the right 0.
     with np.errstate(divide="ignore"):
-        return [(label, float(value(m_unit))) for label, value in _GRAM_CONDITIONS]
+        det = float(np.linalg.det(m_unit))
+    return [
+        ("(i) M11 >= 0", m11),
+        ("(i) M22 >= 0", m22),
+        ("(i) M33 >= 0", m33),
+        ("(ii) M11*M22 >= M12^2", m11 * m22 - m12**2),
+        ("(ii) M11*M33 >= M13^2", m11 * m33 - m13**2),
+        ("(ii) M22*M33 >= M23^2", m22 * m33 - m23**2),
+        ("(iii) det(M) >= 0", det),
+    ]
 
 
 def first_violation(margins):
@@ -336,15 +348,10 @@ def reduce_terms(fb: FormB):
     factorization re-expresses the same matrix with at most three columns.
 
     Returns the minimal FormB together with its term count, which equals the
-    rank of the Gram matrix.
+    rank of the Gram matrix. A FormB computes this pair once; every later
+    call returns the same tuple.
     """
-    q = gram_from_form_b(fb)
-    # Scaled by 2^-s to max|q| in [1/2, 1), an exact step, so q q^T cannot
-    # overflow; the factor of the scaled Gram matrix is 2^-s times q's.
-    shift = math.frexp(float(np.abs(q).max(initial=0.0)))[1]
-    q = np.ldexp(q, -shift)
-    fb_min = form_b_from_gram(np.ldexp(gram_decompose(q @ q.T), shift))
-    return fb_min, len(fb_min.terms)
+    return fb._minimal
 
 
 def form_b_from_dissipation(ell):
@@ -428,11 +435,11 @@ def gks_matrix(fa: FormA) -> np.ndarray:
     F_k = sigma_k / sqrt(2). The result is hermitian positive semidefinite,
     and real symmetric for hermitian operators; no operators give c = 0.
     """
-    coeff = np.empty((3, len(fa.operators)), dtype=complex)
-    for j, op in enumerate(fa.operators):
-        b, _ = trace_split(op)
-        for k in range(3):
-            coeff[k, j] = np.trace(_GKS_BASIS[k] @ b)
+    ops = np.reshape(fa.operators, (-1, 2, 2))
+    s = 0.5 * (ops[:, 0, 0] + ops[:, 1, 1])
+    # prod[k, j] = F_k B_j, so C_kj is the sum of its diagonal.
+    prod = _GKS_BASIS[:, None] @ (ops - s[:, None, None] * IDENTITY2)
+    coeff = prod[..., 0, 0] + prod[..., 1, 1]
     return coeff @ coeff.conj().T
 
 

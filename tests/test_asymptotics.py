@@ -20,6 +20,21 @@ from lindblad2.asymptotics import DECOHERED, MAXIMALLY_MIXED, UNDAMPED
 from lindblad2.errors import BadStepError, NegativeHorizonError
 
 
+def test_classify_reuses_the_reduction_of_its_form_b(monkeypatch):
+    from lindblad2 import forms
+
+    calls = []
+    factor = forms.gram_decompose
+    monkeypatch.setattr(forms, "gram_decompose", lambda m: calls.append(m) or factor(m))
+    fb = FormB(terms=[(0.5, EZ), (0.25, EZ)])
+    fb_min, index = reduce_terms(fb)
+    assert len(calls) == 1
+    verdict = classify([0.0, 0.0, 1.0], fb)
+    assert len(calls) == 1
+    assert (verdict.kind, verdict.index) == (DECOHERED, index)
+    assert verdict.axis.tobytes() == fb_min.terms[0][1].tobytes()
+
+
 def test_classify_commuting_single_axis():
     verdict = classify([0.0, 0.0, 1.0], FormB(terms=[(0.5, EZ)]))
     assert verdict.kind == DECOHERED

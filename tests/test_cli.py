@@ -184,6 +184,21 @@ def test_exit_codes_for_bad_models(capsys, tmp_path):
     assert code == 2
     assert "error:" in err
 
+    # An "initial" that is not a JSON object, and a file that is not UTF-8.
+    import json
+
+    paths = [model("initial_not_object"), model("not_utf8")]
+    for k, initial in enumerate((5, None, "bloch")):
+        spec = json.loads(MODELS.joinpath("dephasing.json").read_text(encoding="utf-8"))
+        spec["initial"] = initial
+        paths.append(str(tmp_path / f"initial_{k}.json"))
+        Path(paths[-1]).write_text(json.dumps(spec), encoding="utf-8")
+    for path in paths:
+        for command in (["check"], ["asymptote"], ["convert", "--to", "E"]):
+            code, _, err = run_cli(["--model", path, *command], capsys)
+            assert code == 2
+            assert err.count("\n") == 1 and err.startswith("error:")
+
     code, _, err = run_cli(["--model", str(MODELS / "missing.json"), "check"], capsys)
     assert code == 2
 

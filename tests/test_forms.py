@@ -38,7 +38,7 @@ from lindblad2 import (
     reduce_terms,
     trace_split,
 )
-from lindblad2.core import IDENTITY2, SIGMA_X, SIGMA_Y, SIGMA_Z, frobenius_normalized
+from lindblad2.core import IDENTITY2, SIGMA, SIGMA_X, SIGMA_Y, SIGMA_Z, frobenius_normalized
 from lindblad2.errors import (
     LindbladError,
     NotCPError,
@@ -382,6 +382,15 @@ def test_reduce_terms_huge_rates():
     assert sorted(rate for rate, _ in fb_min.terms) == pytest.approx([1e307, 2e307])
 
 
+def test_reduce_terms_returns_the_same_object_on_repeat_calls():
+    fb = FormB(terms=[(1.0, EX), (2.0, EX), (0.5, EY)])
+    first = reduce_terms(fb)
+    assert reduce_terms(fb) is first
+    assert first[1] == 2
+    # An equal-valued FormB is another object with its own reduction.
+    assert reduce_terms(FormB(terms=fb.terms)) is not first
+
+
 def test_reduce_terms_keeps_independent_pair():
     fb = FormB(terms=[(1.0, EX), (1.0, EY)])
     fb_min, index = reduce_terms(fb)
@@ -521,6 +530,29 @@ def test_gks_matrix_real_symmetric_for_hermitian_ops():
         c = gks_matrix(random_form_a(rng, 3))
         assert np.max(np.abs(c.imag)) < 1e-14
         assert np.max(np.abs(c - c.T.conj())) < 1e-14
+
+
+def _gks_matrix_per_operator(fa):
+    """gks_matrix as one 2x2 product and trace per (k, j) pair."""
+    basis = SIGMA / np.sqrt(2.0)
+    coeff = np.empty((3, len(fa.operators)), dtype=complex)
+    for j, op in enumerate(fa.operators):
+        b, _ = trace_split(op)
+        for k in range(3):
+            coeff[k, j] = np.trace(basis[k] @ b)
+    return coeff @ coeff.conj().T
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-20, 1.0, 1e20, 1e150])
+def test_gks_matrix_matches_per_operator_loop_bit_for_bit(scale):
+    rng = np.random.default_rng(47)
+    for terms in range(7):
+        for _ in range(20):
+            fa = random_form_a(rng, terms)
+            fa = FormA(operators=tuple(scale * op for op in fa.operators))
+            c = gks_matrix(fa)
+            assert c.shape == (3, 3) and c.dtype == complex
+            assert c.tobytes() == _gks_matrix_per_operator(fa).tobytes()
 
 
 def test_gks_minimal_single_mode():
