@@ -193,6 +193,17 @@ def test_exit_codes_for_bad_models(capsys, tmp_path):
         spec["initial"] = initial
         paths.append(str(tmp_path / f"initial_{k}.json"))
         Path(paths[-1]).write_text(json.dumps(spec), encoding="utf-8")
+    # An "h" nested 500 deep, past the recursion limit of a recursive scan
+    # for JSON bools, and a hamiltonian nested past json.load's own limit.
+    spec = json.loads(MODELS.joinpath("dephasing.json").read_text(encoding="utf-8"))
+    h = spec["hamiltonian"]["h"]
+    for _ in range(500):
+        h = [h]
+    spec["hamiltonian"]["h"] = h
+    paths.append(str(tmp_path / "h_nested_500.json"))
+    Path(paths[-1]).write_text(json.dumps(spec), encoding="utf-8")
+    paths.append(str(tmp_path / "hamiltonian_nested_100000.json"))
+    Path(paths[-1]).write_text('{"hamiltonian": ' + "[" * 100000 + "]" * 100000 + "}", encoding="utf-8")
     for path in paths:
         for command in (["check"], ["asymptote"], ["convert", "--to", "E"]):
             code, _, err = run_cli(["--model", path, *command], capsys)

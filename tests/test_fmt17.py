@@ -1,5 +1,9 @@
 """The evolve CSV writer against '%.17g' itself, the oracle it must match."""
 
+import sys
+import threading
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal
 
 import numpy as np
@@ -7,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import percent_rows
+import lindblad2._fmt17 as fmt17
 from lindblad2._fmt17 import K_MAX, format_rows
 
 EDGES = [
@@ -72,3 +77,62 @@ def test_matches_percent_on_a_block_of_typical_cells():
     table[:, 0] = np.arange(4096) * 0.01
     table[::7, 3] = 0.0
     assert format_rows(table) == percent_rows(table)
+
+
+def _scratch_arrays():
+    return {name: value for name, value in vars(fmt17._SCRATCH).items() if isinstance(value, np.ndarray)}
+
+
+def test_scratch_is_kept_and_reused():
+    # Wide-scale cells first, so that a later block that reads anything
+    # its own cells did not write would print the wrong bytes.
+    rng = np.random.default_rng(2)
+    wide = rng.uniform(-1.0, 1.0, (512, 6)) * np.exp(rng.uniform(-200.0, 200.0, (512, 6)))
+    times = np.column_stack([np.arange(300) * 0.01, rng.uniform(0.0, 1.0, (300, 3))])
+    assert format_rows(wide) == percent_rows(wide)
+    held = _scratch_arrays()
+    for table in (wide, times, times[:7, :2], wide[:1, :1]):
+        tracemalloc.start()
+        try:
+            text = format_rows(table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text == percent_rows(table)
+        now = _scratch_arrays()
+        assert now.keys() == held.keys() and all(now[name] is held[name] for name in held)
+        # Only the output is new: the cells' bytes, the text joined from
+        # them, and small objects. The working arrays take about six times
+        # the cells' bytes.
+        assert peak < 2 * table.size * fmt17._WIDTH + 2 * len(text) + 16384
+
+
+def test_threads_format_with_their_own_scratch():
+    # More threads than the two cores of a small runner, each formatting a
+    # table of its own shape and scale over and over; numpy lets go of the
+    # interpreter lock inside its loops, so shared arrays would mix them.
+    rng = np.random.default_rng(4)
+    tables = [
+        rng.uniform(-1.0, 1.0, (512, 6)) * np.exp(rng.uniform(-60.0, 45.0, (512, 6))),
+        np.column_stack([np.arange(333) * 0.01, rng.uniform(-1.0, 1.0, (333, 4))]),
+        rng.integers(-10**6, 10**6, (97, 3)) / 8.0,
+    ]
+    expected = [percent_rows(table) for table in tables]
+    start = threading.Barrier(len(tables))
+
+    def work(j):
+        start.wait(timeout=10)
+        wrong = sum(format_rows(tables[j]) != expected[j] for _ in range(100))
+        return wrong, _scratch_arrays()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(len(tables)) as pool:
+            futures = [pool.submit(work, j) for j in range(len(tables))]
+            results = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert [wrong for wrong, _ in results] == [0] * len(tables)
+    ids = [{id(array) for array in arrays.values()} for _, arrays in results]
+    assert all(ids[j].isdisjoint(ids[m]) for j in range(len(ids)) for m in range(j))
