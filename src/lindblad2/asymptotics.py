@@ -11,6 +11,7 @@ time average, the component along h, stands in for the limit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,7 +83,10 @@ def classify(h, fb: FormB) -> AsymptoticVerdict:
         axis = hhat if hhat.any() else None
         return AsymptoticVerdict(kind=UNDAMPED, index=0, axis=axis)
     axis = fb_min.terms[0][1]
-    if not hhat.any() or float(np.linalg.norm(np.cross(hhat, axis))) <= PARALLEL_TOL:
+    (x, y, z), (u, v, w) = hhat.tolist(), axis.tolist()
+    # np.cross(hhat, axis) and its np.linalg.norm, entry by entry.
+    cross = np.array([y * w - z * v, z * u - x * w, x * v - y * u])
+    if not hhat.any() or math.sqrt(cross.dot(cross)) <= PARALLEL_TOL:
         return AsymptoticVerdict(kind=DECOHERED, index=1, axis=axis)
     return AsymptoticVerdict(kind=MAXIMALLY_MIXED, index=1)
 

@@ -327,9 +327,6 @@ CSV_BLOCK_ROWS = 512
 
 
 def cmd_evolve(model: Model, args) -> int:
-    # Imported here, so that the other commands do not compile the writer.
-    from ._fmt17 import format_rows
-
     ell, fb = _gate_cp(model)
     state = _need_initial(model)
     gen = build_generator(model.hamiltonian, ell)
@@ -340,6 +337,10 @@ def cmd_evolve(model: Model, args) -> int:
     except StepSizeError as exc:
         hint = "a smaller --dt or --method expm" if exc.rk4_unstable else "a smaller --dt"
         raise LindbladError(f"{exc.reason}; use {hint}") from None
+    # Imported once the run is accepted, so that neither the other commands
+    # nor a refused run compile the writer.
+    from ._fmt17 import format_rows
+
     # Row-wise inner products by matmul keep the bits of the scalar
     # np.linalg.norm(r - limit); norm(axis=1) sums in another order.
     diff = (traj.states - limit)[:, None, :]

@@ -23,6 +23,7 @@ from .errors import (
 from .tolerances import (
     BALL_TOL,
     HERMITIAN_TOL,
+    HYPOT_SLACK,
     TRACE_TOL,
     UNIT_TOL,
 )
@@ -53,7 +54,10 @@ def frobenius_normalized(a: np.ndarray) -> np.ndarray:
     a / np.linalg.norm(a).
     """
     a = np.asarray(a, dtype=float)
-    peak = float(abs(a).max())
+    values = a.ravel().tolist()
+    # Python's max skips a NaN that does not come first. numpy's peak is NaN
+    # or inf there, and frexp gives both the exponent 0, as it gives NaN.
+    peak = max(map(abs, values)) if all(map(math.isfinite, values)) else math.nan
     if peak == 0.0:
         return a
     a = np.ldexp(a, -math.frexp(peak)[1])
@@ -63,6 +67,19 @@ def frobenius_normalized(a: np.ndarray) -> np.ndarray:
 def require_hermitian(m: np.ndarray, what: str = "matrix", size: int = 2) -> np.ndarray:
     """Validate a finite hermitian size x size matrix and return it as complex."""
     m = np.asarray(m, dtype=complex)
+    # Every |z| here is a hypot. Python's may differ from numpy's in the last
+    # bit, and raises OverflowError where numpy's gives inf, so Python's only
+    # passes a matrix clearly inside both bounds (every |entry| below 2^1023,
+    # finite wherever it is taken) and numpy's judges the rest.
+    try:
+        rows = m.tolist() if m.shape == (size, size) else [[math.nan]]
+        clear = all(abs(z) < 2.0**1023 for row in rows for z in row) and max(
+            abs(rows[i][j] - rows[j][i].conjugate()) for i in range(size) for j in range(i, size)
+        ) <= HERMITIAN_TOL * (1.0 - HYPOT_SLACK)
+    except OverflowError:
+        clear = False
+    if clear:
+        return m
     # The largest |entry| is NaN or inf exactly when some entry is.
     if m.shape != (size, size) or not float(abs(m).max()) < math.inf:
         raise NotHermitianError(f"{what} must be a finite {size}x{size} matrix")
@@ -92,9 +109,22 @@ def pauli_coefficients(m: np.ndarray) -> tuple[complex, np.ndarray]:
 
 def matrix_from_pauli(c0: complex, c: np.ndarray) -> np.ndarray:
     """Inverse of :func:`pauli_coefficients`."""
-    cx, cy, cz = c
+    c = np.asarray(c)
+    if c.dtype != float or isinstance(c0, complex):
+        cx, cy, cz = c
+        return np.array(
+            [[c0 + cz, cx - 1j * cy], [cx + 1j * cy, c0 - cz]], dtype=complex
+        )
+    # Real coefficients, on Python floats: each part is the one the complex
+    # arithmetic above forms, with 1j * cy = (0 cy - 1 * 0) + (0 * 0 + 1 cy) i.
+    cx, cy, cz = c.tolist()
+    c0 = float(c0)
+    re, im = 0.0 * cy - 0.0, 0.0 + cy
     return np.array(
-        [[c0 + cz, cx - 1j * cy], [cx + 1j * cy, c0 - cz]], dtype=complex
+        [
+            [complex(c0 + cz, 0.0), complex(cx - re, 0.0 - im)],
+            [complex(cx + re, 0.0 + im), complex(c0 - cz, 0.0)],
+        ]
     )
 
 
@@ -109,7 +139,7 @@ class DensityState:
 
     def __post_init__(self):
         r = np.asarray(self.bloch, dtype=float)
-        if r.shape != (3,) or not np.isfinite(r).all():
+        if not _finite_vector(r):
             raise BlochOutOfBallError("bloch vector must be a finite real 3-vector")
         if (norm := math.sqrt(r.dot(r))) > 1.0 + BALL_TOL:
             raise BlochOutOfBallError(f"bloch vector has length {norm!r} > 1")
@@ -183,7 +213,7 @@ class Hamiltonian:
 
     def __post_init__(self):
         h = np.asarray(self.h, dtype=float)
-        if h.shape != (3,) or not np.isfinite(h).all():
+        if not _finite_vector(h):
             raise BadValueError("h must be a finite real 3-vector")
         if not np.isfinite(self.h0):
             raise BadValueError("h0 must be finite")
@@ -199,9 +229,14 @@ def as_field_vector(h) -> np.ndarray:
     if isinstance(h, Hamiltonian):
         return np.asarray(h.h, dtype=float)
     h = np.asarray(h, dtype=float)
-    if h.shape != (3,) or not np.isfinite(h).all():
+    if not _finite_vector(h):
         raise BadValueError("field must be a finite real 3-vector")
     return h
+
+
+def _finite_vector(a: np.ndarray) -> bool:
+    """a is a real 3-vector of finite entries."""
+    return a.shape == (3,) and all(map(math.isfinite, a.tolist()))
 
 
 def unit_vector(n) -> np.ndarray:

@@ -9,7 +9,8 @@ Three independent routes must agree:
 The first two are evaluated after normalizing by the Frobenius norm, so a
 verdict is invariant under positive rescaling. Disagreement beyond a small
 margin band signals an implementation bug, not a property of the input, and
-raises VerdictMismatchError. A fourth, fully dynamical witness builds the
+raises VerdictMismatchError. Where the minors pass, the smallest eigenvalue
+decides (see check_gram_psd). A fourth, fully dynamical witness builds the
 Choi matrix of the evolved map from the exact 3x3 Bloch propagator and
 reports its smallest eigenvalue.
 """
@@ -23,13 +24,12 @@ import numpy as np
 from .core import SIGMA, frobenius_normalized
 from .dynamics import _propagators, build_generator
 from .errors import VerdictMismatchError
-from .forms import _factor, _gram_margins, _scaled_gram
+from .forms import _factor, _gram_margins, _scaled_gram, _symmetric_rows
 from .forms import (
     FormE,
     first_violation,
     form_b_from_gram,
     form_e_unpack,
-    require_symmetric,
 )
 from .tolerances import MISMATCH_BAND, PSD_TOL
 
@@ -64,12 +64,12 @@ def form_e_margins(fe: FormE) -> list:
     to dominate the squared off-diagonals, and the cubic combination
     R S T >= 2 b c beta + R beta^2 + S c^2 + T b^2.
     """
-    return _form_e_margins(0.5 * frobenius_normalized(form_e_unpack(fe)))
+    return _form_e_margins(frobenius_normalized(form_e_unpack(fe)))
 
 
-def _form_e_margins(half) -> list:
-    """The margins from half of L normalized by its Frobenius norm."""
-    (a, b, c), (_, alpha, beta), (_, _, gamma) = half.tolist()
+def _form_e_margins(unit) -> list:
+    """The margins from L normalized by its Frobenius norm."""
+    (a, b, c), (_, alpha, beta), (_, _, gamma) = ([0.5 * x for x in row] for row in unit.tolist())
     big_r = 0.5 * (alpha + gamma - a)
     big_s = 0.5 * (a + gamma - alpha)
     big_t = 0.5 * (a + alpha - gamma)
@@ -97,26 +97,33 @@ def check_form_e(fe: FormE) -> Verdict:
 
 
 def check_gram_psd(m) -> Verdict:
-    """CP verdict from the principal minors of M, cross-checked spectrally.
+    """CP verdict from the principal minors of M and its smallest eigenvalue.
 
     The minor conditions are exactly positive semidefiniteness of the
-    symmetric 3x3 matrix, so they must agree with the minimum eigenvalue;
-    a disagreement with both margins outside MISMATCH_BAND raises
+    symmetric 3x3 matrix, but their margins are products of up to three
+    eigenvalues: an M with eigenvalues (1, d, -e) has minor margins of order
+    -d e, so an e of up to sqrt(PSD_TOL) could pass them. So when the minors
+    pass, the verdict is NotCP exactly when the smallest eigenvalue of the
+    normalized M is below -PSD_TOL, with "lambda_min(M) >= 0" as the reason
+    and that eigenvalue as the margin. Minors that fail while that
+    eigenvalue passes, both outside MISMATCH_BAND, raise
     VerdictMismatchError.
     """
-    return _judge_gram(frobenius_normalized(require_symmetric(m, what="gram matrix")))
+    return _judge_gram(frobenius_normalized(_symmetric_rows(m, "gram matrix")))
 
 
 def _judge_gram(m_unit) -> Verdict:
     """check_gram_psd of a validated M already normalized."""
     verdict = _verdict_from_margins(_gram_margins(m_unit))
     min_eig = float(np.linalg.eigvalsh(m_unit)[0])
-    oracle_cp = min_eig >= -PSD_TOL
-    if verdict.cp != oracle_cp and min(abs(verdict.margin), abs(min_eig)) > MISMATCH_BAND:
-        raise VerdictMismatchError(
-            f"internal bug: minor conditions say cp={verdict.cp} (margin {verdict.margin:.3e}) "
-            f"but min eigenvalue is {min_eig:.3e}"
-        )
+    if min_eig >= -PSD_TOL:
+        if not verdict.cp and min(abs(verdict.margin), abs(min_eig)) > MISMATCH_BAND:
+            raise VerdictMismatchError(
+                f"internal bug: minor conditions say cp=False (margin {verdict.margin:.3e}) "
+                f"but min eigenvalue is {min_eig:.3e}"
+            )
+    elif verdict.cp:
+        return Verdict(cp=False, reason="lambda_min(M) >= 0", margin=min_eig)
     return verdict
 
 
@@ -125,12 +132,14 @@ def is_completely_positive(ell):
 
     Returns (Verdict, certificate) where the certificate is the minimal
     rate/axis FormB whenever the matrix is CP (no terms for L = 0) and None
-    when it is not. The two routes must agree outside the margin band.
-    Both routes and the certificate work on one L and M prescaled by a power
-    of four (see forms._scaled_gram), so M cannot overflow.
+    when it is not. The two routes must agree outside the margin band. The
+    verdict is check_gram_psd's: the minors of M, and where they pass, its
+    smallest eigenvalue. Both routes and the certificate work on one L and
+    M prescaled by a power of four (see forms._scaled_gram), so M cannot
+    overflow.
     """
-    scaled, m, shift = _scaled_gram(require_symmetric(ell, what="dissipation matrix"))
-    via_e = _verdict_from_margins(_form_e_margins(0.5 * frobenius_normalized(scaled)))
+    scaled, m, shift = _scaled_gram(_symmetric_rows(ell, "dissipation matrix"))
+    via_e = _verdict_from_margins(_form_e_margins(frobenius_normalized(scaled)))
     via_m = _judge_gram(frobenius_normalized(m))
     if via_e.cp != via_m.cp and min(abs(via_e.margin), abs(via_m.margin)) > MISMATCH_BAND:
         raise VerdictMismatchError(

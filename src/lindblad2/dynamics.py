@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import DensityState, as_field_vector, bloch_entropies, matrix_from_pauli, _readonly
 from .errors import BadStepError, NegativeTimeError, StepSizeError
-from .forms import apply_dissipator, require_symmetric
+from .forms import _symmetric_rows, apply_dissipator
 from .tolerances import (
     MAX_STEPS,
     REPEATED_ROOT_TOL,
@@ -65,7 +65,7 @@ class Generator:
 def build_generator(h, ell) -> Generator:
     """The generator G = Omega(h) - L of a field (or Hamiltonian) and a
     symmetric dissipation matrix."""
-    ell = require_symmetric(ell, what="dissipation matrix")
+    ell = _symmetric_rows(ell, "dissipation matrix")
     return Generator(h=as_field_vector(h), ell=ell)
 
 
@@ -286,10 +286,11 @@ def propagate(step, v0, steps: int) -> np.ndarray:
         k += m
     table = powers.reshape(count * n, n)  # row block j is step^(j+1)
     # ndarray.dot: the same products as @, at about half the call overhead
-    # on matrices this small.
+    # on matrices this small, written straight into the rows of the block.
+    flat = out.reshape(-1)
     for k in range(0, steps, PROPAGATE_BLOCK):
         m = min(PROPAGATE_BLOCK, steps - k)
-        out[k + 1 : k + 1 + m] = table[: m * n].dot(out[k]).reshape(m, n)
+        table[: m * n].dot(out[k], out=flat[(k + 1) * n : (k + 1 + m) * n])
     return out
 
 

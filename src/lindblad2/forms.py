@@ -54,15 +54,28 @@ def require_symmetric(a, what: str = "matrix") -> np.ndarray:
     |entry|, whatever the scale of the entries, and no step overflows for
     entries up to the largest double.
     """
+    return np.array(_symmetric_rows(a, what))
+
+
+def _symmetric_rows(a, what: str) -> list:
+    """require_symmetric's result as three rows of Python floats: each entry
+    is read once and the arithmetic is numpy's, one entry at a time."""
     a = np.asarray(a, dtype=float)
-    # The largest |entry| is NaN or inf exactly when some entry is.
-    if a.shape != (3, 3) or not (peak := float(abs(a).max())) < math.inf:
+    flat = a.ravel().tolist() if a.shape == (3, 3) else [math.nan]
+    # Entry by entry: Python's max skips a NaN that does not come first.
+    if not all(map(math.isfinite, flat)):
         raise NotSymmetricError(f"{what} must be a finite real 3x3 matrix")
-    half = 0.5 * a  # halved first, so neither a - a^T nor a + a^T overflows
-    defect = 2.0 * float(abs(half - half.T).max())
+    peak = max(map(abs, flat))
+    # Halved first, so neither a - a^T nor a + a^T overflows.
+    x11, x12, x13, x21, x22, x23, x31, x32, x33 = [0.5 * x for x in flat]
+    defect = 2.0 * max(abs(x12 - x21), abs(x13 - x31), abs(x23 - x32))
     if defect > SYMMETRY_TOL * peak:
         raise NotSymmetricError(f"{what} is not symmetric (defect {defect:.3e})")
-    return half + half.T
+    return [
+        [x11 + x11, x12 + x21, x13 + x31],
+        [x21 + x12, x22 + x22, x23 + x32],
+        [x31 + x13, x32 + x23, x33 + x33],
+    ]
 
 
 def plane_projector(n) -> np.ndarray:
@@ -113,11 +126,12 @@ class FormB:
 
     @cached_property
     def _minimal(self) -> tuple:
-        q = gram_from_form_b(self)
+        # Row j is column j of gram_from_form_b, sqrt(lambda_j) n_j.
+        rows = [[math.sqrt(rate) * x for x in axis.tolist()] for rate, axis in self.terms]
         # Scaled by 2^-s to max|q| in [1/2, 1), an exact step, so q q^T cannot
         # overflow; the factor of the scaled Gram matrix is 2^-s times q's.
-        shift = math.frexp(float(np.abs(q).max(initial=0.0)))[1]
-        q = np.ldexp(q, -shift)
+        shift = math.frexp(max((abs(x) for row in rows for x in row), default=0.0))[1]
+        q = np.array([[math.ldexp(x, -shift) for x in row] for row in rows]).reshape(-1, 3).T
         fb_min = form_b_from_gram(np.ldexp(gram_decompose(q @ q.T), shift))
         return fb_min, len(fb_min.terms)
 
@@ -169,10 +183,15 @@ def form_a_from_form_b(fb: FormB) -> FormA:
 
 def dissipation_matrix(fb: FormB) -> np.ndarray:
     """Form C: L = (1/2) sum_j lambda_j (I3 - n_j n_j^T), symmetric PSD."""
-    out = np.zeros((3, 3))
+    out = [0.0] * 9
     for rate, axis in fb.terms:
-        out += 0.5 * rate * (np.eye(3) - np.outer(axis, axis))
-    return out
+        w = 0.5 * rate
+        x, y, z = axis.tolist()
+        term = (1.0 - x * x, 0.0 - x * y, 0.0 - x * z,
+                0.0 - y * x, 1.0 - y * y, 0.0 - y * z,
+                0.0 - z * x, 0.0 - z * y, 1.0 - z * z)  # I3 - n n^T
+        out = [total + w * entry for total, entry in zip(out, term)]
+    return np.array(out).reshape(3, 3)
 
 
 def apply_dissipator(form, m) -> np.ndarray:
@@ -220,7 +239,7 @@ def gram_from_dissipation(ell) -> np.ndarray:
     positive exactly when M is a Gram matrix. An entry of M above the
     largest double raises LindbladError.
     """
-    _, m, shift = _scaled_gram(require_symmetric(ell, what="dissipation matrix"))
+    _, m, shift = _scaled_gram(_symmetric_rows(ell, "dissipation matrix"))
     with np.errstate(over="ignore"):  # caught as a non-finite entry
         m = np.ldexp(m, 2 * shift)
     if not np.isfinite(m).all():
@@ -228,12 +247,22 @@ def gram_from_dissipation(ell) -> np.ndarray:
     return m
 
 
-def _scaled_gram(ell) -> tuple:
-    """(L', M of L', s) for a validated L, with L' = L 4^-s and max|L'| in
-    [1/4, 1): exact, so M cannot overflow and 2^s times its factor is L's."""
-    shift = (math.frexp(float(abs(ell).max()))[1] + 1) // 2
-    ell = np.ldexp(ell, -2 * shift)
-    return ell, ell.trace() * np.eye(3) - 2.0 * ell, shift
+def _scaled_gram(ell: list) -> tuple:
+    """(L', M of L', s) for the rows of a validated L, with L' = L 4^-s and
+    max|L'| in [1/4, 1): exact, so M cannot overflow and 2^s times its
+    factor is L's. L' and M are rows of Python floats, M entry by entry
+    tr(L') I3 - 2 L' as numpy forms it."""
+    shift = (math.frexp(max(map(abs, ell[0] + ell[1] + ell[2])))[1] + 1) // 2
+    ell = [[math.ldexp(x, -2 * shift) for x in row] for row in ell]
+    (a, b, c), (d, e, f), (g, h, k) = ell
+    trace = 0.0 + a + e + k  # numpy's order; the sum of three -0.0 is 0.0
+    off = trace * 0.0  # off the diagonal of tr(L') I3, a zero signed like tr(L')
+    m = [
+        [trace - 2.0 * a, off - 2.0 * b, off - 2.0 * c],
+        [off - 2.0 * d, trace - 2.0 * e, off - 2.0 * f],
+        [off - 2.0 * g, off - 2.0 * h, trace - 2.0 * k],
+    ]
+    return ell, m, shift
 
 
 def dissipation_from_gram(m) -> np.ndarray:
@@ -250,7 +279,7 @@ def gram_condition_margins(m) -> list:
     together exactly when M is positive semidefinite. Margins are evaluated
     on M normalized by its Frobenius norm, so the verdict is scale free.
     """
-    return _gram_margins(frobenius_normalized(require_symmetric(m, what="gram matrix")))
+    return _gram_margins(frobenius_normalized(_symmetric_rows(m, "gram matrix")))
 
 
 def _gram_margins(m_unit) -> list:
@@ -292,7 +321,7 @@ def gram_decompose(m):
 
     Raises NotCPError when a principal-minor condition fails beyond PSD_TOL.
     """
-    m = require_symmetric(m, what="gram matrix")
+    m = _symmetric_rows(m, "gram matrix")
     violation = first_violation(_gram_margins(frobenius_normalized(m)))
     if violation is not None:
         label, margin = violation
@@ -300,21 +329,31 @@ def gram_decompose(m):
     return _factor(m)
 
 
-def _factor(m) -> np.ndarray:
-    """The pivoted triangular factor of a validated PSD M (see gram_decompose)."""
-    q = np.zeros((3, 3))
-    floor = RANK_TOL * float(m.diagonal().max())
-    rest = m
-    for k in range(3):
-        p = int(rest.diagonal().argmax())
-        if not rest[p, p] > floor:
+def _factor(m: list) -> np.ndarray:
+    """The pivoted triangular factor of the rows of a validated PSD M (see
+    gram_decompose)."""
+    columns = []
+    rest = [row[:] for row in m]
+    diagonal = [m[0][0], m[1][1], m[2][2]]
+    floor = RANK_TOL * max(diagonal)
+    for _ in range(3):
+        p = diagonal.index(max(diagonal))  # numpy's argmax: the first largest
+        if not diagonal[p] > floor:
             break
-        root = math.sqrt(rest[p, p])
-        q[:, k] = rest[:, p] / root
-        q[p, k] = root
-        rest = rest - np.outer(q[:, k], q[:, k])
-        rest[p, :] = rest[:, p] = 0.0
-    return q
+        root = math.sqrt(diagonal[p])
+        column = [row[p] / root for row in rest]
+        column[p] = root
+        columns.append(column)
+        # rest - column column^T, then row and column p cleared
+        for row, ci in zip(rest, column):
+            row[0] -= ci * column[0]
+            row[1] -= ci * column[1]
+            row[2] -= ci * column[2]
+            row[p] = 0.0
+        rest[p] = [0.0, 0.0, 0.0]
+        diagonal = [rest[0][0], rest[1][1], rest[2][2]]
+    columns += [[0.0, 0.0, 0.0]] * (3 - len(columns))
+    return np.array(list(zip(*columns)))
 
 
 def gram_from_form_b(fb: FormB) -> np.ndarray:
@@ -361,7 +400,7 @@ def form_b_from_dissipation(ell):
     when L is not completely positive. M is built from L scaled by a power
     of four, so it cannot overflow, and the rates are scaled back.
     """
-    _, m, shift = _scaled_gram(require_symmetric(ell, what="dissipation matrix"))
+    _, m, shift = _scaled_gram(_symmetric_rows(ell, "dissipation matrix"))
     fb = form_b_from_gram(np.ldexp(gram_decompose(m), shift))
     return fb, len(fb.terms)
 
@@ -372,16 +411,10 @@ def form_b_from_dissipation(ell):
 
 
 def form_e_pack(ell) -> FormE:
-    ell = require_symmetric(ell, what="dissipation matrix")
-    half = 0.5 * ell
-    return FormE(
-        a=float(half[0, 0]),
-        b=float(half[0, 1]),
-        c=float(half[0, 2]),
-        alpha=float(half[1, 1]),
-        beta=float(half[1, 2]),
-        gamma=float(half[2, 2]),
+    (a, b, c), (_, alpha, beta), (_, _, gamma) = (
+        [0.5 * x for x in row] for row in _symmetric_rows(ell, "dissipation matrix")
     )
+    return FormE(a=a, b=b, c=c, alpha=alpha, beta=beta, gamma=gamma)
 
 
 def form_e_unpack(fe: FormE) -> np.ndarray:

@@ -10,6 +10,12 @@ HERMITIAN_TOL = 1e-9
 TRACE_TOL = 1e-9
 UNIT_TOL = 1e-9
 
+# The modulus of a complex entry is a hypot, which Python and numpy take with
+# different code, up to a few ulps apart. require_hermitian judges a modulus
+# within HYPOT_SLACK, relative, of its bound by numpy's, so that its verdict
+# and its message keep numpy's bits.
+HYPOT_SLACK = 1e-12
+
 # Largest accepted asymmetry max|a - a^T| of a real symmetric matrix, relative
 # to its largest |entry|, so the check does not depend on the units.
 SYMMETRY_TOL = 1e-9
@@ -26,8 +32,13 @@ RANK_TOL = 1e-10
 # The one CP slack: a condition is violated when its margin, computed on the
 # matrix normalized by its Frobenius norm, is below -PSD_TOL. All three CP
 # routes (the Form E inequalities, the minors of M and its smallest
-# eigenvalue) and the Gram factorization behind the certificate use it, so a
-# CP verdict always factors.
+# eigenvalue) and the Gram factorization behind the certificate use it. The
+# minors are of degree 2 and 3 in M's eigenvalues, so they can all pass with
+# an eigenvalue as low as about -sqrt(PSD_TOL); such an M factors, but not
+# into L. So the CP gate (is_completely_positive, check_gram_psd) also
+# requires lambda_min(M) >= -PSD_TOL, and its certificate is then L to within
+# the RANK_TOL floor. gram_decompose, form_b_from_dissipation and
+# check_form_e still decide by their inequalities alone.
 PSD_TOL = 1e-10
 
 # Disagreement band inside which the two equivalent CP checks may differ

@@ -286,6 +286,48 @@ def test_exit_code_for_notcp_conversions(capsys):
         assert "not completely positive" in err
 
 
+def test_hidden_negative_eigenvalue_is_not_cp(capsys, tmp_path):
+    # M = tr(L) I - 2L has eigenvalues (-1e-5, 1e-5, 1). Every principal
+    # minor of the normalized M passes within PSD_TOL (the 2x2 ones are of
+    # order -1e-10), but its smallest eigenvalue is 1e5 times below -PSD_TOL,
+    # and the Choi witness at t = 1 is -3.0e-6.
+    path = model("matrix_hidden_negative")
+    reason = "condition lambda_min(M) >= 0 violated"
+    code, out, _ = run_cli(["--model", path, "check"], capsys)
+    assert code == 1
+    verdict, why, margin = out.splitlines()
+    assert (verdict, why) == ("verdict: NotCP", f"reason: {reason}")
+    assert float(margin.removeprefix("margin: ")) == pytest.approx(-1e-5, rel=1e-6)
+    csv = tmp_path / "traj.csv"
+    for argv in (
+        ["convert", "--to", "B"],
+        ["reduce"],
+        ["asymptote"],
+        ["evolve", "--t-max", "1", "--dt", "0.5", "--out", str(csv)],
+    ):
+        code, out, err = run_cli(["--model", path, *argv], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: dissipator is not completely positive: {reason}\n"
+    assert not csv.exists()
+
+
+@pytest.mark.parametrize(
+    "name,dt,expected_code", [("matrix_notcp", "0.25", 1), ("dephasing", "0.3", 2)]
+)
+def test_refused_evolve_leaves_the_writer_unimported(name, dt, expected_code, tmp_path):
+    # A NotCP model, and a t_max that is not a whole number of dt steps, are
+    # refused before the CSV writer is imported.
+    argv = ["--model", model(name), "evolve", "--t-max", "1", "--dt", dt, "--out", str(tmp_path / "o.csv")]
+    script = (
+        "import sys\n"
+        "from lindblad2.cli import main\n"
+        f"code = main({argv!r})\n"
+        "print(code, 'lindblad2._fmt17' in sys.modules)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert result.stdout.split() == [str(expected_code), "False"]
+
+
 def test_usage_errors_exit_two(capsys):
     assert run_cli(["--model", model("dephasing"), "convert", "--to", "X"], capsys)[0] == 2
     assert run_cli(["--model", model("dephasing"), "bogus"], capsys)[0] == 2

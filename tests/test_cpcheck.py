@@ -112,7 +112,7 @@ def test_route_disagreement_raises(monkeypatch):
 def test_cp_gate_validates_two_matrices_and_evaluates_the_minors_once(monkeypatch):
     from lindblad2 import cpcheck, forms
 
-    calls = dict.fromkeys(("require_symmetric", "_gram_margins"), 0)
+    calls = dict.fromkeys(("_symmetric_rows", "_gram_margins"), 0)
 
     def counted(name):
         real = getattr(forms, name)
@@ -130,7 +130,7 @@ def test_cp_gate_validates_two_matrices_and_evaluates_the_minors_once(monkeypatc
     for ell in (np.diag([1.0, 2.0, 3.0]), np.diag([1.0, 1.0, -1.0])):  # CP, NotCP
         calls.update(dict.fromkeys(calls, 0))
         is_completely_positive(ell)
-        assert calls["require_symmetric"] <= 2  # L and M
+        assert calls["_symmetric_rows"] <= 2  # L and M
         assert calls["_gram_margins"] == 1
 
 
