@@ -1,59 +1,34 @@
 """Complete-positivity checks for candidate dissipation matrices.
 
-Three independent routes must agree:
-
-  * the six-constant inequalities on R, S, T built from Form E,
-  * the principal-minor conditions on the companion matrix M,
-  * the minimum eigenvalue of M (spectral oracle).
-
-The first two are evaluated after normalizing by the Frobenius norm, so a
-verdict is invariant under positive rescaling. Disagreement beyond a small
-margin band signals an implementation bug, not a property of the input, and
-raises VerdictMismatchError. Where the minors pass, the smallest eigenvalue
-decides (see check_gram_psd). A fourth, fully dynamical witness builds the
-Choi matrix of the evolved map from the exact 3x3 Bloch propagator and
-reports its smallest eigenvalue.
+Two equivalent routes, the six-constant inequalities on R, S, T built from
+Form E and the principal minors of the companion matrix M, are each judged
+with the smallest eigenvalue of M by the one rule forms.judge. All three are
+taken on Frobenius-normalized matrices, so a verdict is invariant under
+positive rescaling. A route that fails while that eigenvalue holds, both
+outside a small band, is an implementation bug and raises
+VerdictMismatchError. A fully dynamical witness builds the Choi matrix of
+the evolved map from the exact 3x3 Bloch propagator and reports its
+smallest eigenvalue.
 """
-
-from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import SIGMA, frobenius_normalized
 from .dynamics import _propagators, build_generator
-from .errors import VerdictMismatchError
-from .forms import _factor, _gram_margins, _scaled_gram, _symmetric_rows
-from .forms import (
-    FormE,
-    first_violation,
-    form_b_from_gram,
-    form_e_unpack,
-)
-from .tolerances import MISMATCH_BAND, PSD_TOL
+from .errors import BadValueError
+from .forms import _MINORS_ROUTE, _factor, _gram_evidence, _scaled_gram, _symmetric_rows
+from .forms import FormE, Verdict, form_b_from_gram, judge
+
+_FORM_E_ROUTE = "six-constant route"
 
 
-@dataclass(frozen=True)
-class Verdict:
-    """Outcome of a CP check.
-
-    ``reason`` names the first violated condition when not CP; ``margin`` is
-    the smallest normalized slack over all conditions (negative means some
-    condition fails).
-    """
-
-    cp: bool
-    reason: str | None = None
-    margin: float = 0.0
-
-
-def _verdict_from_margins(margins) -> Verdict:
-    worst = min(m for _, m in margins)
-    violation = first_violation(margins)
-    if violation is None:
-        return Verdict(cp=True, margin=worst)
-    return Verdict(cp=False, reason=violation[0], margin=worst)
+def _packed(fe: FormE) -> np.ndarray:
+    """L / 2, which cannot overflow where L may; every normalized margin and
+    eigenvalue is the same for both."""
+    half = np.array([[fe.a, fe.b, fe.c], [fe.b, fe.alpha, fe.beta], [fe.c, fe.beta, fe.gamma]], float)
+    if not np.isfinite(half).all():
+        raise BadValueError("Form E constants must be finite")
+    return half
 
 
 def form_e_margins(fe: FormE) -> list:
@@ -64,7 +39,7 @@ def form_e_margins(fe: FormE) -> list:
     to dominate the squared off-diagonals, and the cubic combination
     R S T >= 2 b c beta + R beta^2 + S c^2 + T b^2.
     """
-    return _form_e_margins(frobenius_normalized(form_e_unpack(fe)))
+    return _form_e_margins(frobenius_normalized(_packed(fe)))
 
 
 def _form_e_margins(unit) -> list:
@@ -92,39 +67,19 @@ def _form_e_margins(unit) -> list:
 
 
 def check_form_e(fe: FormE) -> Verdict:
-    """CP verdict from the six-constant inequalities."""
-    return _verdict_from_margins(form_e_margins(fe))
+    """CP verdict from the six-constant inequalities and the smallest
+    eigenvalue of M (see forms.judge), both taken on L / 2."""
+    half = _packed(fe)
+    _, m, _ = _scaled_gram(half.tolist())
+    _, min_eig = _gram_evidence(frobenius_normalized(m))
+    return judge(_form_e_margins(frobenius_normalized(half)), min_eig, _FORM_E_ROUTE)
 
 
 def check_gram_psd(m) -> Verdict:
-    """CP verdict from the principal minors of M and its smallest eigenvalue.
-
-    The minor conditions are exactly positive semidefiniteness of the
-    symmetric 3x3 matrix, but their margins are products of up to three
-    eigenvalues: an M with eigenvalues (1, d, -e) has minor margins of order
-    -d e, so an e of up to sqrt(PSD_TOL) could pass them. So when the minors
-    pass, the verdict is NotCP exactly when the smallest eigenvalue of the
-    normalized M is below -PSD_TOL, with "lambda_min(M) >= 0" as the reason
-    and that eigenvalue as the margin. Minors that fail while that
-    eigenvalue passes, both outside MISMATCH_BAND, raise
-    VerdictMismatchError.
-    """
-    return _judge_gram(frobenius_normalized(_symmetric_rows(m, "gram matrix")))
-
-
-def _judge_gram(m_unit) -> Verdict:
-    """check_gram_psd of a validated M already normalized."""
-    verdict = _verdict_from_margins(_gram_margins(m_unit))
-    min_eig = float(np.linalg.eigvalsh(m_unit)[0])
-    if min_eig >= -PSD_TOL:
-        if not verdict.cp and min(abs(verdict.margin), abs(min_eig)) > MISMATCH_BAND:
-            raise VerdictMismatchError(
-                f"internal bug: minor conditions say cp=False (margin {verdict.margin:.3e}) "
-                f"but min eigenvalue is {min_eig:.3e}"
-            )
-    elif verdict.cp:
-        return Verdict(cp=False, reason="lambda_min(M) >= 0", margin=min_eig)
-    return verdict
+    """CP verdict from the principal minors of M and its smallest eigenvalue
+    (see forms.judge)."""
+    margins, min_eig = _gram_evidence(frobenius_normalized(_symmetric_rows(m, "gram matrix")))
+    return judge(margins, min_eig, _MINORS_ROUTE)
 
 
 def is_completely_positive(ell):
@@ -132,23 +87,18 @@ def is_completely_positive(ell):
 
     Returns (Verdict, certificate) where the certificate is the minimal
     rate/axis FormB whenever the matrix is CP (no terms for L = 0) and None
-    when it is not. The two routes must agree outside the margin band. The
-    verdict is check_gram_psd's: the minors of M, and where they pass, its
-    smallest eigenvalue. Both routes and the certificate work on one L and
-    M prescaled by a power of four (see forms._scaled_gram), so M cannot
-    overflow.
+    when it is not. Both routes are judged with one smallest eigenvalue of
+    M, and the verdict is the minor route's, as check_gram_psd gives it. The
+    routes and the certificate work on one L and M prescaled by a power of
+    four (see forms._scaled_gram), so M cannot overflow.
     """
     scaled, m, shift = _scaled_gram(_symmetric_rows(ell, "dissipation matrix"))
-    via_e = _verdict_from_margins(_form_e_margins(frobenius_normalized(scaled)))
-    via_m = _judge_gram(frobenius_normalized(m))
-    if via_e.cp != via_m.cp and min(abs(via_e.margin), abs(via_m.margin)) > MISMATCH_BAND:
-        raise VerdictMismatchError(
-            f"internal bug: six-constant route says cp={via_e.cp} (margin {via_e.margin:.3e}) "
-            f"but minor route says cp={via_m.cp} (margin {via_m.margin:.3e})"
-        )
-    if not via_m.cp:
-        return via_m, None
-    return via_m, form_b_from_gram(np.ldexp(_factor(m), shift))
+    margins, min_eig = _gram_evidence(frobenius_normalized(m))
+    judge(_form_e_margins(frobenius_normalized(scaled)), min_eig, _FORM_E_ROUTE)  # raises on a mismatch
+    verdict = judge(margins, min_eig, _MINORS_ROUTE)
+    if not verdict.cp:
+        return verdict, None
+    return verdict, form_b_from_gram(np.ldexp(_factor(m), shift))
 
 
 # The evolved map is unital: Phi(c0 I + c . sigma) = c0 I + (T c) . sigma for

@@ -38,7 +38,8 @@ class NotCPError(LindbladError):
 
 
 class VerdictMismatchError(LindbladError):
-    """The two mathematically equivalent CP checks disagreed: implementation bug."""
+    """A CP route's inequalities disagreed with the smallest eigenvalue of M:
+    implementation bug."""
 
 
 class BadStepError(LindbladError):

@@ -43,8 +43,9 @@ from .errors import (
     NotHermitianError,
     NotPSDError,
     NotSymmetricError,
+    VerdictMismatchError,
 )
-from .tolerances import HERMITIAN_TOL, PSD_TOL, RANK_TOL, SYMMETRY_TOL
+from .tolerances import HERMITIAN_TOL, MISMATCH_BAND, PSD_TOL, RANK_TOL, SYMMETRY_TOL
 
 
 def require_symmetric(a, what: str = "matrix") -> np.ndarray:
@@ -130,9 +131,10 @@ class FormB:
         rows = [[math.sqrt(rate) * x for x in axis.tolist()] for rate, axis in self.terms]
         # Scaled by 2^-s to max|q| in [1/2, 1), an exact step, so q q^T cannot
         # overflow; the factor of the scaled Gram matrix is 2^-s times q's.
+        # q q^T is PSD by construction, so it is factored without a CP judge.
         shift = math.frexp(max((abs(x) for row in rows for x in row), default=0.0))[1]
         q = np.array([[math.ldexp(x, -shift) for x in row] for row in rows]).reshape(-1, 3).T
-        fb_min = form_b_from_gram(np.ldexp(gram_decompose(q @ q.T), shift))
+        fb_min = form_b_from_gram(np.ldexp(_factor(_symmetric_rows(q @ q.T, "gram matrix")), shift))
         return fb_min, len(fb_min.terms)
 
 
@@ -266,9 +268,14 @@ def _scaled_gram(ell: list) -> tuple:
 
 
 def dissipation_from_gram(m) -> np.ndarray:
-    """Exact inverse of :func:`gram_from_dissipation`."""
+    """Exact inverse of :func:`gram_from_dissipation`. An entry of
+    tr(M) I3 - M above the largest double raises LindbladError."""
     m = require_symmetric(m, what="gram matrix")
-    return 0.5 * (np.trace(m) * np.eye(3) - m)
+    with np.errstate(over="ignore", invalid="ignore"):  # caught as a non-finite entry
+        ell = 0.5 * (np.trace(m) * np.eye(3) - m)
+    if not np.isfinite(ell).all():
+        raise LindbladError("an entry of tr(M) I3 - M is above the largest double, 1.8e308")
+    return ell
 
 
 def gram_condition_margins(m) -> list:
@@ -300,10 +307,48 @@ def _gram_margins(m_unit) -> list:
     ]
 
 
-def first_violation(margins):
-    """The first (label, margin) pair whose normalized margin is below
-    -PSD_TOL, or None when every condition holds."""
-    return next(((label, margin) for label, margin in margins if margin < -PSD_TOL), None)
+def _gram_evidence(m_unit) -> tuple:
+    """What judge weighs for a validated, normalized M: (margins, lambda_min)."""
+    return _gram_margins(m_unit), float(np.linalg.eigvalsh(m_unit)[0])
+
+
+_MINORS_ROUTE = "minor conditions route"
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """Outcome of a CP check: ``reason`` names the first violated condition
+    when not CP; ``margin`` is the smallest normalized slack (negative when a
+    condition fails), or lambda_min(M) when that alone fails."""
+
+    cp: bool
+    reason: str | None = None
+    margin: float = 0.0
+
+
+def judge(margins, min_eig: float, route: str) -> Verdict:
+    """The one CP rule, for a route's (label, margin) pairs and the smallest
+    eigenvalue of M, all taken on Frobenius-normalized matrices.
+
+    A condition fails when its margin is below -PSD_TOL; the verdict names
+    the first that fails, with the smallest margin. Where every condition
+    holds, a min_eig below -PSD_TOL still makes it NotCP, with that reason
+    and margin (see tolerances.PSD_TOL). A condition that fails while
+    min_eig holds, both outside MISMATCH_BAND, is a bug in the route:
+    VerdictMismatchError names it.
+    """
+    worst = min(margin for _, margin in margins)
+    failed = next((label for label, margin in margins if margin < -PSD_TOL), None)
+    if failed is None:
+        if min_eig >= -PSD_TOL:
+            return Verdict(cp=True, margin=worst)
+        return Verdict(cp=False, reason="lambda_min(M) >= 0", margin=min_eig)
+    if min_eig >= -PSD_TOL and min(abs(worst), abs(min_eig)) > MISMATCH_BAND:
+        raise VerdictMismatchError(
+            f"internal bug: {route} says cp=False (margin {worst:.3e}) "
+            f"but min eigenvalue is {min_eig:.3e}"
+        )
+    return Verdict(cp=False, reason=failed, margin=worst)
 
 
 def gram_decompose(m):
@@ -319,13 +364,15 @@ def gram_decompose(m):
     overflow for a PSD M, and a zero matrix factors into three zero
     vectors.
 
-    Raises NotCPError when a principal-minor condition fails beyond PSD_TOL.
+    Raises NotCPError, with the margin of the violated condition, when
+    judge finds M not PSD.
     """
     m = _symmetric_rows(m, "gram matrix")
-    violation = first_violation(_gram_margins(frobenius_normalized(m)))
-    if violation is not None:
-        label, margin = violation
-        raise NotCPError(f"condition {label} violated (margin {margin:.3e})")
+    margins, min_eig = _gram_evidence(frobenius_normalized(m))
+    verdict = judge(margins, min_eig, _MINORS_ROUTE)
+    if not verdict.cp:
+        margin = dict(margins).get(verdict.reason, min_eig)
+        raise NotCPError(f"condition {verdict.reason} violated (margin {margin:.3e})")
     return _factor(m)
 
 

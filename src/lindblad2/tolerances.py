@@ -30,19 +30,16 @@ BALL_TOL = 1e-9
 RANK_TOL = 1e-10
 
 # The one CP slack: a condition is violated when its margin, computed on the
-# matrix normalized by its Frobenius norm, is below -PSD_TOL. All three CP
-# routes (the Form E inequalities, the minors of M and its smallest
-# eigenvalue) and the Gram factorization behind the certificate use it. The
-# minors are of degree 2 and 3 in M's eigenvalues, so they can all pass with
-# an eigenvalue as low as about -sqrt(PSD_TOL); such an M factors, but not
-# into L. So the CP gate (is_completely_positive, check_gram_psd) also
-# requires lambda_min(M) >= -PSD_TOL, and its certificate is then L to within
-# the RANK_TOL floor. gram_decompose, form_b_from_dissipation and
-# check_form_e still decide by their inequalities alone.
+# matrix normalized by its Frobenius norm, is below -PSD_TOL. The Form E
+# inequalities and the minors of M are of degree 2 and 3 in M's eigenvalues,
+# so they can all pass with an eigenvalue as low as about -sqrt(PSD_TOL);
+# such an M factors, but not into L. So forms.judge, the one rule of every
+# CP route and of gram_decompose, also requires lambda_min(M) >= -PSD_TOL of
+# the normalized M, and a certificate is then L to within the RANK_TOL floor.
 PSD_TOL = 1e-10
 
-# Disagreement band inside which the two equivalent CP checks may differ
-# without indicating a bug.
+# A route's inequalities that fail while lambda_min(M) holds, both by more
+# than MISMATCH_BAND, signal a bug in that route, not a property of L.
 MISMATCH_BAND = 1e-9
 
 # Choi-matrix eigenvalue floor (absorbs propagator error).

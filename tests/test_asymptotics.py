@@ -24,8 +24,8 @@ def test_classify_reuses_the_reduction_of_its_form_b(monkeypatch):
     from lindblad2 import forms
 
     calls = []
-    factor = forms.gram_decompose
-    monkeypatch.setattr(forms, "gram_decompose", lambda m: calls.append(m) or factor(m))
+    factor = forms._factor
+    monkeypatch.setattr(forms, "_factor", lambda m: calls.append(m) or factor(m))
     fb = FormB(terms=[(0.5, EZ), (0.25, EZ)])
     fb_min, index = reduce_terms(fb)
     assert len(calls) == 1

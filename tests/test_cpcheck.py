@@ -1,3 +1,8 @@
+import json
+import math
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,17 +10,23 @@ import scipy.linalg
 from conftest import random_cp_matrix
 
 from lindblad2 import (
+    FormE,
     check_form_e,
     check_gram_psd,
     choi_check,
     dissipation_matrix,
+    form_b_from_dissipation,
     form_e_pack,
+    gram_decompose,
     gram_from_dissipation,
     is_completely_positive,
 )
 from lindblad2.core import matrix_from_pauli, pauli_coefficients
+from lindblad2.cpcheck import form_e_margins
 from lindblad2.dynamics import cross_matrix
-from lindblad2.errors import BadStepError, LindbladError, NegativeTimeError, VerdictMismatchError
+from lindblad2.errors import BadStepError, LindbladError, NegativeTimeError, NotCPError, VerdictMismatchError
+
+MODELS = Path(__file__).parent / "models"
 
 
 def reference_choi(h, ell, t) -> np.ndarray:
@@ -51,6 +62,40 @@ def test_check_form_e_detects_condition_a():
 
 def test_check_form_e_zero_is_cp():
     assert check_form_e(form_e_pack(np.zeros((3, 3)))).cp
+
+
+def test_check_form_e_near_the_largest_double():
+    # L = 2 (a, b, c; ...) is past the largest double; L / 2 is judged, with
+    # the bits of the same constants scaled down by an exact power of two.
+    # Overflow warnings are errors here, whatever the pytest configuration.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for consts in ((1.0, 0.0, 0.0, 1.0, 0.0, 1.0), (1.0, 0.3, -0.2, 1.0, 0.1, -0.5)):
+            big = FormE(*(math.ldexp(x, 1023) for x in consts))
+            unit = FormE(*consts)
+            assert check_form_e(big) == check_form_e(unit)
+            assert form_e_margins(big) == form_e_margins(unit)
+        assert check_form_e(FormE(1e308, 0.0, 0.0, 1e308, 0.0, 1e308)).cp
+    with pytest.raises(LindbladError, match="finite"):
+        check_form_e(FormE(math.nan, 0.0, 0.0, 1.0, 0.0, 1.0))
+
+
+def test_hidden_negative_eigenvalue_is_refused_by_every_route():
+    # M = tr(L) I - 2L has eigenvalues (-1e-5, 1e-5, 1): every minor and
+    # every six-constant inequality passes within PSD_TOL, lambda_min fails.
+    model = json.loads((MODELS / "matrix_hidden_negative.json").read_text())
+    ell = np.array(model["dissipator"]["matrix"])
+    reason = "lambda_min(M) >= 0"
+    for verdict in (
+        is_completely_positive(ell)[0],
+        check_gram_psd(gram_from_dissipation(ell)),
+        check_form_e(form_e_pack(ell)),
+    ):
+        assert (verdict.cp, verdict.reason) == (False, reason)
+        assert verdict.margin == pytest.approx(-1e-5, rel=1e-6)
+    for route in (form_b_from_dissipation, lambda e: gram_decompose(gram_from_dissipation(e))):
+        with pytest.raises(NotCPError, match=r"^condition lambda_min\(M\) >= 0 violated \(margin -1.000e-05\)$"):
+            route(ell)
 
 
 def test_check_gram_psd_examples():
@@ -109,29 +154,39 @@ def test_route_disagreement_raises(monkeypatch):
         is_completely_positive(np.eye(3))
 
 
+def test_minor_route_disagreement_raises(monkeypatch):
+    # Minors broken to fail far outside the band on the identity, whose
+    # smallest normalized eigenvalue is 1/sqrt(3): every caller of the
+    # minors raises, by the one mismatch rule.
+    monkeypatch.setattr("lindblad2.forms._gram_margins", lambda unit: [("patched", -0.5)])
+    for route in (is_completely_positive, check_gram_psd, gram_decompose):
+        with pytest.raises(VerdictMismatchError, match="^internal bug: minor conditions"):
+            route(np.eye(3))
+
+
 def test_cp_gate_validates_two_matrices_and_evaluates_the_minors_once(monkeypatch):
     from lindblad2 import cpcheck, forms
 
-    calls = dict.fromkeys(("_symmetric_rows", "_gram_margins"), 0)
+    calls = dict.fromkeys(("_symmetric_rows", "_gram_margins", "eigvalsh"), 0)
 
-    def counted(name):
-        real = getattr(forms, name)
-
+    def counted(name, real):
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return real(*args, **kwargs)
 
         return wrapper
 
-    for name in calls:
-        wrapper = counted(name)
-        for module in (forms, cpcheck):
-            monkeypatch.setattr(module, name, wrapper)
+    wrapper = counted("_symmetric_rows", forms._symmetric_rows)
+    for module in (forms, cpcheck):
+        monkeypatch.setattr(module, "_symmetric_rows", wrapper)
+    monkeypatch.setattr(forms, "_gram_margins", counted("_gram_margins", forms._gram_margins))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
     for ell in (np.diag([1.0, 2.0, 3.0]), np.diag([1.0, 1.0, -1.0])):  # CP, NotCP
         calls.update(dict.fromkeys(calls, 0))
         is_completely_positive(ell)
         assert calls["_symmetric_rows"] <= 2  # L and M
         assert calls["_gram_margins"] == 1
+        assert calls["eigvalsh"] == 1  # one spectrum judges both routes
 
 
 def test_verdict_scale_invariant():

@@ -148,6 +148,20 @@ def test_dissipation_from_gram_examples():
     assert np.allclose(dissipation_from_gram(np.zeros((3, 3))), np.zeros((3, 3)))
 
 
+def test_dissipation_from_gram_refuses_overflowing_entry():
+    # tr(M) = 3e308 overflows; warnings are errors here.
+    with pytest.raises(LindbladError, match="largest double") as info:
+        dissipation_from_gram(np.diag([1e308] * 3))
+    assert "\n" not in str(info.value)
+    # A finite result keeps the bits of the plain formula, up to 1e308.
+    rng = np.random.default_rng(9)
+    for scale in (1e-300, 1.0, 1e300, 1e308):
+        m = rng.uniform(-1.0, 1.0, size=(3, 3)) * scale / 3.0
+        m = m + m.T
+        expected = 0.5 * (np.trace(m) * np.eye(3) - m)
+        assert dissipation_from_gram(m).tobytes() == expected.tobytes()
+
+
 def test_gram_dissipation_round_trip_random():
     rng = np.random.default_rng(8)
     for _ in range(300):

@@ -2,6 +2,8 @@
 Gram matrix M, whatever the units of the rates; a Gram matrix at the edge
 of the CP slack gets a consistent verdict and certificate at every scale;
 the CP gate gives the bits of the separate public routes at every scale;
+every CP route says CP exactly when a 50-digit smallest eigenvalue of M
+does, even where the minors hide a negative one;
 without dissipation the Bloch vector precesses rigidly about h; the
 generator spectrum holds its real parts to the scale of L whatever |h| is;
 the closed-form propagator holds the phase-free parts of the state to
@@ -23,7 +25,9 @@ from lindblad2 import (
     FormB,
     build_generator,
     evolve_expm,
+    check_form_e,
     check_gram_psd,
+    choi_check,
     classify,
     cpcheck,
     dissipation_from_gram,
@@ -35,6 +39,7 @@ from lindblad2 import (
     generator_spectrum,
     gks_matrix,
     gks_minimal,
+    gram_decompose,
     gram_from_dissipation,
     is_completely_positive,
     reduce_terms,
@@ -43,7 +48,7 @@ from lindblad2 import (
 from lindblad2.asymptotics import MAXIMALLY_MIXED
 from lindblad2.cli import main
 from lindblad2.errors import NotCPError
-from lindblad2.tolerances import PSD_TOL, RANK_TOL
+from lindblad2.tolerances import CHOI_TOL, PSD_TOL, RANK_TOL, REDUCE_DRIFT_TOL
 
 # Smallest singular value of the matrix of unit axes: the terms of a drawn
 # dissipator are well separated, so its rank is not in doubt.
@@ -155,6 +160,61 @@ def test_cp_gate_gives_the_bits_of_the_separate_routes(ell):
     assert index == len(certificate.terms)
     assert certificate.rates.tobytes() == fb.rates.tobytes()
     assert certificate.axes.tobytes() == fb.axes.tobytes()
+
+
+@st.composite
+def spectra_past_the_slack(draw):
+    """M = Q diag(1, d, p) Q^T at a scale 10^k, k in [-300, 300], with d tiny
+    and positive and p = +-(2 to 1e6) PSD_TOL. The smallest minor margins
+    are then of order d p, so for p < 0 and a small d every minor can pass
+    while lambda_min(M) is far below -PSD_TOL (28 of the 300 draws)."""
+    columns = np.array([[draw(st.floats(-1.0, 1.0)) for _ in range(3)] for _ in range(3)])
+    assume(np.linalg.svd(columns, compute_uv=False)[-1] >= 0.1)
+    q, _ = np.linalg.qr(columns)
+    tiny = 10.0 ** draw(st.floats(-12.0, -2.0))
+    push = draw(st.sampled_from((-1.0, 1.0))) * 10.0 ** draw(st.floats(np.log10(2.0), 6.0)) * PSD_TOL
+    m = 10.0 ** draw(st.integers(-300, 300)) * ((q * [1.0, tiny, push]) @ q.T)
+    return 0.5 * (m + m.T)
+
+
+def exact_lambda_min(m) -> float:
+    """The smallest eigenvalue of M over its Frobenius norm, to 50 digits."""
+    with mpmath.workdps(50):
+        exact = mpmath.matrix(m.tolist())
+        return float(min(mpmath.eigsy(exact / mpmath.mnorm(exact, "f"))[0]))
+
+
+def _cp_by(route, *args) -> bool:
+    """True when a factoring route returns, False when it raises NotCPError."""
+    try:
+        route(*args)
+    except NotCPError:
+        return False
+    return True
+
+
+def _drift(fb, ell) -> float:
+    """|dissipation_matrix(fb) - L|_F in units of L's largest entry."""
+    return float(np.linalg.norm((dissipation_matrix(fb) - ell) / np.max(np.abs(ell))))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(spectra_past_the_slack())
+def test_every_route_says_cp_exactly_when_lambda_min_does(m):
+    cp = exact_lambda_min(m) >= -PSD_TOL
+    ell = dissipation_from_gram(m)
+    verdict, certificate = is_completely_positive(ell)
+    assert verdict.cp == cp
+    assert check_gram_psd(m).cp == cp
+    assert check_form_e(form_e_pack(ell)).cp == cp
+    assert _cp_by(gram_decompose, m) == cp
+    assert _cp_by(form_b_from_dissipation, ell) == cp
+    if cp:
+        assert _drift(certificate, ell) <= REDUCE_DRIFT_TOL
+        assert _drift(form_b_from_dissipation(ell)[0], ell) <= REDUCE_DRIFT_TOL
+        # The evolved map stays CP over a decay time.
+        times = np.array([0.5, 1.0]) / np.max(np.abs(ell))
+        assert np.all(choi_check(np.zeros(3), ell, times) >= -CHOI_TOL)
 
 
 def rodrigues(h, r0, t):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from lindblad2 import asymptotics, core, dynamics, forms
 from lindblad2.errors import BadValueError, NotCPError, NotHermitianError, NotSymmetricError
-from lindblad2.tolerances import HERMITIAN_TOL, PARALLEL_TOL, RANK_TOL, SYMMETRY_TOL
+from lindblad2.tolerances import HERMITIAN_TOL, PARALLEL_TOL, PSD_TOL, RANK_TOL, SYMMETRY_TOL
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
@@ -77,9 +77,18 @@ def old_factor(m):
     return q
 
 
+def old_first_violation(margins):
+    return next(((label, margin) for label, margin in margins if margin < -PSD_TOL), None)
+
+
 def old_gram_decompose(m):
+    # With the smallest eigenvalue of the normalized M, which decides where
+    # every minor passes: gram_decompose judges M as the CP gate does.
     m = old_require_symmetric(m, what="gram matrix")
-    violation = forms.first_violation(forms._gram_margins(old_frobenius_normalized(m)))
+    unit = old_frobenius_normalized(m)
+    violation = old_first_violation(forms._gram_margins(unit))
+    if violation is None and (min_eig := float(np.linalg.eigvalsh(unit)[0])) < -PSD_TOL:
+        violation = ("lambda_min(M) >= 0", min_eig)
     if violation is not None:
         label, margin = violation
         raise NotCPError(f"condition {label} violated (margin {margin:.3e})")
