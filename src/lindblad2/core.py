@@ -109,23 +109,10 @@ def pauli_coefficients(m: np.ndarray) -> tuple[complex, np.ndarray]:
 
 def matrix_from_pauli(c0: complex, c: np.ndarray) -> np.ndarray:
     """Inverse of :func:`pauli_coefficients`."""
-    c = np.asarray(c)
-    if c.dtype != float or isinstance(c0, complex):
-        cx, cy, cz = c
-        return np.array(
-            [[c0 + cz, cx - 1j * cy], [cx + 1j * cy, c0 - cz]], dtype=complex
-        )
-    # Real coefficients, on Python floats: each part is the one the complex
-    # arithmetic above forms, with 1j * cy = (0 cy - 1 * 0) + (0 * 0 + 1 cy) i.
-    cx, cy, cz = c.tolist()
-    c0 = float(c0)
-    re, im = 0.0 * cy - 0.0, 0.0 + cy
-    return np.array(
-        [
-            [complex(c0 + cz, 0.0), complex(cx - re, 0.0 - im)],
-            [complex(cx + re, 0.0 + im), complex(c0 - cz, 0.0)],
-        ]
-    )
+    # On Python scalars: each part is the one numpy's complex arithmetic
+    # forms, with 1j * cy = (0 cy - 1 * 0) + (0 * 0 + 1 cy) i.
+    cx, cy, cz = np.asarray(c).tolist()
+    return np.array([[c0 + cz, cx - 1j * cy], [cx + 1j * cy, c0 - cz]], dtype=complex)
 
 
 @dataclass(frozen=True, eq=False)

@@ -29,12 +29,11 @@ class NotSymmetricError(LindbladError):
     pass
 
 
-class NotPSDError(LindbladError):
-    pass
-
-
 class NotCPError(LindbladError):
     pass
+
+
+NotPSDError = NotCPError
 
 
 class VerdictMismatchError(LindbladError):

@@ -41,7 +41,6 @@ from .errors import (
     LindbladError,
     NotCPError,
     NotHermitianError,
-    NotPSDError,
     NotSymmetricError,
     VerdictMismatchError,
 )
@@ -318,8 +317,8 @@ _MINORS_ROUTE = "minor conditions route"
 @dataclass(frozen=True)
 class Verdict:
     """Outcome of a CP check: ``reason`` names the first violated condition
-    when not CP; ``margin`` is the smallest normalized slack (negative when a
-    condition fails), or lambda_min(M) when that alone fails."""
+    when not CP; ``margin`` is lambda_min(M) of the Frobenius-normalized M,
+    CP or not, on every route, so it reads against -PSD_TOL."""
 
     cp: bool
     reason: str | None = None
@@ -331,24 +330,23 @@ def judge(margins, min_eig: float, route: str) -> Verdict:
     eigenvalue of M, all taken on Frobenius-normalized matrices.
 
     A condition fails when its margin is below -PSD_TOL; the verdict names
-    the first that fails, with the smallest margin. Where every condition
-    holds, a min_eig below -PSD_TOL still makes it NotCP, with that reason
-    and margin (see tolerances.PSD_TOL). A condition that fails while
-    min_eig holds, both outside MISMATCH_BAND, is a bug in the route:
-    VerdictMismatchError names it.
+    the first that fails. Where every condition holds, a min_eig below
+    -PSD_TOL still makes it NotCP, with the reason lambda_min(M) >= 0 (see
+    tolerances.PSD_TOL). Every verdict's margin is min_eig. A condition
+    that fails while min_eig holds, both outside MISMATCH_BAND, is a bug in
+    the route: VerdictMismatchError names it.
     """
-    worst = min(margin for _, margin in margins)
     failed = next((label for label, margin in margins if margin < -PSD_TOL), None)
-    if failed is None:
-        if min_eig >= -PSD_TOL:
-            return Verdict(cp=True, margin=worst)
-        return Verdict(cp=False, reason="lambda_min(M) >= 0", margin=min_eig)
-    if min_eig >= -PSD_TOL and min(abs(worst), abs(min_eig)) > MISMATCH_BAND:
-        raise VerdictMismatchError(
-            f"internal bug: {route} says cp=False (margin {worst:.3e}) "
-            f"but min eigenvalue is {min_eig:.3e}"
-        )
-    return Verdict(cp=False, reason=failed, margin=worst)
+    if failed is None and min_eig < -PSD_TOL:
+        failed = "lambda_min(M) >= 0"
+    elif failed is not None and min_eig >= -PSD_TOL:
+        worst = min(margin for _, margin in margins)
+        if min(abs(worst), abs(min_eig)) > MISMATCH_BAND:
+            raise VerdictMismatchError(
+                f"internal bug: {route} says cp=False (margin {worst:.3e}) "
+                f"but min eigenvalue is {min_eig:.3e}"
+            )
+    return Verdict(cp=failed is None, reason=failed, margin=min_eig)
 
 
 def gram_decompose(m):
@@ -364,15 +362,13 @@ def gram_decompose(m):
     overflow for a PSD M, and a zero matrix factors into three zero
     vectors.
 
-    Raises NotCPError, with the margin of the violated condition, when
-    judge finds M not PSD.
+    Raises NotCPError, with the violated condition and the verdict's margin
+    lambda_min, when judge finds M not PSD.
     """
     m = _symmetric_rows(m, "gram matrix")
-    margins, min_eig = _gram_evidence(frobenius_normalized(m))
-    verdict = judge(margins, min_eig, _MINORS_ROUTE)
+    verdict = judge(*_gram_evidence(frobenius_normalized(m)), _MINORS_ROUTE)
     if not verdict.cp:
-        margin = dict(margins).get(verdict.reason, min_eig)
-        raise NotCPError(f"condition {verdict.reason} violated (margin {margin:.3e})")
+        raise NotCPError(f"condition {verdict.reason} violated (margin {verdict.margin:.3e})")
     return _factor(m)
 
 
@@ -465,13 +461,13 @@ def form_e_pack(ell) -> FormE:
 
 
 def form_e_unpack(fe: FormE) -> np.ndarray:
-    return 2.0 * np.array(
-        [
-            [fe.a, fe.b, fe.c],
-            [fe.b, fe.alpha, fe.beta],
-            [fe.c, fe.beta, fe.gamma],
-        ]
-    )
+    """L = 2 [[a, b, c], [b, alpha, beta], [c, beta, gamma]]. A constant that
+    is not finite, or above half the largest double, raises BadValueError."""
+    with np.errstate(over="ignore"):  # caught as a non-finite entry
+        ell = 2.0 * np.array([[fe.a, fe.b, fe.c], [fe.b, fe.alpha, fe.beta], [fe.c, fe.beta, fe.gamma]])
+    if not np.isfinite(ell).all():
+        raise BadValueError("Form E constants must be finite and at most half the largest double")
+    return ell
 
 
 # ---------------------------------------------------------------------------
@@ -526,14 +522,13 @@ def gks_matrix(fa: FormA) -> np.ndarray:
 def gks_minimal(c) -> FormA:
     """Smallest operator set reproducing a GKS coefficient matrix.
 
-    Diagonalizing c = U chat U^dag yields one operator
-    B_j = sqrt(chat_jj) sum_k U_kj F_k per positive eigenvalue, so at most
-    three. Eigenvalues at or below RANK_TOL times the largest count as zero,
-    and PSD_TOL is the negative slack relative to the largest |eigenvalue|.
-    With hermitian Lindblad operators c is real symmetric and the
-    reconstructed operators are hermitian. Returns them as a FormA, largest
-    rate first, so gks_minimal(gks_matrix(fa)) is again a FormA; c = 0
-    yields the zero dissipator FormA(operators=()).
+    For hermitian Lindblad operators c is real symmetric and equals M / 2,
+    so gram_decompose judges and factors it as it does M: c = q q^T, and
+    column j of q gives the hermitian operator B_j = sum_k q_kj F_k, one
+    per pivot above the RANK_TOL floor, so at most three. Returns them as a
+    FormA in pivot order, so gks_minimal(gks_matrix(fa)) is again a FormA;
+    c = 0 yields the zero dissipator FormA(operators=()). Raises NotCPError
+    as gram_decompose does when c is not PSD.
     """
     c = require_hermitian(c, what="coefficient matrix", size=3)
     if float(abs(c.imag).max()) > HERMITIAN_TOL:
@@ -541,15 +536,6 @@ def gks_minimal(c) -> FormA:
             "coefficient matrix has a complex part; only real symmetric "
             "matrices (hermitian Lindblad operators) are supported"
         )
-    sym = 0.5 * (c.real + c.real.T)
-    evals, evecs = np.linalg.eigh(sym)
-    scale = float(abs(evals).max())
-    if evals[0] < -PSD_TOL * scale:
-        raise NotPSDError(f"coefficient matrix has eigenvalue {evals[0]!r} < 0")
-    ops = []
-    for j in range(2, -1, -1):
-        if evals[j] > RANK_TOL * evals[2]:
-            weight = np.sqrt(evals[j])
-            op = weight * np.tensordot(evecs[:, j], _GKS_BASIS, axes=(0, 0))
-            ops.append(op)
-    return FormA(operators=tuple(ops))
+    # F_k = sigma_k / sqrt(2), so B_j has the Pauli coefficients q[:, j] / sqrt(2).
+    q = gram_decompose(c.real) / math.sqrt(2.0)
+    return FormA(operators=tuple(matrix_from_pauli(0.0, col) for col in q.T if col.any()))

@@ -24,18 +24,20 @@ SYMMETRY_TOL = 1e-9
 BALL_TOL = 1e-9
 
 # Rank decision for the minimal number of Lindblad terms: a pivot of the
-# Gram factorization, or an eigenvalue of a GKS matrix, at or below
-# RANK_TOL times the largest one counts as zero. Relative, so the index
-# does not depend on the units of the rates.
+# Gram factorization (forms._factor, which also factors a GKS matrix) at or
+# below RANK_TOL times the largest diagonal entry counts as zero. Relative,
+# so the index does not depend on the units of the rates.
 RANK_TOL = 1e-10
 
-# The one CP slack: a condition is violated when its margin, computed on the
-# matrix normalized by its Frobenius norm, is below -PSD_TOL. The Form E
-# inequalities and the minors of M are of degree 2 and 3 in M's eigenvalues,
-# so they can all pass with an eigenvalue as low as about -sqrt(PSD_TOL);
-# such an M factors, but not into L. So forms.judge, the one rule of every
-# CP route and of gram_decompose, also requires lambda_min(M) >= -PSD_TOL of
-# the normalized M, and a certificate is then L to within the RANK_TOL floor.
+# The one CP slack, read only by forms.judge: a condition is violated when
+# its margin, computed on the matrix normalized by its Frobenius norm, is
+# below -PSD_TOL. The Form E inequalities and the minors of M are of degree
+# 2 and 3 in M's eigenvalues, so they can all pass with an eigenvalue as low
+# as about -sqrt(PSD_TOL); such an M factors, but not into L. So the judge,
+# the one rule of every CP route, of gram_decompose and of gks_minimal, also
+# requires lambda_min(M) >= -PSD_TOL of the normalized M, reports that
+# eigenvalue as every verdict's margin, and a certificate is then L to
+# within the RANK_TOL floor.
 PSD_TOL = 1e-10
 
 # A route's inequalities that fail while lambda_min(M) holds, both by more

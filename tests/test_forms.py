@@ -462,6 +462,20 @@ def test_form_e_pack_examples():
     )
 
 
+def test_form_e_unpack_refuses_overflowing_entry():
+    # 2 a = 2e308 overflows; warnings are errors here.
+    for fe in (FormE(1e308, 0.0, 0.0, 1e308, 0.0, 1e308), FormE(0.0, -1e308, 0.0, 0.0, 0.0, 0.0)):
+        with pytest.raises(LindbladError, match="largest double") as info:
+            form_e_unpack(fe)
+        assert "\n" not in str(info.value)
+    # A finite result keeps the bits of the plain formula, up to 8e307.
+    rng = np.random.default_rng(11)
+    for scale in (1e-300, 1.0, 1e300, 8e307):
+        fe = FormE(*rng.uniform(-1.0, 1.0, size=6) * scale)
+        plain = 2.0 * np.array([[fe.a, fe.b, fe.c], [fe.b, fe.alpha, fe.beta], [fe.c, fe.beta, fe.gamma]])
+        assert form_e_unpack(fe).tobytes() == plain.tobytes()
+
+
 def test_form_e_round_trip_random():
     rng = np.random.default_rng(37)
     for _ in range(100):
@@ -587,9 +601,24 @@ def test_gks_minimal_rejects_indefinite():
 
     with pytest.raises(NotPSDError):
         gks_minimal(np.diag([-1.0, 0.0, 0.0]))
+    # c = M / 2 is judged as gram_decompose judges M, with the same error.
+    m = np.array([[1.0, 0.5, 0.0], [0.5, 0.1, 0.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(NotCPError) as by_gram:
+        gram_decompose(m)
+    with pytest.raises(NotCPError) as by_gks:
+        gks_minimal(m / 2)
+    assert str(by_gks.value) == str(by_gram.value)
     # An infinite entry is refused, not read as the zero dissipator.
     with pytest.raises(NotHermitianError, match="finite 3x3"):
         gks_minimal(np.diag([np.inf, 0.0, 0.0]))
+
+
+def test_gks_minimal_at_the_top_of_the_double_range():
+    # The operators are factor columns, about 1e154, so nothing overflows.
+    c = np.diag([1e308, 1e308, 1e308])
+    fa = gks_minimal(c)
+    assert len(fa.operators) == 3
+    assert np.max(np.abs(gks_matrix(fa) - c)) <= 1e-15 * 1e308
 
 
 def test_gks_minimal_rank_two():

@@ -1,9 +1,11 @@
 """Property tests: the minimal number of Lindblad terms is the rank of the
-Gram matrix M, whatever the units of the rates; a Gram matrix at the edge
+Gram matrix M, whatever the units of the rates, and gks_minimal rebuilds
+its GKS matrix; a Gram matrix at the edge
 of the CP slack gets a consistent verdict and certificate at every scale;
 the CP gate gives the bits of the separate public routes at every scale;
-every CP route says CP exactly when a 50-digit smallest eigenvalue of M
-does, even where the minors hide a negative one;
+every CP route, gks_minimal among them, says CP exactly when a 50-digit
+smallest eigenvalue of M does, even where the minors hide a negative one,
+and reports that eigenvalue as its margin;
 without dissipation the Bloch vector precesses rigidly about h; the
 generator spectrum holds its real parts to the scale of L whatever |h| is;
 the closed-form propagator holds the phase-free parts of the state to
@@ -77,9 +79,11 @@ def test_index_equals_rank_at_every_scale(case):
     assert reduce_terms(fb)[1] == r
     verdict, certificate = is_completely_positive(dissipation_matrix(fb))
     assert verdict.cp and len(certificate.terms) == r
-    fa = gks_minimal(gks_matrix(form_a_from_form_b(fb)))
+    c = gks_matrix(form_a_from_form_b(fb))
+    fa = gks_minimal(c)
     assert len(fa.operators) == r
     assert len(form_a_to_form_b(fa).terms) == r
+    assert np.max(np.abs(gks_matrix(fa) - c)) <= 1e-12 * np.max(np.abs(c))
 
 
 @st.composite
@@ -201,14 +205,20 @@ def _drift(fb, ell) -> float:
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(spectra_past_the_slack())
 def test_every_route_says_cp_exactly_when_lambda_min_does(m):
-    cp = exact_lambda_min(m) >= -PSD_TOL
+    exact = exact_lambda_min(m)
+    cp = exact >= -PSD_TOL
     ell = dissipation_from_gram(m)
     verdict, certificate = is_completely_positive(ell)
-    assert verdict.cp == cp
-    assert check_gram_psd(m).cp == cp
-    assert check_form_e(form_e_pack(ell)).cp == cp
+    by_m, by_e = check_gram_psd(m), check_form_e(form_e_pack(ell))
+    assert verdict.cp == by_m.cp == by_e.cp == cp
     assert _cp_by(gram_decompose, m) == cp
     assert _cp_by(form_b_from_dissipation, ell) == cp
+    assert _cp_by(gks_minimal, m / 2) == cp
+    # Every margin is lambda_min(M); the routes that judge the gate's M,
+    # rebuilt from L, give its bits.
+    assert all(abs(v.margin - exact) <= 1e-13 for v in (verdict, by_m, by_e))
+    for route in (check_gram_psd(gram_from_dissipation(ell)), by_e):
+        assert float(route.margin).hex() == float(verdict.margin).hex()
     if cp:
         assert _drift(certificate, ell) <= REDUCE_DRIFT_TOL
         assert _drift(form_b_from_dissipation(ell)[0], ell) <= REDUCE_DRIFT_TOL

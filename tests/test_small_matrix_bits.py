@@ -83,15 +83,16 @@ def old_first_violation(margins):
 
 def old_gram_decompose(m):
     # With the smallest eigenvalue of the normalized M, which decides where
-    # every minor passes: gram_decompose judges M as the CP gate does.
+    # every minor passes: gram_decompose judges M as the CP gate does. The
+    # error's margin is that eigenvalue, whichever condition fails.
     m = old_require_symmetric(m, what="gram matrix")
     unit = old_frobenius_normalized(m)
     violation = old_first_violation(forms._gram_margins(unit))
-    if violation is None and (min_eig := float(np.linalg.eigvalsh(unit)[0])) < -PSD_TOL:
+    min_eig = float(np.linalg.eigvalsh(unit)[0])
+    if violation is None and min_eig < -PSD_TOL:
         violation = ("lambda_min(M) >= 0", min_eig)
     if violation is not None:
-        label, margin = violation
-        raise NotCPError(f"condition {label} violated (margin {margin:.3e})")
+        raise NotCPError(f"condition {violation[0]} violated (margin {min_eig:.3e})")
     return old_factor(m)
 
 
@@ -301,10 +302,18 @@ def test_form_b_helpers_keep_their_bits(fb):
 
 
 @SETTINGS
-@given(finite, st.lists(finite, min_size=3, max_size=3).map(np.array))
-def test_matrix_from_pauli_keeps_its_bits(c0, c):
-    assert outcome(core.matrix_from_pauli, c0, c) == outcome(old_matrix_from_pauli, c0, c)
-    assert outcome(core.matrix_from_pauli, c0, c + 0j) == outcome(old_matrix_from_pauli, c0, c + 0j)
+@given(
+    st.one_of(finite, st.sampled_from(NON_FINITE)),
+    finite,
+    st.lists(st.one_of(finite, st.sampled_from(NON_FINITE)), min_size=6, max_size=6).map(np.array),
+)
+def test_matrix_from_pauli_keeps_its_bits(c0, im0, parts):
+    c, im = parts[:3], parts[3:]
+    with np.errstate(invalid="ignore"):  # 1j * inf has a NaN real part
+        coeffs = (c, c + 0j, c + 1j * im)
+    for first in (c0, np.float64(c0), complex(c0, im0), np.complex128(complex(c0, im0))):
+        for coeff in coeffs:
+            assert outcome(core.matrix_from_pauli, first, coeff) == outcome(old_matrix_from_pauli, first, coeff)
 
 
 @st.composite
