@@ -1,7 +1,9 @@
 """Rows of doubles as CSV text, byte for byte as ``'%.17g' % x`` writes each.
 
 CPython prints a double to 17 digits with bignum arithmetic, about 0.5 us a
-number. Here every cell of a table is formatted at once with numpy.
+number. Here every cell of a table is formatted at once with numpy:
+format_rows turns one table into text, and write_columns writes a run's
+columns to a file, BLOCK_CELLS cells at a time.
 
 Digits. A nonzero |x| with decimal exponent k = floor(log10 |x|) has the
 17 digits N = round(|x| 10^(16-k)), an integer in [10^16, 10^17). 10^p is
@@ -24,18 +26,22 @@ sign of a positive number and the unused point slots, stay zero, and
 dropping every zero byte joins the cells.
 
 Fallback. A cell the fast path cannot decide is printed by '%.17g' itself:
-inf and NaN, |k| > K_MAX, a low part within FORMAT_TIE_TOL of a rounding tie,
-and a k that log10 got wrong by one next to a power of ten (then
+inf and NaN, |k| > K_MAX (|x| below about 1e-284, subnormals included, or
+from 1e285 up), a low part within FORMAT_TIE_TOL of a rounding tie, and a k
+that log10 got wrong by one next to a power of ten (then
 floor(|x| 10^(16-k)) < 10^16 or N >= 10^17).
 
 Memory. Every working array of a table lives in a per-thread scratch set
 that grows to the largest table the thread has formatted and is kept for
-the life of the process (about 1 MB for the evolve CSV's 512 x 6 cells).
-Every step writes into it with ``out=``, so a table allocates only its
-output: the bytes of its cells and the text joined from them, _TEXT_CELLS
-cells at a time. Arrays freed after each block would leave the top of the
-C heap free, the allocator would return those pages to the system, and the
-next block would fault them back in, one minor page fault each.
+the life of the process. write_columns copies the run's rows into it one
+block of BLOCK_CELLS cells at a time (about 1 MB of scratch for the evolve
+CSV's 512 x 6 cells), so a run of any length adds no copy of its own
+columns. Every step writes into the scratch with ``out=``, so a table
+allocates only its output: the bytes of its cells and the text joined from
+them, _TEXT_CELLS cells at a time. Arrays freed after each block would
+leave the top of the C heap free, the allocator would return those pages
+to the system, and the next block would fault them back in, one minor page
+fault each.
 
 The tables are built when this module is imported, on the first write.
 """
@@ -48,17 +54,18 @@ import numpy as np
 
 from .tolerances import FORMAT_TIE_TOL
 
-# The fast path's range of k: it keeps the exponent at two digits and the
-# table of powers quick to build (far inside the range where a Veltkamp
-# split could overflow).
-K_MAX = 99
+# The fast path's range of k, the largest at which both Veltkamp splits stay
+# finite: 10^(16 + K_MAX) (2^27 + 1), the largest product a split forms, is
+# 1.3e308, and the split of |x| < 10^(K_MAX + 1) forms less. Every Dekker
+# partial product and every remainder of the table is then a normal double.
+K_MAX = 284
 
 # A cell's row: sign, "0.000", digit j at 6 + 2j with a point slot after it
-# at 7 + 2j ("e" after digit 16, which no point follows), exponent sign, two
-# exponent digits, separator, and zeros to a whole number of 8-byte words.
-# Word 0 holds the sign and the first digit, word 1 + j digits 4j + 1 ...
-# 4j + 4 and their point slots.
-_SIGN, _DIGITS, _E, _SEPARATOR, _WIDTH = 0, 6, 39, 43, 48
+# at 7 + 2j ("e" after digit 16, which no point follows), exponent sign,
+# two or three exponent digits, separator, and zeros to a whole number of
+# 8-byte words. Word 0 holds the sign and the first digit, word 1 + j digits
+# 4j + 1 ... 4j + 4 and their point slots.
+_SIGN, _DIGITS, _E, _SEPARATOR, _WIDTH = 0, 6, 39, 44, 48
 # Layouts 0..20 are positional, k + 4; layout _SCIENTIFIC + K_MAX + k is
 # scientific with the exponent k.
 _SCIENTIFIC = 21
@@ -111,8 +118,8 @@ def _layout_rows():
         rows[k + 4, 1:1 + len(prefix)] = np.frombuffer(prefix, dtype=np.uint8)
     for k in range(1, 17):
         rows[k + 4, _DIGITS + 2:_DIGITS + 2 + 2 * k:2] = ord("0")
-    exponents = np.array([b"e%+03d" % k for k in range(-K_MAX, K_MAX + 1)], dtype="S4")
-    rows[_SCIENTIFIC:, _E:_SEPARATOR] = exponents.view(np.uint8).reshape(-1, 4)
+    exponents = np.array([b"e%+03d" % k for k in range(-K_MAX, K_MAX + 1)], dtype="S5")
+    rows[_SCIENTIFIC:, _E:_SEPARATOR] = exponents.view(np.uint8).reshape(-1, 5)
     rows[:, _SEPARATOR] = ord(",")
     return rows
 
@@ -143,14 +150,33 @@ _ROWS = _layout_rows()
 _LEAD, _QUADS = _digit_tables()
 
 
+def _divmod(a, d, q, r):
+    """a // d into q and a % d into r; neither q nor r may be a.
+
+    Integer-exact, and faster than np.divmod: numpy divides by the constant
+    with a multiply and a shift (libdivide).
+    """
+    np.floor_divide(a, d, out=q)
+    np.subtract(a, np.multiply(q, d, out=r), out=r)
+    return q, r
+
+
+# The cells write_columns copies and formats at a time: 512 rows of the
+# evolve CSV's six columns. The scratch grows to one block (about 1 MB) and
+# is kept, so that later blocks allocate only their text. Smaller blocks pay
+# format_rows' fixed cost per call more often: 256 rows are about 20 %
+# slower per row.
+BLOCK_CELLS = 512 * 6
+
+
 class _Scratch(threading.local):
     """One thread's working arrays, grown to the most cells it has formatted."""
 
     size = 0
 
-    def views(self, n: int):
-        """The first n cells of every working array."""
+    def grow(self, n: int) -> None:
         if n > self.size:
+            self.table = np.empty(n)
             self.floats = np.empty((7, n))
             self.ints = np.empty((8, n), dtype=np.int64)
             self.flags = np.empty((5, n), dtype=bool)
@@ -162,6 +188,15 @@ class _Scratch(threading.local):
             self.slots = np.arange(_DIGITS + 1, n * _WIDTH, _WIDTH)
             self.cells = np.empty(n * _WIDTH, dtype=np.uint8)
             self.size = n
+
+    def block(self, rows: int, cols: int) -> np.ndarray:
+        """A rows x cols table of doubles for write_columns to fill."""
+        self.grow(rows * cols)
+        return self.table[:rows * cols].reshape(rows, cols)
+
+    def views(self, n: int):
+        """The first n cells of every working array but the table."""
+        self.grow(n)
         return (
             self.floats[:, :n], self.ints[:, :n], self.flags[:, :n], self.quads[:, :, :n],
             self.cut[:, :n], self.words[:, :n], self.points[:n], self.slots[:n],
@@ -235,12 +270,12 @@ def format_rows(table: np.ndarray) -> bytes:
 
     # The first digit and the sign, then the 16 digits after the first in
     # quads, each up to its last nonzero digit where no later quad has one.
-    rest = np.divmod(n17, 10**16, out=(top, n17))[1]
+    rest = _divmod(n17, 10**16, top, i)[1]
     np.add(top, np.multiply(np.signbit(x, out=flag), 10, out=spot), out=spot)
     _LEAD.take(spot, out=words[0], mode="clip")
-    high, low = np.divmod(rest, 10**8, out=(floor_n, spot))
-    np.divmod(high, 10**4, out=(quads[0], quads[1]))
-    np.divmod(low, 10**4, out=(quads[2], quads[3]))
+    high, low = _divmod(rest, 10**8, floor_n, spot)
+    _divmod(high, 10**4, quads[0], quads[1])
+    _divmod(low, 10**4, quads[2], quads[3])
     cut[3] = True
     for j in (2, 1, 0):
         np.logical_and(cut[j + 1], np.equal(quads[j + 1], 0, out=cut[j]), out=cut[j])
@@ -260,3 +295,22 @@ def format_rows(table: np.ndarray) -> bytes:
     cells[fallback, :_SEPARATOR] = text.view(np.uint8).reshape(-1, _SEPARATOR)
     pieces = range(0, n, _TEXT_CELLS)
     return b"".join([cells[s:s + _TEXT_CELLS].tobytes().translate(None, b"\0") for s in pieces])
+
+
+def write_columns(fh, *columns) -> None:
+    """Write side-by-side columns to the binary file fh as CSV rows.
+
+    Each column is 1-d, or 2-d for several; all have the same length. The
+    rows are copied into the scratch BLOCK_CELLS cells at a time, with -0.0
+    made 0.0 as the CLI prints it, and each block is written as format_rows
+    renders it.
+    """
+    parts = [np.reshape(column, (len(column), -1)) for column in columns]
+    cols = sum(part.shape[1] for part in parts)
+    step = BLOCK_CELLS // cols
+    for start in range(0, len(parts[0]), step):
+        pieces = [part[start:start + step] for part in parts]
+        block = _SCRATCH.block(len(pieces[0]), cols)
+        np.concatenate(pieces, axis=1, out=block)
+        # Adding 0.0 turns -0.0 into 0.0.
+        fh.write(format_rows(np.add(block, 0.0, out=block)))

@@ -318,12 +318,14 @@ def cmd_reduce(model: Model, args) -> int:
     return 0
 
 
-# The evolve CSV is formatted and written CSV_BLOCK_ROWS rows at a time. A
-# block bounds the writer's per-thread scratch, which grows to one block's
-# cells (about 1 MB for 512 rows of 6) and is kept, so that later blocks
-# allocate only their text. Smaller blocks pay the writer's fixed cost per
-# call more often: 256 rows are about 20 % slower per row.
-CSV_BLOCK_ROWS = 512
+def _distances(states, limit) -> np.ndarray:
+    """|r - limit| for each row r, with the bits of np.linalg.norm(r - limit).
+
+    Row-wise inner products by matmul keep those bits; norm(axis=1) sums in
+    another order. The (n, 1, 3) difference is freed on return.
+    """
+    diff = (states - limit)[:, None, :]
+    return np.sqrt(diff @ diff.transpose(0, 2, 1)).ravel()
 
 
 def cmd_evolve(model: Model, args) -> int:
@@ -339,18 +341,12 @@ def cmd_evolve(model: Model, args) -> int:
         raise LindbladError(f"{exc.reason}; use {hint}") from None
     # Imported once the run is accepted, so that neither the other commands
     # nor a refused run compile the writer.
-    from ._fmt17 import format_rows
+    from ._fmt17 import write_columns
 
-    # Row-wise inner products by matmul keep the bits of the scalar
-    # np.linalg.norm(r - limit); norm(axis=1) sums in another order.
-    diff = (traj.states - limit)[:, None, :]
-    dist = np.sqrt(diff @ diff.transpose(0, 2, 1))[:, 0, 0]
-    # Adding 0.0 turns -0.0 into 0.0, as _fmt does.
-    table = np.column_stack([traj.times, traj.states, traj.entropies, dist]) + 0.0
+    dist = _distances(traj.states, limit)
     with open(args.out, "wb") as fh:
         fh.write(b"t,rx,ry,rz,entropy,dist_to_limit\n")
-        for start in range(0, len(table), CSV_BLOCK_ROWS):
-            fh.write(format_rows(table[start:start + CSV_BLOCK_ROWS]))
+        write_columns(fh, traj.times, traj.states, traj.entropies, dist)
     return 0
 
 

@@ -94,8 +94,10 @@ TERM_LIMIT = 2.0**1021
 # number n >= 1 of steps.
 STEP_FIT_TOL = 1e-12
 
-# Most integration steps per run. A Bloch run stores 24 bytes per step, so
-# the cap keeps a trajectory below ~240 MB instead of failing in allocation.
+# Most integration steps per run. An evolve run peaks at about 80 bytes per
+# step (its trajectory's 40 and the temporaries of its entropies or of its
+# distances to the limit; the CSV writer copies one block at a time), so the
+# cap keeps a run near 0.8 GB instead of failing in allocation.
 MAX_STEPS = 10**7
 
 # Largest accepted spectral radius of an evolve step matrix (RK4 or expm),

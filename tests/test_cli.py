@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -328,6 +329,56 @@ def test_refused_evolve_leaves_the_writer_unimported(name, dt, expected_code, tm
     assert result.stdout.split() == [str(expected_code), "False"]
 
 
+_DROP = object()
+RHO_UP = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+
+
+@pytest.mark.parametrize(
+    "where,value,message",
+    [
+        (("hamiltonian", "h"), [True, 0.0, 0.0], "hamiltonian h must be an array of 3 finite numbers"),
+        (("dissipator", "terms", 0, "axis"), [0.0, 0.0, True],
+         "term 1 axis must be an array of 3 finite numbers"),
+        (("initial", "bloch"), [True, 0.0, 0.0], "initial bloch must be an array of 3 finite numbers"),
+        (("hamiltonian", "h"), [0.0, 1.0], "hamiltonian h must be an array of 3 finite numbers"),
+        (("hamiltonian",), _DROP, "missing field 'hamiltonian' in model"),
+        (("hamiltonian", "h"), _DROP, "missing field 'h' in hamiltonian"),
+        (("dissipator",), _DROP, "missing field 'dissipator' in model"),
+        (("dissipator", "form"), _DROP, "missing field 'form' in dissipator"),
+        ((), [{"hamiltonian": {"h": [0.0, 0.0, 0.0]}}], "model file must contain a JSON object"),
+        (("dissipator",), {"form": "A", "operators": {"A1": RHO_UP}}, "dissipator operators must be a list"),
+        (("dissipator", "terms"), {"rate": 1.0, "axis": [0.0, 0.0, 1.0]}, "dissipator terms must be a list"),
+        (("initial", "rho"), RHO_UP, "initial state must give either bloch or rho, not both"),
+        (("initial", "bloch"), _DROP, "initial state needs a bloch vector or a rho matrix"),
+        (("initial", "bloch"), [1.0, 1.0, 0.0],
+         "invalid initial state: bloch vector has length 1.4142135623730951 > 1"),
+    ],
+    ids=[
+        "bool_in_h", "bool_in_axis", "bool_in_bloch", "h_of_two", "no_hamiltonian", "no_h",
+        "no_dissipator", "no_form", "top_level_array", "operators_not_list", "terms_not_list",
+        "bloch_and_rho", "neither_bloch_nor_rho", "bloch_outside_ball",
+    ],
+)
+def test_model_file_refusals_name_the_field(where, value, message, capsys, tmp_path):
+    # The dephasing model with one field set, or dropped, or (at the empty
+    # path) the whole file replaced: one line on stderr, exit 2.
+    spec = json.loads(MODELS.joinpath("dephasing.json").read_text(encoding="utf-8"))
+    if where:
+        *parents, last = where
+        target = spec
+        for key in parents:
+            target = target[key]
+        if value is _DROP:
+            del target[last]
+        else:
+            target[last] = value
+    else:
+        spec = value
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    assert run_cli(["--model", str(path), "check"], capsys) == (2, "", f"error: {message}\n")
+
+
 def test_usage_errors_exit_two(capsys):
     assert run_cli(["--model", model("dephasing"), "convert", "--to", "X"], capsys)[0] == 2
     assert run_cli(["--model", model("dephasing"), "bogus"], capsys)[0] == 2
@@ -490,12 +541,11 @@ def test_evolve_csv_matches_per_row_reference(method, capsys, tmp_path):
 
 @pytest.mark.parametrize("method", ["rk4", "expm"])
 def test_long_evolve_csv_matches_percent_oracle(method, capsys, tmp_path, monkeypatch):
-    # 1e5 steps span many CSV_BLOCK_ROWS blocks, and r decays below 1e-5
+    # 1e5 steps span many of the writer's blocks, and r decays below 1e-5
     # (to about 2e-9 at t = 20), so scientific cells occur too. The CSV
     # must be the table through one '%.17g' row template.
     import lindblad2._fmt17 as fmt17
     from conftest import percent_rows
-    from lindblad2.cli import CSV_BLOCK_ROWS
 
     format_rows = fmt17.format_rows
     blocks = []
@@ -511,10 +561,59 @@ def test_long_evolve_csv_matches_percent_oracle(method, capsys, tmp_path, monkey
     assert run_cli(argv, capsys) == (0, "", "")
 
     table = np.vstack(blocks)
-    assert table.shape == (100001, 6) and len(blocks) == -(-len(table) // CSV_BLOCK_ROWS)
+    assert table.shape == (100001, 6) and len(blocks) == -(-len(table) // (fmt17.BLOCK_CELLS // 6))
     text = out.read_bytes()
     assert text == b"t,rx,ry,rz,entropy,dist_to_limit\n" + percent_rows(table)
     assert np.max(np.abs(table[-1, 1:4])) < 1e-5 and b"e-" in text
+
+
+def test_decaying_evolve_csv_matches_percent_oracle(capsys, tmp_path, monkeypatch):
+    # r decays as exp(-t) to about 1e-348 at t = 800: its cells pass through
+    # every three-digit exponent of the fast path, then the subnormals and
+    # zero of the fallback.
+    import lindblad2._fmt17 as fmt17
+    from conftest import percent_rows
+
+    format_rows = fmt17.format_rows
+    blocks = []
+
+    def recording(table):
+        blocks.append(table.copy())
+        return format_rows(table)
+
+    monkeypatch.setattr(fmt17, "format_rows", recording)
+    out = tmp_path / "decay.csv"
+    argv = ["--model", model("isotropic"), "evolve", "--t-max", "800", "--dt", "0.05",
+            "--method", "expm", "--out", str(out)]
+    assert run_cli(argv, capsys) == (0, "", "")
+
+    table = np.vstack(blocks)
+    text = out.read_bytes()
+    assert text == b"t,rx,ry,rz,entropy,dist_to_limit\n" + percent_rows(table)
+    assert all(b"e-%d" % k in text for k in (100, 150, 200, 250, fmt17.K_MAX, 300))
+    assert np.all(table[-1, 1:4] == 0.0)
+
+
+def test_long_evolve_peak_memory_per_step(capsys, tmp_path):
+    # The traced peak of a 1e5-step evolve is the trajectory's 40 bytes a
+    # step and the temporaries of its entropies or of its distances to the
+    # limit: about 80 bytes a step. The writer copies one block at a time;
+    # two whole-run copies of the CSV table took the peak to 121-132.
+    import tracemalloc
+
+    import lindblad2._fmt17  # noqa: F401  its tables are built outside the trace
+
+    steps = 100000
+    argv = ["--model", model("isotropic"), "evolve", "--t-max", "20", "--dt", "2e-4",
+            "--method", "expm", "--out", str(tmp_path / "long.csv")]
+    tracemalloc.start()
+    try:
+        result = run_cli(argv, capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == (0, "", "")
+    assert peak < 100 * steps
 
 
 def test_evolve_rk4_outside_stability_region_exits_two(capsys, tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 """The evolve CSV writer against '%.17g' itself, the oracle it must match."""
 
+import io
 import sys
 import threading
 import tracemalloc
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import percent_rows
 import lindblad2._fmt17 as fmt17
-from lindblad2._fmt17 import K_MAX, format_rows
+from lindblad2._fmt17 import K_MAX, format_rows, write_columns
 
 EDGES = [
     0.0,
@@ -51,6 +52,29 @@ def test_matches_percent_at_every_power_of_ten():
     assert format_rows(table) == percent_rows(table)
 
 
+def test_fast_path_reaches_the_largest_finite_split():
+    # The Veltkamp split multiplies by 2^27 + 1; at 10^(16 + K_MAX), the
+    # largest power of the table, that product must be finite, and one power
+    # more must not be, so K_MAX is as large as the splits allow.
+    split = float(2**27 + 1)
+    assert np.isfinite(fmt17._P_HI[0] * split) and fmt17._P_HI[0] == 1e300
+    assert not np.isfinite(10.0 ** (17 + K_MAX) * split)
+    remainders = np.abs(fmt17._P_LO[fmt17._P_LO != 0])
+    assert np.all(np.isfinite(remainders)) and np.min(remainders) >= np.finfo(float).tiny
+
+
+def test_matches_percent_across_the_exponent_range():
+    # Mantissas in [1, 10) at every decimal exponent of 1e-300 ... 1e300, so
+    # the fast path, three-digit exponents included, and the fallback on
+    # both sides of +-K_MAX meet in one table.
+    rng = np.random.default_rng(8)
+    exponents = rng.integers(-300, 301, 20000)
+    table = rng.uniform(1.0, 10.0, 20000) * 10.0 ** exponents.astype(float)
+    table[::2] *= -1.0
+    table = table.reshape(-1, 5)
+    assert format_rows(table) == percent_rows(table)
+
+
 def test_matches_percent_on_rounding_ties():
     # x = M / 2^(17-k) with M odd and 10^k <= x < 10^(k+1) has exactly 18
     # significant digits, the last a 5: '%.17g' rounds it half to even.
@@ -77,6 +101,20 @@ def test_matches_percent_on_a_block_of_typical_cells():
     table[:, 0] = np.arange(4096) * 0.01
     table[::7, 3] = 0.0
     assert format_rows(table) == percent_rows(table)
+
+
+def test_write_columns_is_one_table_through_percent():
+    # Five columns in blocks of BLOCK_CELLS // 5 rows, over three blocks and
+    # part of a fourth; a -0.0 is written as 0, as the CLI prints it.
+    rng = np.random.default_rng(9)
+    n = 3 * (fmt17.BLOCK_CELLS // 5) + 17
+    times = np.arange(n) * 0.01
+    bloch = rng.normal(size=(n, 3)) * np.exp(rng.uniform(-690.0, 690.0, (n, 3)))
+    bloch[::5, 1] = -0.0
+    last = -rng.uniform(size=n)
+    out = io.BytesIO()
+    write_columns(out, times, bloch, last)
+    assert out.getvalue() == percent_rows(np.column_stack([times, bloch, last]) + 0.0)
 
 
 def _scratch_arrays():

@@ -6,7 +6,7 @@ Imports lindblad2 and perfbench from <checkout> (by default the checkout
 that holds this file) and runs the trajectory workload's ``integrate`` in
 this process on N seeded bundles (default 5, seed 1), one after another as
 the benchmark does. For each bundle it prints the minor page faults of the
-whole bundle and those taken inside ``lindblad2._fmt17.format_rows``, the
+whole bundle and those taken inside ``lindblad2._fmt17.write_columns``, the
 evolve CSV writer, from ``getrusage``, then the median of each over the
 bundles. The counts depend on the C library's allocator, so they compare
 two checkouts on one machine, not machines.
@@ -38,18 +38,18 @@ def main(argv=None) -> None:
     import workloads
     from lindblad2 import _fmt17, asymptotics, cli, core, cpcheck, dynamics, forms
 
-    format_rows = _fmt17.format_rows
+    write_columns = _fmt17.write_columns
     writer = [0]
 
-    def counted(table):
+    def counted(fh, *columns):
         before = minor_faults()
         try:
-            return format_rows(table)
+            return write_columns(fh, *columns)
         finally:
             writer[0] += minor_faults() - before
 
-    # cmd_evolve imports format_rows from the module on every call.
-    _fmt17.format_rows = counted
+    # cmd_evolve imports write_columns from the module on every call.
+    _fmt17.write_columns = counted
     lb = (asymptotics, cli, core, cpcheck, dynamics, forms)
     seconds = math.ceil(args.bundles / workloads.TRAJECTORY_BUNDLES_PER_SECOND)
     counts = []
