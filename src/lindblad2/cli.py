@@ -12,15 +12,14 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import asymptotic_state, classify, spectral_gap
 from .core import DensityState, Hamiltonian, density_from_bloch, density_from_matrix
-from .dynamics import build_generator, evolve_bloch
 from .errors import LindbladError, NotCPError, StepSizeError
 from .forms import (
     FormA,
@@ -330,6 +329,11 @@ def _distances(states, limit) -> np.ndarray:
 
 def cmd_evolve(model: Model, args) -> int:
     ell, fb = _gate_cp(model)
+    # Imported once the model passes the gate, so that check, convert,
+    # reduce and a refused run never compile the integrators.
+    from .asymptotics import asymptotic_state, classify
+    from .dynamics import build_generator, evolve_bloch
+
     state = _need_initial(model)
     gen = build_generator(model.hamiltonian, ell)
     limit = asymptotic_state(classify(model.hamiltonian, fb), state).bloch
@@ -352,6 +356,9 @@ def cmd_evolve(model: Model, args) -> int:
 
 def cmd_asymptote(model: Model, args) -> int:
     ell, fb = _gate_cp(model)
+    from .asymptotics import asymptotic_state, classify, spectral_gap
+    from .dynamics import build_generator
+
     state = _need_initial(model)
     verdict = classify(model.hamiltonian, fb)
     limit = asymptotic_state(verdict, state)
@@ -420,4 +427,11 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    """The process entry of the lindblad2 script and of python -m lindblad2.
+
+    gc.freeze() moves the objects of every module-level import into the
+    permanent generation, so no collection of the run, nor the one at
+    exit, walks them again.
+    """
+    gc.freeze()
     sys.exit(main())

@@ -14,7 +14,6 @@ smallest eigenvalue.
 import numpy as np
 
 from .core import SIGMA, frobenius_normalized
-from .dynamics import _propagators, build_generator
 from .errors import BadValueError
 from .forms import _MINORS_ROUTE, _factor, _gram_evidence, _scaled_gram, _symmetric_rows
 from .forms import FormE, Verdict, form_b_from_gram, judge
@@ -118,6 +117,8 @@ def choi_check(h, ell, times) -> np.ndarray:
     spectrum is {2, 0, 0, 0} (twice the maximally entangled projector).
     Raises BadStepError when a propagator is not finite, as evolve_expm does.
     """
+    from .dynamics import _propagators, build_generator
+
     props = _propagators(build_generator(h, ell), times)
     choi = props.reshape(-1, 9).dot(CHOI_TERMS).reshape(-1, 4, 4) + 0.5 * np.eye(4)
     return np.linalg.eigvalsh(choi)[:, 0]

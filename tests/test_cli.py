@@ -329,6 +329,111 @@ def test_refused_evolve_leaves_the_writer_unimported(name, dt, expected_code, tm
     assert result.stdout.split() == [str(expected_code), "False"]
 
 
+_LAZY = ("lindblad2.dynamics", "lindblad2.asymptotics", "lindblad2._fmt17")
+
+
+IMPORT_CASES = [
+    ("isotropic", ["check"], 0, ()),
+    ("matrix_notcp", ["check"], 1, ()),
+    ("isotropic", ["convert", "--to", "A"], 0, ()),
+    ("isotropic", ["convert", "--to", "B"], 0, ()),
+    ("isotropic", ["convert", "--to", "E"], 0, ()),
+    ("isotropic", ["convert", "--to", "GKS"], 0, ()),
+    ("isotropic", ["reduce"], 0, ()),
+    ("matrix_notcp", ["asymptote"], 1, ()),
+    ("matrix_notcp", ["evolve"], 1, ()),
+    ("isotropic", ["asymptote"], 0, _LAZY[:2]),
+    ("isotropic", ["evolve"], 0, _LAZY),
+]
+
+
+@pytest.mark.parametrize(
+    "name,command,expected_code,imported",
+    IMPORT_CASES,
+    ids=[f"{' '.join(command)}-{name}" for name, command, _, _ in IMPORT_CASES],
+)
+def test_each_command_imports_only_what_it_runs(name, command, expected_code, imported, tmp_path):
+    # The package resolves its names lazily and cli imports the integrators,
+    # the classifier and the CSV writer inside the commands that pass the
+    # CP gate, so check, convert, reduce and a refused run compile none.
+    if command == ["evolve"]:
+        command = command + ["--t-max", "1", "--dt", "0.5", "--out", str(tmp_path / "o.csv")]
+    script = (
+        "import sys\n"
+        "from lindblad2.cli import main\n"
+        f"code = main({['--model', model(name), *command]!r})\n"
+        f"print(code, *[name in sys.modules for name in {_LAZY!r}])\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    expected = [str(expected_code), *(str(name in imported) for name in _LAZY)]
+    assert result.stdout.split()[-4:] == expected
+
+
+# The package namespace as it was when __init__ imported every module:
+# name -> the module that defines it (a submodule maps to itself).
+PUBLIC_NAMES = {
+    **dict.fromkeys(
+        ["DensityState", "Hamiltonian", "SIGMA", "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "IDENTITY2",
+         "bloch_from_density", "density_from_bloch", "density_from_matrix", "entropy_from_bloch",
+         "von_neumann_entropy"],
+        "core",
+    ),
+    **dict.fromkeys(
+        ["FormA", "FormB", "FormE", "apply_dissipator", "delta_hamiltonian", "dissipation_from_gram",
+         "dissipation_matrix", "form_a_from_form_b", "form_a_to_form_b", "form_b_from_dissipation",
+         "form_b_from_gram", "form_e_pack", "form_e_unpack", "gks_matrix", "gks_minimal",
+         "gram_decompose", "gram_from_dissipation", "gram_from_form_b", "plane_projector",
+         "reduce_terms", "trace_split"],
+        "forms",
+    ),
+    **dict.fromkeys(
+        ["Verdict", "check_form_e", "check_gram_psd", "choi_check", "is_completely_positive"],
+        "cpcheck",
+    ),
+    **dict.fromkeys(
+        ["Generator", "Trajectory", "build_generator", "entropy_monotonicity_report", "evolve_bloch",
+         "evolve_density", "evolve_expm", "evolve_rk4", "generator_spectrum", "liouvillian"],
+        "dynamics",
+    ),
+    **dict.fromkeys(
+        ["AsymptoteReport", "AsymptoticVerdict", "asymptotic_state", "classify", "spectral_gap",
+         "verify_asymptote"],
+        "asymptotics",
+    ),
+    **{name: name for name in ("core", "forms", "cpcheck", "dynamics", "asymptotics", "errors", "tolerances")},
+}
+
+
+def test_lazy_namespace_keeps_todays_names():
+    # In a fresh process, where no submodule is loaded yet: star-import binds
+    # the same 61 names, dir() lists them, and each is its home module's.
+    assert len(PUBLIC_NAMES) == 61
+    script = (
+        "import importlib, json, lindblad2\n"
+        "listed = dir(lindblad2)\n"
+        "ns = {}\n"
+        "exec('from lindblad2 import *', ns)\n"
+        "del ns['__builtins__']\n"
+        f"homes = {PUBLIC_NAMES!r}\n"
+        "def home(name):\n"
+        "    module = importlib.import_module('lindblad2.' + homes[name])\n"
+        "    return module if homes[name] == name else getattr(module, name)\n"
+        "print(json.dumps({\n"
+        "    'bound': sorted(ns),\n"
+        "    'listed': sorted(set(homes) & set(listed)),\n"
+        "    'foreign': sorted(n for n in ns if n in homes and ns[n] is not home(n)),\n"
+        "    'version': lindblad2.__version__,\n"
+        "}))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    report = json.loads(result.stdout)
+    assert report == {"bound": sorted(PUBLIC_NAMES), "listed": sorted(PUBLIC_NAMES), "foreign": [], "version": "0.1.0"}
+    import lindblad2
+
+    with pytest.raises(AttributeError, match="no attribute 'cmd_check'"):
+        lindblad2.cmd_check
+
+
 _DROP = object()
 RHO_UP = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
 
@@ -463,7 +568,7 @@ def test_convert_output_round_trips(capsys):
     assert np.max(np.abs(rebuilt - ell)) < 1e-10
 
 
-def test_module_entry_point_smoke():
+def test_module_entry_point_smoke(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "lindblad2", "--model", model("dephasing"), "check"],
         capture_output=True,
@@ -471,6 +576,21 @@ def test_module_entry_point_smoke():
     )
     assert result.returncode == 0
     assert "verdict: CP" in result.stdout
+    # cli.entry freezes the heap and exits through sys.exit, which flushes
+    # stdout and runs the interpreter's exit: every exit code keeps its bytes.
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "lindblad2", *argv], capture_output=True, timeout=120)
+
+    result = run("--model", model("matrix_notcp"), "check")
+    assert (result.returncode, result.stdout) == (1, (GOLDEN / "check_matrix_notcp.txt").read_bytes())
+    result = run("--model", model("not_utf8"), "check")
+    assert (result.returncode, result.stdout) == (2, b"")
+    assert len(result.stderr.splitlines()) == 1 and result.stderr.startswith(b"error:")
+    csv = tmp_path / "evolve.csv"
+    result = run("--model", model("isotropic"), "evolve", "--t-max", "2", "--dt", "0.5",
+                 "--method", "expm", "--out", str(csv))
+    assert (result.returncode, result.stdout, result.stderr) == (0, b"", b"")
+    assert csv.read_bytes() == (GOLDEN / "evolve_isotropic_expm.csv").read_bytes()
 
 
 def _write_model(path, dissipator, h=(0.0, 0.0, 1.0), bloch=(0.3, -0.2, 0.4)):
