@@ -6,10 +6,11 @@ format_rows turns one table into text, and write_columns writes a run's
 columns to a file, BLOCK_CELLS cells at a time.
 
 Digits. A nonzero |x| with decimal exponent k = floor(log10 |x|) has the
-17 digits N = round(|x| 10^(16-k)), an integer in [10^16, 10^17). 10^p is
-kept as a pair of doubles hi + lo, rounded from exact Python ints. |x| hi
-is formed error-free (Veltkamp split and Dekker product), and |x| lo is
-added to its low part, so the product is known to about 1e-14. In
+17 digits N = round(|x| 10^(16-k)), an integer in [10^16, 10^17). For each
+k, |x| is scaled exactly by 2^s, and 10^(16-k) 2^-s is kept as a pair of
+doubles hi + lo, rounded from exact Python ints. (|x| 2^s) hi is formed
+error-free (Veltkamp split and Dekker product), and (|x| 2^s) lo is added
+to its low part, so the product is known to about 1e-14. In
 [10^16, 10^17) the high part is an integer-valued double, and N is that
 integer plus the rounded low part.
 
@@ -25,11 +26,11 @@ a nonzero digit stops there. Bytes that '%.17g' does not print, such as the
 sign of a positive number and the unused point slots, stay zero, and
 dropping every zero byte joins the cells.
 
-Fallback. A cell the fast path cannot decide is printed by '%.17g' itself:
-inf and NaN, |k| > K_MAX (|x| below about 1e-284, subnormals included, or
-from 1e285 up), a low part within FORMAT_TIE_TOL of a rounding tie, and a k
-that log10 got wrong by one next to a power of ten (then
-floor(|x| 10^(16-k)) < 10^16 or N >= 10^17).
+Fallback. The table covers every finite double, subnormals included. A
+cell the fast path cannot decide is printed by '%.17g' itself: inf and NaN,
+a low part within FORMAT_TIE_TOL of a rounding tie, and a k that log10 got
+wrong by one next to a power of ten (then floor(|x| 10^(16-k)) < 10^16 or
+N >= 10^17).
 
 Memory. Every working array of a table lives in a per-thread scratch set
 that grows to the largest table the thread has formatted and is kept for
@@ -54,11 +55,8 @@ import numpy as np
 
 from .tolerances import FORMAT_TIE_TOL
 
-# The fast path's range of k, the largest at which both Veltkamp splits stay
-# finite: 10^(16 + K_MAX) (2^27 + 1), the largest product a split forms, is
-# 1.3e308, and the split of |x| < 10^(K_MAX + 1) forms less. Every Dekker
-# partial product and every remainder of the table is then a normal double.
-K_MAX = 284
+# The decimal exponent k of every finite nonzero double, 5e-324 to 1.8e308.
+_EXPONENTS = range(-324, 309)
 
 # A cell's row: sign, "0.000", digit j at 6 + 2j with a point slot after it
 # at 7 + 2j ("e" after digit 16, which no point follows), exponent sign,
@@ -66,7 +64,7 @@ K_MAX = 284
 # 8-byte words. Word 0 holds the sign and the first digit, word 1 + j digits
 # 4j + 1 ... 4j + 4 and their point slots.
 _SIGN, _DIGITS, _E, _SEPARATOR, _WIDTH = 0, 6, 39, 44, 48
-# Layouts 0..20 are positional, k + 4; layout _SCIENTIFIC + K_MAX + k is
+# Layouts 0..20 are positional, k + 4; layout _SCIENTIFIC + k + 324 is
 # scientific with the exponent k.
 _SCIENTIFIC = 21
 # Cells whose bytes are copied and joined at a time: 48 KiB, so that every
@@ -84,26 +82,26 @@ def _split(a, hi, lo):
 
 
 def _powers():
-    """10^(16-k) for k in [-K_MAX, K_MAX]: hi, its Veltkamp split, lo.
+    """10^(16-k) 2^-s for every k: hi, its Veltkamp split, lo; and 2^s.
 
-    hi is 10^(16-k) rounded and lo the remainder 10^(16-k) - hi rounded,
-    both from exact Python integers.
+    hi and the remainder lo are each a correctly rounded true division of
+    Python ints. s is 600 below k = -284, -64 above k = 284 and 0 between,
+    so that |x| 2^s and 10^(16-k) 2^-s lie in [1e-284, 1e300]: a split then
+    forms at most 10^300 (2^27 + 1) = 1.3e308, and every nonzero part,
+    partial product and remainder is a normal double.
     """
-    hi, lo = [], []
-    for p in range(16 + K_MAX, 15 - K_MAX, -1):
-        if p >= 0:
-            exact = 10**p
-            h = float(exact)
-            low = float(exact - int(h))
-        else:
-            q = 10**-p
-            h = 1 / q
-            num, den = h.as_integer_ratio()
-            low = (den - num * q) / (den * q)
+    hi, lo, shift = [], [], []
+    for k in _EXPONENTS:
+        s = 600 if k < -284 else -64 if k > 284 else 0
+        p = 10 ** max(16 - k, 0) << max(-s, 0)  # 10^(16-k) 2^-s = p / q
+        q = 10 ** max(k - 16, 0) << max(s, 0)
+        h = p / q
+        num, d = h.as_integer_ratio()
         hi.append(h)
-        lo.append(low)
+        lo.append((p * d - num * q) / (q * d))
+        shift.append(2.0**s)
     hi = np.array(hi)
-    return (hi, *_split(hi, np.empty_like(hi), np.empty_like(hi)), np.array(lo))
+    return (hi, *_split(hi, np.empty_like(hi), np.empty_like(hi)), np.array(lo), np.array(shift))
 
 
 def _layout_rows():
@@ -112,13 +110,13 @@ def _layout_rows():
     A positional row with k >= 1 has '0' at digits 1..k, which the digits
     are OR-ed into, so that whole digits show where they are trailing zeros.
     """
-    rows = np.zeros((_SCIENTIFIC + 2 * K_MAX + 1, _WIDTH), dtype=np.uint8)
+    rows = np.zeros((_SCIENTIFIC + len(_EXPONENTS), _WIDTH), dtype=np.uint8)
     for k in range(-4, 0):
         prefix = b"0." + b"0" * (-k - 1)
         rows[k + 4, 1:1 + len(prefix)] = np.frombuffer(prefix, dtype=np.uint8)
     for k in range(1, 17):
         rows[k + 4, _DIGITS + 2:_DIGITS + 2 + 2 * k:2] = ord("0")
-    exponents = np.array([b"e%+03d" % k for k in range(-K_MAX, K_MAX + 1)], dtype="S5")
+    exponents = np.array([b"e%+03d" % k for k in _EXPONENTS], dtype="S5")
     rows[_SCIENTIFIC:, _E:_SEPARATOR] = exponents.view(np.uint8).reshape(-1, 5)
     rows[:, _SEPARATOR] = ord(",")
     return rows
@@ -145,7 +143,7 @@ def _digit_tables():
     return lead.view(np.uint64).ravel(), quads.view(np.uint64).ravel()
 
 
-_P_HI, _P_HI_HI, _P_HI_LO, _P_LO = _powers()
+_P_HI, _P_HI_HI, _P_HI_LO, _P_LO, _SHIFT = _powers()
 _ROWS = _layout_rows()
 _LEAD, _QUADS = _digit_tables()
 
@@ -179,7 +177,7 @@ class _Scratch(threading.local):
             self.table = np.empty(n)
             self.floats = np.empty((7, n))
             self.ints = np.empty((8, n), dtype=np.int64)
-            self.flags = np.empty((5, n), dtype=bool)
+            self.flags = np.empty((4, n), dtype=bool)
             self.quads = np.empty((2, 4, n), dtype=np.int64)
             self.cut = np.empty((4, n), dtype=bool)
             self.words = np.empty((5, n), dtype=np.uint64)
@@ -215,24 +213,25 @@ def format_rows(table: np.ndarray) -> bytes:
     floats, ints, flags, (quads, index), cut, words, points, slots, cells = _SCRATCH.views(n)
     a, kf, a_hi, a_lo, ph, r, t = floats
     k, i, floor_n, n17, layout, whole, top, spot = ints
-    zero, fast, ok, scientific, flag = flags
+    zero, ok, scientific, flag = flags
 
     np.abs(x, out=a)
     np.equal(a, 0.0, out=zero)
     with np.errstate(divide="ignore", invalid="ignore"):
         np.log10(a, out=kf)
     np.floor(kf, out=kf)
-    np.less_equal(np.abs(kf, out=t), K_MAX, out=fast)  # False for zero, inf and NaN
-    np.logical_not(fast, out=flag)
+    np.logical_not(np.isfinite(kf, out=flag), out=flag)  # zero, inf and NaN
     np.copyto(kf, 0.0, where=flag)
     np.copyto(a, 0.0, where=flag)
     np.copyto(k, kf, casting="unsafe")
 
-    # N = round(a 10^(16-k)) from ph + r, ph = fl(a hi) integer-valued:
+    # N = round(a b), a = |x| 2^s and b = hi + lo = 10^(16-k) 2^-s, from
+    # ph + r, ph = fl(a hi) integer-valued:
     # r = ((a_hi b_hi - ph) + a_hi b_lo + a_lo b_hi) + a_lo b_lo + a lo.
     # Every take's indices are in range; its default mode="raise" would
     # copy `out` through a new array.
-    np.add(k, K_MAX, out=i)
+    np.subtract(k, _EXPONENTS.start, out=i)
+    np.multiply(a, _SHIFT.take(i, out=t, mode="clip"), out=a)
     _split(a, a_hi, a_lo)
     np.multiply(a, _P_HI.take(i, out=t, mode="clip"), out=ph)
     b_hi = _P_HI_HI.take(i, out=t, mode="clip")
@@ -249,19 +248,19 @@ def format_rows(table: np.ndarray) -> bytes:
     np.add(floor_n, n17, out=floor_n)
     np.add(floor_n, np.greater(frac, 0.5, out=flag), out=n17)
     # Decided: floor_n >= 10^16, n17 < 10^17 and |frac - 1/2| >= the tie
-    # tolerance, or zero.
+    # tolerance (never so for inf and NaN, computed as zero), or zero.
     np.greater_equal(floor_n, 10**16, out=ok)
     np.logical_and(ok, np.less(n17, 10**17, out=flag), out=ok)
     np.abs(np.subtract(frac, 0.5, out=frac), out=frac)
     np.logical_and(ok, np.greater_equal(frac, FORMAT_TIE_TOL, out=flag), out=ok)
-    np.logical_or(np.logical_and(ok, fast, out=ok), zero, out=ok)
+    np.logical_or(ok, zero, out=ok)
     undecided = np.logical_not(ok, out=flag)
     fallback = np.flatnonzero(undecided)
     np.copyto(n17, 0, where=zero)  # shown as the one digit 0
     np.copyto(n17, 10**16, where=undecided)
 
     np.logical_or(np.less(k, -4, out=scientific), np.greater(k, 16, out=flag), out=scientific)
-    np.multiply(scientific, _SCIENTIFIC + K_MAX - 4, out=spot)
+    np.multiply(scientific, _SCIENTIFIC - _EXPONENTS.start - 4, out=spot)
     np.add(np.add(k, 4, out=layout), spot, out=layout)
     # The place of the last digit before the point.
     np.copyto(np.maximum(k, 0, out=whole), 0, where=scientific)

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lindblad2.cli import main
 
@@ -274,6 +279,93 @@ def test_non_numbers_in_model_exit_two(hamiltonian, rate, capsys, tmp_path):
     code, _, err = run_cli(["--model", str(path), "check"], capsys)
     assert code == 2
     assert err.count("\n") == 1 and "number" in err
+
+
+# A grammar around the model-file schema: each field is mostly of the right
+# shape and of numbers, now and then of any JSON. json.dumps writes NaN and
+# the infinities as the NaN and Infinity literals, which json.load accepts.
+_ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _mostly(good, *others):
+    """good eight times out of 8 + len(others), else one of the others."""
+    return st.sampled_from([good] * 8 + list(others)).flatmap(lambda strategy: strategy)
+
+
+_NUMBER = _mostly(
+    st.floats(-0.5, 0.5), st.floats(), st.sampled_from([0, 1e-300, 1.5e308, HUGE_INT, True, None, "1"])
+)
+
+
+def _shaped(*shape):
+    """Nested lists of numbers of this shape, or another length, or any JSON."""
+    exact = _NUMBER
+    for n in reversed(shape):
+        exact = st.lists(exact, min_size=n, max_size=n)
+    return _mostly(exact, st.lists(_NUMBER, max_size=4), _ANY_JSON)
+
+
+def _fields(required, optional=None):
+    return _mostly(st.fixed_dictionaries(required, optional=optional or {}), _ANY_JSON)
+
+
+def _symmetric(v):
+    return [[v[0], v[1], v[2]], [v[1], v[3], v[4]], [v[2], v[4], v[5]]]
+
+
+_TERM = _fields({"rate": _NUMBER, "axis": _shaped(3)})
+_SYMMETRIC = st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6).map(_symmetric)
+_DISSIPATOR = st.one_of(
+    _fields({"form": st.just("A"), "operators": st.lists(_shaped(2, 2, 2), max_size=3)}),
+    _fields({"form": st.just("B"), "terms": st.lists(_TERM, max_size=3)}),
+    _fields({"form": st.just("matrix"), "matrix": _shaped(3, 3)}),
+    _fields({"form": st.just("matrix"), "matrix": _SYMMETRIC}),
+    _fields({"form": _ANY_JSON}, {"terms": _ANY_JSON, "matrix": _ANY_JSON}),
+)
+_INITIAL = st.one_of(_fields({"bloch": _shaped(3)}), _fields({"rho": _shaped(2, 2, 2)}, {"bloch": _ANY_JSON}))
+_MODEL = st.fixed_dictionaries(
+    {"hamiltonian": _fields({"h": _shaped(3)}, {"h0": _NUMBER}), "dissipator": _DISSIPATOR},
+    optional={"initial": _INITIAL},
+)
+_MODEL_FILE = _mostly(
+    _MODEL.map(lambda spec: json.dumps(spec).encode()),
+    _ANY_JSON.map(lambda spec: json.dumps(spec).encode()),
+    st.binary(max_size=40),
+)
+_COMMANDS = (
+    ["check"], ["reduce"], ["asymptote"], *(["convert", "--to", to] for to in ("A", "B", "E", "GKS")),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_MODEL_FILE, st.sampled_from(["rk4", "expm"]))
+@example(MODELS.joinpath("huge_field.json").read_bytes(), "expm")
+@example(MODELS.joinpath("not_utf8.json").read_bytes(), "rk4")
+@example(b'{"hamiltonian": ' + b"[" * 100000 + b"]" * 100000 + b"}", "expm")
+def test_model_files_exit_with_a_documented_code(text, method):
+    # Every subcommand on any model file exits 0, 1 or 2 without letting an
+    # exception out of main (a RuntimeWarning is one under this suite's
+    # filterwarnings); exit 2 prints one stderr line, starting "error:", and
+    # exit 0 prints nothing on stderr.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "model.json")
+        path.write_bytes(text)
+        out = str(Path(tmp, "o.csv"))
+        evolve = ["evolve", "--t-max", "1", "--dt", "0.25", "--method", method, "--out", out]
+        for command in (*_COMMANDS, evolve):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["--model", str(path), *command])
+            err = err.getvalue()
+            assert code in (0, 1, 2)
+            if code == 2:
+                assert err.count("\n") == 1 and err.startswith("error:")
+            if code == 0:
+                assert err == ""
 
 
 def test_exit_code_for_notcp_conversions(capsys):
@@ -689,8 +781,7 @@ def test_long_evolve_csv_matches_percent_oracle(method, capsys, tmp_path, monkey
 
 def test_decaying_evolve_csv_matches_percent_oracle(capsys, tmp_path, monkeypatch):
     # r decays as exp(-t) to about 1e-348 at t = 800: its cells pass through
-    # every three-digit exponent of the fast path, then the subnormals and
-    # zero of the fallback.
+    # every three-digit exponent, the subnormals and zero.
     import lindblad2._fmt17 as fmt17
     from conftest import percent_rows
 
@@ -710,7 +801,7 @@ def test_decaying_evolve_csv_matches_percent_oracle(capsys, tmp_path, monkeypatc
     table = np.vstack(blocks)
     text = out.read_bytes()
     assert text == b"t,rx,ry,rz,entropy,dist_to_limit\n" + percent_rows(table)
-    assert all(b"e-%d" % k in text for k in (100, 150, 200, 250, fmt17.K_MAX, 300))
+    assert all(b"e-%d" % k in text for k in (100, 150, 200, 250, 284, 300, 320))
     assert np.all(table[-1, 1:4] == 0.0)
 
 

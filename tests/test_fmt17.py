@@ -6,6 +6,7 @@ import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import percent_rows
 import lindblad2._fmt17 as fmt17
-from lindblad2._fmt17 import K_MAX, format_rows, write_columns
+from lindblad2._fmt17 import format_rows, write_columns
 
 EDGES = [
     0.0,
@@ -32,10 +33,15 @@ EDGES = [
 ]
 
 
+# Any 64 bits as a double: every exponent, subnormals included, drawn as
+# often as its share of the bit patterns, not only as st.floats()' edges.
+RAW_BITS = st.integers(0, 2**64 - 1).map(lambda b: np.uint64(b).view(np.float64).item())
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
 @given(
     st.integers(1, 6),
-    st.lists(st.one_of(st.floats(), st.sampled_from(EDGES)), min_size=6, max_size=60),
+    st.lists(st.one_of(st.floats(), st.sampled_from(EDGES), RAW_BITS), min_size=6, max_size=60),
 )
 def test_matches_percent_on_any_doubles(cols, values):
     table = np.array(values[: len(values) // cols * cols]).reshape(-1, cols)
@@ -43,30 +49,40 @@ def test_matches_percent_on_any_doubles(cols, values):
 
 
 def test_matches_percent_at_every_power_of_ten():
-    # Every 10^j of the fast path and three beyond it on each side, where
-    # log10 may misjudge the exponent by one, with both neighbours.
-    powers = np.array([float(f"1e{j}") for j in range(-K_MAX - 3, K_MAX + 4)])
+    # Every 10^j of the double range, where log10 may misjudge the exponent
+    # by one, with both neighbours; rows that overflow are dropped.
+    powers = np.array([float(f"1e{j}") for j in range(-323, 309)])
     below = np.nextafter(powers, 0.0)
     above = np.nextafter(powers, np.inf)
-    table = np.column_stack([powers, below, above, 2.0 * powers, 5.0 * powers, -below])
-    assert format_rows(table) == percent_rows(table)
+    with np.errstate(over="ignore"):
+        table = np.column_stack([powers, below, above, 2.0 * powers, 5.0 * powers, -below])
+    table = table[np.all(np.isfinite(table), axis=1)]
+    assert len(table) == 631 and format_rows(table) == percent_rows(table)
 
 
 def test_fast_path_reaches_the_largest_finite_split():
-    # The Veltkamp split multiplies by 2^27 + 1; at 10^(16 + K_MAX), the
-    # largest power of the table, that product must be finite, and one power
-    # more must not be, so K_MAX is as large as the splits allow.
+    # The Veltkamp split multiplies by 2^27 + 1. For each k the table keeps
+    # 10^(16-k) 2^-s as hi + lo and the shift 2^s, by which |x| is scaled
+    # exactly, so that the split of every factor stays finite from the
+    # smallest subnormal to the largest double.
     split = float(2**27 + 1)
-    assert np.isfinite(fmt17._P_HI[0] * split) and fmt17._P_HI[0] == 1e300
-    assert not np.isfinite(10.0 ** (17 + K_MAX) * split)
+    assert np.all(np.isfinite(fmt17._P_HI * split))
+    x = np.array([5e-324, 1e-284, 1e285, 1.7976931348623157e308])
+    shift = fmt17._SHIFT[np.floor(np.log10(x)).astype(int) - fmt17._EXPONENTS.start]
+    scaled = x * shift
+    parts = fmt17._split(scaled, np.empty(4), np.empty(4))
+    assert np.all(scaled / shift == x) and np.all(np.isfinite(parts))
+    for k, hi, lo, shift in zip(fmt17._EXPONENTS, fmt17._P_HI, fmt17._P_LO, fmt17._SHIFT):
+        exact = Fraction(10) ** (16 - k) / Fraction(shift)
+        assert hi == float(exact) and lo == float(exact - Fraction(hi))
     remainders = np.abs(fmt17._P_LO[fmt17._P_LO != 0])
     assert np.all(np.isfinite(remainders)) and np.min(remainders) >= np.finfo(float).tiny
 
 
 def test_matches_percent_across_the_exponent_range():
     # Mantissas in [1, 10) at every decimal exponent of 1e-300 ... 1e300, so
-    # the fast path, three-digit exponents included, and the fallback on
-    # both sides of +-K_MAX meet in one table.
+    # three-digit exponents and the shifted powers beyond 1e+-284 meet in
+    # one table.
     rng = np.random.default_rng(8)
     exponents = rng.integers(-300, 301, 20000)
     table = rng.uniform(1.0, 10.0, 20000) * 10.0 ** exponents.astype(float)
