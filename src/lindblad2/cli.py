@@ -14,6 +14,7 @@ import argparse
 import functools
 import gc
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -89,27 +90,14 @@ def _require(mapping, key, where):
     return mapping[key]
 
 
-def _has_bool(value) -> bool:
-    # JSON true/false load as bool, a subclass of int, so numpy would take
-    # them as 1.0 and 0.0. A stack, not recursion: lists may nest deeper
-    # than the interpreter's recursion limit.
-    stack = [value]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, list):
-            stack.extend(item)
-        elif isinstance(item, bool):
-            return True
-    return False
-
-
 def _finite_number(value, where) -> float:
+    """A JSON int or float (not a bool or a string) finite as a double."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
             number = float(value)
         except OverflowError:
-            number = float("inf")
-        if np.isfinite(number):
+            number = math.inf
+        if math.isfinite(number):
             return number
     raise ParseError(f"{where} must be a finite number")
 
@@ -117,19 +105,22 @@ def _finite_number(value, where) -> float:
 def _real_array(value, shape, where) -> np.ndarray:
     """value as a float array of the given shape.
 
-    JSON bools, non-numbers, integers too large for a float, another shape
-    and non-finite entries all raise the same one-line ParseError.
+    The lists are walked only to the depth of the shape, and each leaf must
+    pass :func:`_finite_number`; anything else raises the same one-line
+    ParseError.
     """
-    problem = f"{where} must be an array of {'x'.join(map(str, shape))} finite numbers"
-    if _has_bool(value):
-        raise ParseError(problem)
+
+    def leaves(value, shape):
+        if not shape:
+            return _finite_number(value, where)
+        if not isinstance(value, list) or len(value) != shape[0]:
+            raise ParseError
+        return [leaves(item, shape[1:]) for item in value]
+
     try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(problem) from exc
-    if arr.shape != shape or not np.all(np.isfinite(arr)):
-        raise ParseError(problem)
-    return arr
+        return np.array(leaves(value, shape))
+    except ParseError:
+        raise ParseError(f"{where} must be an array of {'x'.join(map(str, shape))} finite numbers") from None
 
 
 def _complex_matrix(value, where) -> np.ndarray:
@@ -341,8 +332,7 @@ def cmd_evolve(model: Model, args) -> int:
     try:
         traj = evolve_bloch(gen, state.bloch, args.t_max, args.dt, args.method)
     except StepSizeError as exc:
-        hint = "a smaller --dt or --method expm" if exc.rk4_unstable else "a smaller --dt"
-        raise LindbladError(f"{exc.reason}; use {hint}") from None
+        raise LindbladError(f"{exc.reason}; use a smaller --dt or --method expm") from None
     # Imported once the run is accepted, so that neither the other commands
     # nor a refused run compile the writer.
     from ._fmt17 import write_columns

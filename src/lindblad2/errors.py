@@ -46,18 +46,16 @@ class BadStepError(LindbladError):
 
 
 class StepSizeError(BadStepError):
-    """dt is too large for the generator: dt G overflows, or one step is not
-    finite or grows states.
+    """dt is too large for the generator: one RK4 step is not finite or grows
+    states, where the exact flow of a CP generator does not.
 
-    ``reason`` says which. ``rk4_unstable`` is True when the refused step was
-    an RK4 step that grows states, which the exact exp(dt G) step would not.
-    The message names the ``dt`` parameter; the CLI names its own flags.
+    ``reason`` says how much the step grows. The message names the ``dt``
+    parameter; the CLI names its own flags.
     """
 
-    def __init__(self, reason: str, rk4_unstable: bool = False):
+    def __init__(self, reason: str):
         super().__init__(f"{reason}; use a smaller dt")
         self.reason = reason
-        self.rk4_unstable = rk4_unstable
 
 
 class NegativeTimeError(LindbladError):

@@ -100,9 +100,9 @@ STEP_FIT_TOL = 1e-12
 # cap keeps a run near 0.8 GB instead of failing in allocation.
 MAX_STEPS = 10**7
 
-# Largest accepted spectral radius of an evolve step matrix (RK4 or expm),
-# above 1. The exact flow of a CP generator never grows, and over MAX_STEPS
-# steps a radius of 1 + STEP_GROWTH_TOL grows a state by at most 0.1 %.
+# Largest accepted spectral radius of an RK4 evolve step matrix, above 1.
+# The exact flow of a CP generator never grows, and over MAX_STEPS steps a
+# radius of 1 + STEP_GROWTH_TOL grows a state by at most 0.1 %.
 STEP_GROWTH_TOL = 1e-10
 
 # Long-horizon check of the predicted limit: distance counted as converged,

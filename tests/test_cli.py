@@ -259,20 +259,38 @@ HUGE_INT = 10**400  # a JSON integer literal too large for a float
 
 
 @pytest.mark.parametrize(
-    "hamiltonian,rate",
+    "hamiltonian,rate,changes",
     [
-        ({"h": [0, 0, 1], "h0": True}, 1.0),
-        ({"h": [0, 0, 1]}, True),
-        ({"h": [0, 0, 1], "h0": HUGE_INT}, 1.0),
-        ({"h": [HUGE_INT, 0, 1]}, 1.0),
+        pytest.param({"h": [0, 0, 1], "h0": True}, 1.0, {}, id="hamiltonian0-1.0"),
+        pytest.param({"h": [0, 0, 1]}, True, {}, id="hamiltonian1-True"),
+        pytest.param({"h": [0, 0, 1], "h0": HUGE_INT}, 1.0, {}, id="hamiltonian2-1.0"),
+        pytest.param({"h": [HUGE_INT, 0, 1]}, 1.0, {}, id="hamiltonian3-1.0"),
+        # Strings that spell numbers are not JSON numbers either.
+        pytest.param({"h": ["1", "0", "0.5"]}, 1.0, {}, id="string-h"),
+        pytest.param(
+            {"h": [0, 0, 1]}, 1.0,
+            {"dissipator": {"form": "B", "terms": [{"rate": 1.0, "axis": ["0", "0", "1"]}]}},
+            id="string-axis",
+        ),
+        pytest.param(
+            {"h": [0, 0, 1]}, 1.0,
+            {"dissipator": {"form": "matrix", "matrix": [[" 1e0 ", 0, 0], [0, 1, 0], [0, 0, 0]]}},
+            id="string-matrix",
+        ),
+        pytest.param({"h": [0, 0, 1]}, 1.0, {"initial": {"bloch": ["0.1", 0, 0]}}, id="string-bloch"),
+        pytest.param(
+            {"h": [0, 0, 1]}, 1.0, {"initial": {"rho": [[["0.5", 0], [0, 0]], [[0, 0], [0.5, 0]]]}},
+            id="string-rho",
+        ),
     ],
 )
-def test_non_numbers_in_model_exit_two(hamiltonian, rate, capsys, tmp_path):
+def test_non_numbers_in_model_exit_two(hamiltonian, rate, changes, capsys, tmp_path):
     import json
 
     spec = {
         "hamiltonian": hamiltonian,
         "dissipator": {"form": "B", "terms": [{"rate": rate, "axis": [0, 0, 1]}]},
+        **changes,
     }
     path = tmp_path / "bad_number.json"
     path.write_text(json.dumps(spec))
@@ -1005,8 +1023,30 @@ def test_route_disagreement_exits_two(monkeypatch, capsys):
     assert err.startswith("error: internal bug: six-constant route says cp=False")
 
 
+def _expm_exact_and_rk4_refused(argv, h, ell, t_max, out, capsys):
+    # The expm run exits 0 with finite rows, the last one evolve_expm at
+    # t_max; the same run by rk4 exits 2 with one stability line that
+    # names --method expm, before any row is written. Returns the expm rows.
+    from lindblad2 import build_generator, evolve_expm
+
+    code, stdout, err = run_cli([*argv, "--method", "expm"], capsys)
+    assert (code, stdout, err) == (0, "", "")
+    table = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert np.all(np.isfinite(table)) and table[-1, 0] == t_max
+    exact = evolve_expm(build_generator(h, ell), table[0, 1:4], t_max)
+    assert np.allclose(table[-1, 1:4], exact, rtol=0.0, atol=1e-15)
+    out.unlink()
+    code, stdout, err = run_cli([*argv, "--method", "rk4"], capsys)
+    assert code == 2 and stdout == ""
+    assert err.count("\n") == 1 and "stability" in err and "--method expm" in err
+    assert not out.exists()
+    return table
+
+
 def test_evolve_expm_huge_rates(capsys, tmp_path):
     # dt times the generator near 1e308 needs over 1023 squarings.
+    from lindblad2 import FormB, dissipation_matrix
+
     terms = [{"rate": 1e300, "axis": [1.0, 0.0, 0.0]}, {"rate": 1e300, "axis": [0.0, 1.0, 0.0]}]
     path = _write_model(tmp_path / "huge.json", {"form": "B", "terms": terms})
     out = tmp_path / "o.csv"
@@ -1016,42 +1056,41 @@ def test_evolve_expm_huge_rates(capsys, tmp_path):
     assert code == 0 and err == ""
     table = np.loadtxt(out, delimiter=",", skiprows=1)
     assert table.shape == (101, 6) and np.all(np.isfinite(table))
-    # A decade more and dt G itself overflows.
-    for method in ("expm", "rk4"):
-        code, _, err = run_cli([*argv, "--dt", "1e9", "--method", method], capsys)
-        assert code == 2
-        assert err.count("\n") == 1 and "overflows" in err
+    # A decade more and dt G itself overflows, but exp(dt G) is finite: every
+    # mode has decayed to exactly 0 after one step.
+    ell = dissipation_matrix(FormB(terms=[(1e300, [1.0, 0.0, 0.0]), (1e300, [0.0, 1.0, 0.0])]))
+    table = _expm_exact_and_rk4_refused([*argv, "--dt", "1e9"], (0.0, 0.0, 1.0), ell, 1e10, out, capsys)
+    assert np.array_equal(table[1, 1:4], [0.0, 0.0, 0.0])
 
 
 def test_generator_overflow_is_one_line(capsys, tmp_path):
     # h_x = 1.7e308 and a term of rate 1.7e308 on (0, 0.6, 0.8): G_yz =
     # -h_x - L_yz overflows. Building G printed a RuntimeWarning (an error
-    # here) before evolve's one error line; the spectrum needs only h and L.
+    # here) before the rk4 run's one error line; the spectrum and the
+    # closed-form step need only h and L.
+    from lindblad2 import FormB, dissipation_matrix
+
     dissipator = {"form": "B", "terms": [{"rate": 1.7e308, "axis": [0.0, 0.6, 0.8]}]}
     path = _write_model(tmp_path / "m.json", dissipator, h=(1.7e308, 0.0, 0.0))
     out = tmp_path / "o.csv"
     argv = ["--model", path, "evolve", "--t-max", "1", "--dt", "0.5", "--out", str(out)]
-    code, stdout, err = run_cli(argv, capsys)
-    assert code == 2 and stdout == ""
-    assert err.count("\n") == 1 and "overflows" in err
-    assert not out.exists()
+    ell = dissipation_matrix(FormB(terms=[(1.7e308, [0.0, 0.6, 0.8])]))
+    _expm_exact_and_rk4_refused(argv, (1.7e308, 0.0, 0.0), ell, 1.0, out, capsys)
     code, stdout, err = run_cli(["--model", path, "asymptote"], capsys)
     assert code == 0 and err == ""
     assert stdout.endswith("gap: 4.2499999999999998e+307\n")
 
 
-def test_evolve_expm_overflowing_norm_exits_two(capsys, tmp_path):
+def test_evolve_overflowing_norm_is_exact_by_expm(capsys, tmp_path):
     # Every entry of dt G is finite at dt = 1.7e308, but its norm, a row sum
-    # of 2 dt, is not: refused before the exponential, with no traceback.
+    # of 2 dt, is not. The closed-form step never forms dt G: every mode has
+    # decayed to exactly 0. The rk4 step is not finite.
     dissipator = {"form": "matrix", "matrix": np.diag([0.0, 1.0, 1.0]).tolist()}
     path = _write_model(tmp_path / "m.json", dissipator)
     out = tmp_path / "o.csv"
-    argv = ["--model", path, "evolve", "--method", "expm", "--t-max", "1.7e308",
-            "--dt", "1.7e308", "--out", str(out)]
-    code, stdout, err = run_cli(argv, capsys)
-    assert code == 2 and stdout == ""
-    assert err.count("\n") == 1 and "overflows" in err and "--dt" in err
-    assert not out.exists()
+    argv = ["--model", path, "evolve", "--t-max", "1.7e308", "--dt", "1.7e308", "--out", str(out)]
+    table = _expm_exact_and_rk4_refused(argv, (0.0, 0.0, 1.0), np.diag([0.0, 1.0, 1.0]), 1.7e308, out, capsys)
+    assert np.array_equal(table[1, 1:4], [0.0, 0.0, 0.0])
 
 
 @pytest.mark.parametrize("scale", [1e160, 1e300])

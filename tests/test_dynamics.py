@@ -458,15 +458,28 @@ def test_evolve_density_refuses_growing_step():
     assert str(info.value).endswith("; use a smaller dt") and "--" not in str(info.value)
 
 
-def test_evolve_bloch_methods():
+def test_evolve_bloch_methods(monkeypatch):
     rng = np.random.default_rng(151)
     dt, steps = 0.01, 300
-    for _ in range(5):
-        gen = build_generator(rng.normal(size=3), random_cp_matrix(rng, int(rng.integers(1, 4))))
+    # A NotCP L whose exact flow grows is run as evolve_expm runs it.
+    notcp = build_generator([0.3, -0.7, 2.0], np.diag([0.5, -2.0, 0.1]))
+    for gen in [build_generator(rng.normal(size=3), random_cp_matrix(rng, int(rng.integers(1, 4))))
+                for _ in range(5)] + [notcp]:
         r0 = rng.uniform(-0.5, 0.5, size=3)
         traj = evolve_bloch(gen, r0, dt * steps, dt, "expm")
         assert np.array_equal(traj.states, propagate(_propagators(gen, (dt,))[0], r0, steps))
         assert np.array_equal(traj.times, dt * np.arange(steps + 1))
+    assert np.linalg.norm(traj.final_state) > 1.0  # the NotCP run leaves the ball
+    # A step whose phase is beyond the double range is refused before any row.
+    import lindblad2.dynamics as dynamics
+
+    def no_propagation(*args):
+        raise AssertionError("the step must be refused before propagating")
+
+    monkeypatch.setattr(dynamics, "propagate", no_propagation)
+    beyond = build_generator([1.5e308, 1.5e308, 0.0], np.diag([0.0, 1.0, 1.0]))
+    with pytest.raises(BadStepError, match="not finite"):
+        evolve_bloch(beyond, [0.0, 0.0, 0.5], 3.0, 1.0, "expm")
     with pytest.raises(ValueError, match="method"):
         evolve_bloch(FIELD_Z, [0.0, 0.0, 0.5], 1.0, 0.1, "euler")
 
