@@ -213,24 +213,25 @@ def load_model(path: str) -> Model:
 
 
 def _dissipator(model: Model):
-    """Normalise the model's dissipator once: (L, verdict, certificate, terms).
+    """Normalise the model's dissipator once: (L, verdict, terms).
 
-    The verdict and minimal certificate come from the CP check of L. The
-    terms are the model's own for Form A and B input and the certificate
-    for a matrix input, so they are None for a NotCP matrix. No terms is the
-    zero dissipator.
+    The verdict comes from the CP check of L. The terms are the model's own
+    for Form A and B input and the gate's certificate for a matrix input,
+    so they are None for a NotCP matrix; no terms is the zero dissipator.
+    Every command reads reduce_terms(terms), so a model's rank is decided
+    once: from q q^T of the terms, or by the gate for a matrix.
     """
     fb = model.dissipator
     if isinstance(fb, FormA):
         fb = form_a_to_form_b(fb)
     ell = dissipation_matrix(fb) if isinstance(fb, FormB) else fb
     verdict, certificate = is_completely_positive(ell)
-    return ell, verdict, certificate, fb if isinstance(fb, FormB) else certificate
+    return ell, verdict, fb if isinstance(fb, FormB) else certificate
 
 
 def _gate_cp(model: Model):
     """Return (L, terms) of a CP dissipator; raise NotCPError otherwise."""
-    ell, verdict, _, fb = _dissipator(model)
+    ell, verdict, fb = _dissipator(model)
     if not verdict.cp:
         raise NotCPError(
             f"dissipator is not completely positive: condition {verdict.reason} violated"
@@ -250,14 +251,15 @@ def _need_initial(model: Model) -> DensityState:
 
 
 def cmd_check(model: Model, args) -> int:
-    _, verdict, certificate, _ = _dissipator(model)
+    _, verdict, fb = _dissipator(model)
     if not verdict.cp:
         print("verdict: NotCP")
         print(f"reason: condition {verdict.reason} violated")
         print(f"margin: {_fmt(verdict.margin)}")
         return 1
+    certificate, index = reduce_terms(fb)
     print("verdict: CP")
-    print(f"index: {len(certificate.terms)}")
+    print(f"index: {index}")
     print("certificate:" if certificate.terms else "certificate: (none)")
     for line in _fmt_terms(certificate):
         print(line)

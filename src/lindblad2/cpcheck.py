@@ -15,8 +15,8 @@ import numpy as np
 
 from .core import SIGMA, frobenius_normalized
 from .errors import BadValueError
-from .forms import _MINORS_ROUTE, _factor, _gram_evidence, _scaled_gram, _symmetric_rows
-from .forms import FormE, Verdict, form_b_from_gram, judge
+from .forms import _MINORS_ROUTE, _factor, _gram_evidence, _minimal_form_b, _scaled_gram, _symmetric_rows
+from .forms import FormE, Verdict, judge
 
 _FORM_E_ROUTE = "six-constant route"
 
@@ -84,12 +84,12 @@ def check_gram_psd(m) -> Verdict:
 def is_completely_positive(ell):
     """Check a dissipation matrix via both equivalent routes.
 
-    Returns (Verdict, certificate) where the certificate is the minimal
-    rate/axis FormB whenever the matrix is CP (no terms for L = 0) and None
-    when it is not. Both routes are judged with one smallest eigenvalue of
-    M, and the verdict is the minor route's, as check_gram_psd gives it. The
-    routes and the certificate work on one L and M prescaled by a power of
-    four (see forms._scaled_gram), so M cannot overflow.
+    Returns (Verdict, certificate): the certificate, when the matrix is CP,
+    is the minimal rate/axis FormB and its own reduction (no terms for
+    L = 0); it is None when not. Both routes are judged with one smallest
+    eigenvalue of M, and the verdict is the minor route's, as check_gram_psd
+    gives it. The routes and the certificate work on one L and M prescaled
+    by a power of four (see forms._scaled_gram), so M cannot overflow.
     """
     scaled, m, shift = _scaled_gram(_symmetric_rows(ell, "dissipation matrix"))
     margins, min_eig = _gram_evidence(frobenius_normalized(m))
@@ -97,7 +97,7 @@ def is_completely_positive(ell):
     verdict = judge(margins, min_eig, _MINORS_ROUTE)
     if not verdict.cp:
         return verdict, None
-    return verdict, form_b_from_gram(np.ldexp(_factor(m), shift))
+    return verdict, _minimal_form_b(_factor(m), shift)
 
 
 # The evolved map is unital: Phi(c0 I + c . sigma) = c0 I + (T c) . sigma for

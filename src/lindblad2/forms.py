@@ -133,8 +133,7 @@ class FormB:
         # q q^T is PSD by construction, so it is factored without a CP judge.
         shift = math.frexp(max((abs(x) for row in rows for x in row), default=0.0))[1]
         q = np.array([[math.ldexp(x, -shift) for x in row] for row in rows]).reshape(-1, 3).T
-        fb_min = form_b_from_gram(np.ldexp(_factor(_symmetric_rows(q @ q.T, "gram matrix")), shift))
-        return fb_min, len(fb_min.terms)
+        return _minimal_form_b(_factor(_symmetric_rows(q @ q.T, "gram matrix")), shift)._minimal
 
 
 @dataclass(frozen=True)
@@ -421,6 +420,14 @@ def form_b_from_gram(q) -> FormB:
     return FormB(terms=terms)
 
 
+def _minimal_form_b(factor, shift: int) -> FormB:
+    """The FormB of 2^shift times a pivoted factor of M, stored as its own
+    reduction: its columns are independent, so its rank is decided already."""
+    fb = form_b_from_gram(np.ldexp(factor, shift))
+    object.__setattr__(fb, "_minimal", (fb, len(fb.terms)))
+    return fb
+
+
 def reduce_terms(fb: FormB):
     """Rewrite a dissipator with the minimal number of terms.
 
@@ -431,7 +438,8 @@ def reduce_terms(fb: FormB):
 
     Returns the minimal FormB together with its term count, which equals the
     rank of the Gram matrix. A FormB computes this pair once; every later
-    call returns the same tuple.
+    call returns the same tuple. A FormB made from a pivoted factor (a
+    reduction, a CP certificate, form_b_from_dissipation's) is its own.
     """
     return fb._minimal
 
@@ -444,8 +452,7 @@ def form_b_from_dissipation(ell):
     of four, so it cannot overflow, and the rates are scaled back.
     """
     _, m, shift = _scaled_gram(_symmetric_rows(ell, "dissipation matrix"))
-    fb = form_b_from_gram(np.ldexp(gram_decompose(m), shift))
-    return fb, len(fb.terms)
+    return _minimal_form_b(gram_decompose(m), shift)._minimal
 
 
 # ---------------------------------------------------------------------------

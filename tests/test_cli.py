@@ -55,6 +55,7 @@ REPORT_CASES = [
     ("asymptote_redundant.txt", ["--model", model("redundant"), "asymptote"], 0),
     ("asymptote_huge_field.txt", ["--model", model("huge_field"), "asymptote"], 0),
     ("asymptote_rho_near_tolerance.txt", ["--model", model("rho_near_tolerance"), "asymptote"], 0),
+    ("convert_sigma_y_a.txt", ["--model", model("sigma_y"), "convert", "--to", "A"], 0),
 ]
 
 
@@ -1011,6 +1012,54 @@ def test_reduce_drops_rate_under_rank_floor(capsys, tmp_path):
         code, out, err = run_cli(["--model", path, "reduce"], capsys)
         assert code == 0 and err == ""
         assert out.startswith("index: 1\n")
+
+
+def _term_lines(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    return [line for line in out.splitlines() if line.startswith("  lambda=")]
+
+
+def _one_reduction(path, capsys):
+    # check prints the reduction that reduce prints; a matrix model's
+    # certificate is its own reduction, so convert --to B prints it too.
+    checked = _term_lines(["--model", path, "check"], capsys)
+    assert _term_lines(["--model", path, "reduce"], capsys) == checked
+    if json.loads(Path(path).read_text())["dissipator"]["form"] == "matrix":
+        assert _term_lines(["--model", path, "convert", "--to", "B"], capsys) == checked
+
+
+def test_rank_floor_model_has_one_index(capsys):
+    # A rate of 9.9999999e-11 beside 1 is under the rank floor in q q^T of
+    # the terms. In M of L, where (1 + rate) - 1 cancels, it comes out as
+    # 1.0000000827e-10, above the floor, so a rank decided there would be 2.
+    path = model("rank_floor")
+    for command in ("check", "reduce", "asymptote"):
+        code, out, _ = run_cli(["--model", path, command], capsys)
+        assert code == 0 and "index: 1" in out.splitlines()
+    _one_reduction(path, capsys)
+
+
+def test_every_command_prints_one_reduction(capsys, tmp_path):
+    # Every CP model here, then seeded Form B and matrix models.
+    from lindblad2 import FormB, dissipation_matrix
+
+    checked = [str(path) for path in sorted(MODELS.glob("*.json"))
+               if run_cli(["--model", str(path), "check"], capsys)[0] == 0]
+    assert len(checked) >= 10
+    rng = np.random.default_rng(2002)
+    for k in range(120):
+        terms = []
+        for _ in range(rng.integers(1, 5)):
+            axis = rng.normal(size=3)
+            terms.append((10.0 ** rng.uniform(-3.0, 3.0), axis / np.linalg.norm(axis)))
+        if k % 2:
+            dissipator = {"form": "matrix", "matrix": dissipation_matrix(FormB(terms=terms)).tolist()}
+        else:
+            dissipator = {"form": "B", "terms": [{"rate": r, "axis": a.tolist()} for r, a in terms]}
+        checked.append(_write_model(tmp_path / f"seeded_{k}.json", dissipator))
+    for path in checked:
+        _one_reduction(path, capsys)
 
 
 def test_route_disagreement_exits_two(monkeypatch, capsys):

@@ -1,6 +1,7 @@
 """Property tests: the minimal number of Lindblad terms is the rank of the
 Gram matrix M, whatever the units of the rates, and gks_minimal rebuilds
-its GKS matrix; a Gram matrix at the edge
+its GKS matrix; the round trips through M and through Form A give back L,
+and a minimal FormB is its own reduction, at every scale; a Gram matrix at the edge
 of the CP slack gets a consistent verdict and certificate at every scale;
 the CP gate gives the bits of the separate public routes at every scale;
 every CP route, gks_minimal among them, says CP exactly when a 50-digit
@@ -37,6 +38,7 @@ from lindblad2 import (
     form_a_from_form_b,
     form_a_to_form_b,
     form_b_from_dissipation,
+    form_b_from_gram,
     form_e_pack,
     generator_spectrum,
     gks_matrix,
@@ -84,6 +86,35 @@ def test_index_equals_rank_at_every_scale(case):
     assert len(fa.operators) == r
     assert len(form_a_to_form_b(fa).terms) == r
     assert np.max(np.abs(gks_matrix(fa) - c)) <= 1e-12 * np.max(np.abs(c))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=50)
+@given(rank_r_dissipators())
+def test_round_trips_reproduce_l_at_every_scale(case):
+    # C -> M -> factor -> B -> C, and B -> A -> B -> C, with the largest
+    # rate at 10^k for k = -300, -270, ..., 300.
+    _, fb = case
+    peak = np.max(fb.rates)
+    for k in range(-300, 301, 30):
+        scaled = FormB(terms=[(rate / peak * 10.0**k, axis) for rate, axis in fb.terms])
+        ell = dissipation_matrix(scaled)
+        via_gram = form_b_from_gram(gram_decompose(gram_from_dissipation(ell)))
+        via_operators = form_a_to_form_b(form_a_from_form_b(scaled))
+        for rebuilt in (via_gram, via_operators):
+            assert np.max(np.abs(dissipation_matrix(rebuilt) - ell)) <= 1e-12 * np.max(np.abs(ell))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=50)
+@given(rank_r_dissipators())
+def test_a_minimal_form_b_is_its_own_reduction(case):
+    # The certificate, form_b_from_dissipation's terms and a reduction each
+    # come from a pivoted factor, whose rank is decided once.
+    _, fb = case
+    ell = dissipation_matrix(fb)
+    for x in (is_completely_positive(ell)[1], form_b_from_dissipation(ell)[0], reduce_terms(fb)[0]):
+        fb_min, index = reduce_terms(x)
+        assert fb_min is x and index == len(x.terms)
+        assert reduce_terms(x) is reduce_terms(x)
 
 
 @st.composite
