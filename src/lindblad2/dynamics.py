@@ -257,40 +257,37 @@ def rk4_step(a) -> np.ndarray:
     return eye + a @ (eye + a @ (eye + a @ (eye + a / 4.0) / 3.0) / 2.0)
 
 
-# Rows that propagate fills with one matrix product.
-PROPAGATE_BLOCK = 64
+# Rows that propagate fills from one row, the segment's first; a run split
+# at multiples of it keeps every bit.
+PROPAGATE_SEGMENT = 2**16
 
 
 def propagate(step, v0, steps: int) -> np.ndarray:
     """The rows v0, step v0, step^2 v0, ..., step^steps v0.
 
-    The powers step^1 ... step^B, B = min(PROPAGATE_BLOCK, steps), are built
-    once by doubling: with step^1 ... step^k in the table, one batched
-    product with step^k appends step^(k+1) ... step^(2k), so B = 64 takes
-    six products. Each block of up to B rows is then one product of the
-    stacked powers with the last row already filled. Row k stays within
-    1e-14 + k eps / 8 of step^k v0 computed in 40-digit arithmetic
-    (test_propagate_matches_exact_powers).
+    The rows are filled by doubling, one segment of PROPAGATE_SEGMENT rows at
+    a time from its first row s: with rows s ... s+k-1 filled, one product
+    of them with step^k fills rows s+k ... s+2k-1, and step^2k = step^k
+    step^k. The last level, with step^PROPAGATE_SEGMENT, fills the next
+    segment's first row from row s. A run of n steps within one segment
+    thus takes about 2 log2 n products; the powers are built once for all
+    segments. Every row depends only on its segment's first row, and a
+    decaying row reaches 0, because a large power of a decaying step does.
+    Row k stays within 1e-14 + k eps / 8 of step^k v0 computed in 40-digit
+    arithmetic (test_propagate_matches_exact_powers).
     """
     v0 = np.asarray(v0)
-    n = len(v0)
-    out = np.empty((steps + 1, n), dtype=np.result_type(step, v0))
+    out = np.empty((steps + 1, len(v0)), dtype=np.result_type(step, v0))
     out[0] = v0
-    count = min(PROPAGATE_BLOCK, steps)
-    powers = np.empty((count, n, n), dtype=out.dtype)  # powers[j] = step^(j+1)
-    powers[:1] = step
-    k = 1
-    while k < count:
-        m = min(k, count - k)
-        np.matmul(powers[:m], powers[k - 1], out=powers[k : k + m])
-        k += m
-    table = powers.reshape(count * n, n)  # row block j is step^(j+1)
-    # ndarray.dot: the same products as @, at about half the call overhead
-    # on matrices this small, written straight into the rows of the block.
-    flat = out.reshape(-1)
-    for k in range(0, steps, PROPAGATE_BLOCK):
-        m = min(PROPAGATE_BLOCK, steps - k)
-        table[: m * n].dot(out[k], out=flat[(k + 1) * n : (k + 1 + m) * n])
+    powers = [np.asarray(step).T]  # powers[j] = (step^(2^j))^T, applied to rows
+    for first in range(0, steps, PROPAGATE_SEGMENT):
+        filled, end, level = first + 1, min(first + PROPAGATE_SEGMENT, steps) + 1, 0
+        while filled < end:
+            if level == len(powers):
+                powers.append(powers[-1] @ powers[-1])
+            m = min(filled - first, end - filled)
+            np.matmul(out[first : first + m], powers[level], out=out[filled : filled + m])
+            filled, level = filled + m, level + 1
     return out
 
 

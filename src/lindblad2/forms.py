@@ -159,18 +159,17 @@ def form_a_to_form_b(fa: FormA) -> FormB:
 
     Each hermitian A lifts uniquely to A = (1/2)(a I + sqrt(lambda) n . sigma);
     the identity part commutes with everything and drops out, so the
-    dissipator only sees (lambda, n). Operators with lambda = 0 are
-    proportional to the identity, contribute nothing and are discarded, so
-    operators that are all proportional to I give the zero dissipator.
+    dissipator only sees (lambda, n). The vectors sqrt(lambda) n are Form D
+    columns, so :func:`form_b_from_gram` makes the terms: operators with
+    lambda = 0 are proportional to the identity and discarded, so operators
+    that are all proportional to I give the zero dissipator, and a rate
+    above the largest double raises LindbladError.
     """
-    terms = []
-    for op in fa.operators:
-        _, coeff = pauli_coefficients(op)
-        v = 2.0 * coeff.real
-        lam = float(v @ v)
-        if lam > 0.0:
-            terms.append((lam, v / np.sqrt(lam)))
-    return FormB(terms=terms)
+    # An entry past the double range overflows to inf, which that rate
+    # check refuses; the real parts keep no NaN for a hermitian operator.
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = [2.0 * pauli_coefficients(op)[1].real for op in fa.operators]
+    return form_b_from_gram(np.reshape(q, (-1, 3)).T)
 
 
 def form_a_from_form_b(fb: FormB) -> FormA:

@@ -1191,3 +1191,22 @@ def test_matrix_at_the_top_of_the_double_range(capsys, tmp_path):
     code, out, err = run((1.5e308 * np.eye(3) - 5e307 * np.ones((3, 3))).tolist())
     assert code == 2 and out == ""
     assert err == "error: a rate is above the largest double, 1.8e308\n"
+
+
+@pytest.mark.parametrize("entry", [1e154, 1e308])
+def test_form_a_rate_past_the_double_range_is_one_line(entry, capsys, tmp_path):
+    # A finite hermitian operator whose rate |2 c|^2 overflows. The Pauli
+    # expansion and the rate printed RuntimeWarnings (errors here) and then
+    # "rate must be positive, got inf"; every command must give the one line
+    # that Form B and Gram input get.
+    operator = [[[entry, 0.0], [entry, 0.0]], [[entry, 0.0], [-entry, 0.0]]]
+    path = _write_model(tmp_path / "m.json", {"form": "A", "operators": [operator]})
+    out = tmp_path / "o.csv"
+    commands = [["check"], ["reduce"], ["asymptote"],
+                ["evolve", "--t-max", "1", "--dt", "0.5", "--out", str(out)]]
+    commands += [["convert", "--to", to] for to in ("A", "B", "E", "GKS")]
+    for command in commands:
+        code, stdout, err = run_cli(["--model", path, *command], capsys)
+        assert (code, stdout) == (2, ""), command
+        assert err == "error: a rate is above the largest double, 1.8e308\n", command
+    assert not out.exists()

@@ -376,18 +376,20 @@ def test_propagate_reproduces_integrators():
         assert np.array_equal(evolve_density(h, fb, rho0, dt * steps, dt).states, states)
 
 
-# Step counts on and around the edges of propagate's blocks of 64 rows.
-BLOCK_EDGE_STEPS = (0, 1, 63, 64, 65, 129, 20000)
+# Step counts on and around the edges of propagate's doubling levels and of
+# its segments of 2^16 rows, and one count past two segments.
+EDGE_STEPS = (0, 1, 63, 64, 65, 127, 128, 129, 4095, 4096, 20000, 65536, 65537, 131073)
 
 
 def test_propagate_matches_exact_powers():
     # Row k of propagate(S, v0, n) against S^k v0 in 40-digit arithmetic for
-    # the same float S, for k and n on and around block edges, with |v0| <= 1.
+    # the same float S, for k and n on and around those edges, with |v0| <= 1.
     # Rounding errors along a mode of S with |eigenvalue| = 1, such as the
     # trace of rho under the Liouvillian step, never decay, so the bound
-    # grows by eps / 8 per step. On these models the worst error is 5.1e-16
-    # up to 129 steps and 3.7e-14 at 2e4 (bound 5.7e-13); the loop that
-    # does one matrix-vector product per step reaches 8.9e-16 and 2.4e-13.
+    # grows by eps / 8 per step. On these models the worst error is 2.8e-15
+    # up to 129 steps, 4.0e-13 at 2e4 (bound 5.7e-13) and 2.6e-12 at 131073
+    # (bound 3.6e-12), in that trace mode; the loop that does one
+    # matrix-vector product per step reaches 8.9e-16, 2.4e-13 and 1.7e-12.
     rng = np.random.default_rng(139)
     dt = 0.01
     with mpmath.workdps(40):
@@ -408,16 +410,26 @@ def test_propagate_matches_exact_powers():
                 exact_v0 = mpmath.matrix(v0.tolist())
                 exact = {
                     k: np.array((exact_step**k * exact_v0).tolist(), dtype=complex)[:, 0]
-                    for k in BLOCK_EDGE_STEPS
+                    for k in EDGE_STEPS
                 }
-                for n in BLOCK_EDGE_STEPS:
+                for n in EDGE_STEPS:
                     out = propagate(step, v0, n)
                     assert out.shape == (n + 1, len(v0)) and out.dtype == step.dtype
                     assert np.array_equal(out[0], v0)
-                    for k in BLOCK_EDGE_STEPS:
+                    for k in EDGE_STEPS:
                         if k <= n:
                             bound = 1e-14 + k * np.finfo(float).eps / 8
                             assert np.max(np.abs(out[k] - exact[k])) <= bound, (n, k)
+
+
+def test_propagate_reaches_the_limit_of_a_decaying_run():
+    # tests/models/matrix_cp.json by rk4 at dt 0.001: rx and ry decay as
+    # 0.8 e^(-t/2), below half the smallest subnormal from t ~ 1488 on, and
+    # rz = 0.3 is fixed. The rows must reach that limit exactly, not stall
+    # at subnormal values as a product of one step per row does.
+    gen = build_generator([0.0, 0.0, 2.0], np.diag([0.5, 0.5, 0.0]))
+    rows = propagate(rk4_step(0.001 * gen.matrix), np.array([0.8, 0.0, 0.3]), 2_500_000)
+    assert np.array_equal(np.unique(rows[1_500_000:], axis=0), [[0.0, 0.0, 0.3]])
 
 
 def test_step_count_cap():
