@@ -139,7 +139,7 @@ def verify_asymptote(h, fb: FormB, rho0: DensityState, horizon: float | None = N
     """
     verdict = classify(h, fb)
     limit = asymptotic_state(verdict, rho0).bloch
-    gen = build_generator(h, dissipation_matrix(fb))
+    gen = build_generator(h, dissipation_matrix(reduce_terms(fb)[0]))
     gap = spectral_gap(gen)
     if horizon is None:
         horizon = max(HORIZON_DECAY_TIMES / gap, HORIZON_MIN) if gap > 0.0 else HORIZON_MIN

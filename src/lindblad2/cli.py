@@ -239,12 +239,6 @@ def _gate_cp(model: Model):
     return ell, fb
 
 
-def _need_initial(model: Model) -> DensityState:
-    if model.initial is None:
-        raise ParseError("model has no initial state")
-    return model.initial
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -320,16 +314,25 @@ def _distances(states, limit) -> np.ndarray:
     return np.sqrt(diff @ diff.transpose(0, 2, 1)).ravel()
 
 
-def cmd_evolve(model: Model, args) -> int:
-    ell, fb = _gate_cp(model)
+def _flow(model: Model):
+    """(initial state, verdict, limit, Generator) of a CP model, the
+    Generator built from the reduction that check prints."""
+    fb = _gate_cp(model)[1]
     # Imported once the model passes the gate, so that check, convert,
     # reduce and a refused run never compile the integrators.
     from .asymptotics import asymptotic_state, classify
-    from .dynamics import build_generator, evolve_bloch
+    from .dynamics import build_generator
 
-    state = _need_initial(model)
-    gen = build_generator(model.hamiltonian, ell)
-    limit = asymptotic_state(classify(model.hamiltonian, fb), state).bloch
+    if model.initial is None:
+        raise ParseError("model has no initial state")
+    verdict = classify(model.hamiltonian, fb)
+    gen = build_generator(model.hamiltonian, dissipation_matrix(reduce_terms(fb)[0]))
+    return model.initial, verdict, asymptotic_state(verdict, model.initial).bloch, gen
+
+
+def cmd_evolve(model: Model, args) -> int:
+    state, _, limit, gen = _flow(model)
+    from .dynamics import evolve_bloch
 
     try:
         traj = evolve_bloch(gen, state.bloch, args.t_max, args.dt, args.method)
@@ -347,21 +350,16 @@ def cmd_evolve(model: Model, args) -> int:
 
 
 def cmd_asymptote(model: Model, args) -> int:
-    ell, fb = _gate_cp(model)
-    from .asymptotics import asymptotic_state, classify, spectral_gap
-    from .dynamics import build_generator
+    _, verdict, limit, gen = _flow(model)
+    from .asymptotics import spectral_gap
 
-    state = _need_initial(model)
-    verdict = classify(model.hamiltonian, fb)
-    limit = asymptotic_state(verdict, state)
-    gap = spectral_gap(build_generator(model.hamiltonian, ell))
     print(f"kind: {verdict.kind}")
     print(f"index: {verdict.index}")
     print(f"commuting: {'yes' if verdict.commuting else 'no'}")
     if verdict.axis is not None:
         print(f"axis: {_fmt_vector(verdict.axis)}")
-    print(f"limit: {_fmt_vector(limit.bloch)}")
-    print(f"gap: {_fmt(gap)}")
+    print(f"limit: {_fmt_vector(limit)}")
+    print(f"gap: {_fmt(spectral_gap(gen))}")
     return 0
 
 

@@ -539,10 +539,18 @@ def test_lazy_namespace_keeps_todays_names():
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
     report = json.loads(result.stdout)
     assert report == {"bound": sorted(PUBLIC_NAMES), "listed": sorted(PUBLIC_NAMES), "foreign": [], "version": "0.1.0"}
+    import importlib
+
     import lindblad2
 
     with pytest.raises(AttributeError, match="no attribute 'cmd_check'"):
         lindblad2.cmd_check
+    # In this process too. Once imported, a submodule is an attribute of the
+    # package, so only a direct call reaches __getattr__'s submodule branch.
+    for name in ("errors", "tolerances", "dynamics"):
+        assert lindblad2.__getattr__(name) is importlib.import_module(f"lindblad2.{name}")
+    listed = dir(lindblad2)
+    assert listed == sorted(listed) and set(PUBLIC_NAMES) <= set(listed)
 
 
 _DROP = object()
@@ -729,7 +737,8 @@ def test_asymptote_gap_under_a_strong_field(capsys, tmp_path):
 @pytest.mark.parametrize("method", ["rk4", "expm"])
 def test_evolve_csv_matches_per_row_reference(method, capsys, tmp_path):
     # The vectorised output stage writes each row exactly as the per-row
-    # formatting of t, r, its entropy and its distance to the limit would.
+    # formatting of t, r, its entropy and its distance to the limit would,
+    # for the flow of the reduced terms.
     from conftest import random_form_b
     from lindblad2 import (
         asymptotic_state,
@@ -739,6 +748,7 @@ def test_evolve_csv_matches_per_row_reference(method, capsys, tmp_path):
         dissipation_matrix,
         entropy_from_bloch,
         evolve_rk4,
+        reduce_terms,
     )
     from lindblad2.cli import _fmt
     from lindblad2.dynamics import _propagators, propagate
@@ -757,7 +767,7 @@ def test_evolve_csv_matches_per_row_reference(method, capsys, tmp_path):
                 "--method", method, "--out", str(out)]
         assert run_cli(argv, capsys)[0] == 0
 
-        gen = build_generator(h, dissipation_matrix(fb))
+        gen = build_generator(h, dissipation_matrix(reduce_terms(fb)[0]))
         limit = asymptotic_state(classify(h, fb), density_from_bloch(r0)).bloch
         if method == "rk4":
             states = evolve_rk4(gen, r0, dt * steps, dt).states
@@ -1038,6 +1048,38 @@ def test_rank_floor_model_has_one_index(capsys):
         code, out, _ = run_cli(["--model", path, command], capsys)
         assert code == 0 and "index: 1" in out.splitlines()
     _one_reduction(path, capsys)
+    # The flow is that of the reduction, so the z mode the verdict counts as
+    # stationary does not decay at 5e-11 and the gap is the transverse 0.5.
+    assert out.splitlines()[-1] == "gap: 0.5"
+
+
+def test_slack_matrix_flows_as_its_certificate(capsys, tmp_path):
+    # L = diag(1, 1, -5e-11) is CP within the gate's slack, and its flow is
+    # that of the certificate, rate 2.00000000005 on z: rz = 0.5 stays put,
+    # where L itself would grow it as exp(5e-11 t).
+    path = model("matrix_slack")
+    code, out, _ = run_cli(["--model", path, "check"], capsys)
+    assert code == 0 and out.splitlines()[:2] == ["verdict: CP", "index: 1"]
+    code, out, _ = run_cli(["--model", path, "asymptote"], capsys)
+    assert code == 0 and out.splitlines()[-2:] == ["limit: (0, 0, 0.5)", "gap: 1.000000000025"]
+    for method, t_max, dt in (("expm", "1e12", "2e11"), ("rk4", "100", "0.01")):
+        out_path = tmp_path / f"{method}.csv"
+        argv = ["--model", path, "evolve", "--method", method, "--t-max", t_max, "--dt", dt, "--out", str(out_path)]
+        assert run_cli(argv, capsys)[0] == 0
+        rows = np.loadtxt(out_path, delimiter=",", skiprows=1)
+        assert len(rows) == round(float(t_max) / float(dt)) + 1
+        assert np.linalg.norm(rows[:, 1:4], axis=1).max() <= 0.5 * (1.0 + 1e-12)
+
+
+def test_reduce_refuses_a_reduction_that_drifts(monkeypatch, capsys):
+    # reduce checks that the reduced terms give back L before it prints.
+    from lindblad2 import FormB
+
+    monkeypatch.setattr("lindblad2.cli.reduce_terms", lambda fb: (FormB(terms=[(2.0, [0.0, 0.0, 1.0])]), 1))
+    code, out, err = run_cli(["--model", model("isotropic"), "reduce"], capsys)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: reduction changed the dissipation matrix by ")
 
 
 def test_every_command_prints_one_reduction(capsys, tmp_path):

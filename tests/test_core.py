@@ -199,6 +199,8 @@ def test_projector_examples():
 def test_projector_rejects_non_unit_axis():
     with pytest.raises(NotUnitError):
         unit_vector([0.0, 0.0, 2.0])
+    with pytest.raises(NotUnitError, match="3 components"):
+        unit_vector([1.0, 0.0])
 
 
 def test_projector_idempotence_random_axes():

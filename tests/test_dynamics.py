@@ -215,6 +215,16 @@ def test_trajectory_rejects_unordered_times():
         )
 
 
+def test_trajectory_rejects_unequal_lengths():
+    with pytest.raises(ValueError, match="equal length"):
+        Trajectory(times=np.array([0.0, 1.0]), states=np.zeros((1, 3)), entropies=np.zeros(2))
+
+
+def test_entropy_report_of_one_sample_is_zero():
+    traj = Trajectory(times=np.array([0.0]), states=np.array([[0.0, 0.0, 0.5]]), entropies=np.array([0.5]))
+    assert entropy_monotonicity_report(traj) == 0.0
+
+
 def test_evolve_density_constant_when_commuting():
     h = Hamiltonian(h=np.array([0.0, 0.0, 1.0]))
     rho0 = density_from_bloch([0.0, 0.0, 0.5])

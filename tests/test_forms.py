@@ -613,6 +613,16 @@ def test_gks_minimal_rejects_indefinite():
         gks_minimal(np.diag([np.inf, 0.0, 0.0]))
 
 
+def test_gks_minimal_refuses_a_non_hermitian_operator():
+    # c = v v^H for the Pauli coefficients v = (1, -i, 0) / sqrt(2) of
+    # sigma_- = (sigma_x - i sigma_y) / 2 in the F_k basis: hermitian, with
+    # a complex part that no set of hermitian operators reproduces.
+    v = np.array([1.0, -1j, 0.0]) / np.sqrt(2.0)
+    c = np.outer(v, v.conj())
+    with pytest.raises(NotHermitianError, match="complex part"):
+        gks_minimal(c)
+
+
 def test_gks_minimal_at_the_top_of_the_double_range():
     # The operators are factor columns, about 1e154, so nothing overflows.
     c = np.diag([1e308, 1e308, 1e308])
