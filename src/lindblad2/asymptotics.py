@@ -108,6 +108,15 @@ def asymptotic_state(verdict: AsymptoticVerdict, rho0: DensityState) -> DensityS
     return density_from_bloch(float(r0 @ verdict.axis) * verdict.axis)
 
 
+def _model_flow(h, fb: FormB, rho0: DensityState) -> tuple:
+    """(verdict, limit Bloch vector, Generator) of a CP model, the Generator
+    built from the reduction that ``check`` prints, so that the flow has the
+    rank its verdict counts."""
+    verdict = classify(h, fb)
+    gen = build_generator(h, dissipation_matrix(reduce_terms(fb)[0]))
+    return verdict, asymptotic_state(verdict, rho0).bloch, gen
+
+
 @dataclass(frozen=True, eq=False)
 class AsymptoteReport:
     distance: float
@@ -137,9 +146,7 @@ def verify_asymptote(h, fb: FormB, rho0: DensityState, horizon: float | None = N
     double precision. Raises
     BadStepError when exp(T G) is not finite, as evolve_expm does.
     """
-    verdict = classify(h, fb)
-    limit = asymptotic_state(verdict, rho0).bloch
-    gen = build_generator(h, dissipation_matrix(reduce_terms(fb)[0]))
+    _, limit, gen = _model_flow(h, fb, rho0)
     gap = spectral_gap(gen)
     if horizon is None:
         horizon = max(HORIZON_DECAY_TIMES / gap, HORIZON_MIN) if gap > 0.0 else HORIZON_MIN

@@ -315,19 +315,16 @@ def _distances(states, limit) -> np.ndarray:
 
 
 def _flow(model: Model):
-    """(initial state, verdict, limit, Generator) of a CP model, the
-    Generator built from the reduction that check prints."""
+    """(initial state, verdict, limit, Generator) of a CP model, from
+    :func:`asymptotics._model_flow`, which verify_asymptote reads too."""
     fb = _gate_cp(model)[1]
     # Imported once the model passes the gate, so that check, convert,
     # reduce and a refused run never compile the integrators.
-    from .asymptotics import asymptotic_state, classify
-    from .dynamics import build_generator
+    from .asymptotics import _model_flow
 
     if model.initial is None:
         raise ParseError("model has no initial state")
-    verdict = classify(model.hamiltonian, fb)
-    gen = build_generator(model.hamiltonian, dissipation_matrix(reduce_terms(fb)[0]))
-    return model.initial, verdict, asymptotic_state(verdict, model.initial).bloch, gen
+    return model.initial, *_model_flow(model.hamiltonian, fb, model.initial)
 
 
 def cmd_evolve(model: Model, args) -> int:

@@ -10,7 +10,7 @@ dissipator applied natively in its given form; both pictures must agree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -202,7 +202,8 @@ def evolve_expm(gen: Generator, r0, t: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Time-ordered Bloch samples with per-sample entropy.
+    """Time-ordered Bloch samples, the rows of an (n, 3) ``states``; the
+    per-sample ``entropies`` are derived from them, eagerly and read-only.
 
     The matrix-picture integrator additionally records the worst trace and
     hermiticity deviation seen along the run.
@@ -210,21 +211,24 @@ class Trajectory:
 
     times: np.ndarray
     states: np.ndarray
-    entropies: np.ndarray
     max_trace_dev: float | None = None
     max_herm_dev: float | None = None
+    entropies: np.ndarray = field(init=False)
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
         states = np.asarray(self.states, dtype=float)
-        entropies = np.asarray(self.entropies, dtype=float)
-        if not (len(times) == len(states) == len(entropies)):
+        if states.ndim != 2 or states.shape[1] != 3:
+            raise ValueError("states must be an (n, 3) array of Bloch vectors")
+        if len(times) != len(states):
             raise ValueError("sample arrays must have equal length")
         if len(times) > 1 and not np.all(np.diff(times) > 0.0):
             raise ValueError("sample times must be strictly increasing")
+        # From the given rows, before the copies: its temporaries then never
+        # sit beside both copies of the run.
+        object.__setattr__(self, "entropies", _readonly(bloch_entropies(states)))
         object.__setattr__(self, "times", _readonly(times))
         object.__setattr__(self, "states", _readonly(states))
-        object.__setattr__(self, "entropies", _readonly(entropies))
 
     @property
     def final_state(self) -> np.ndarray:
@@ -326,7 +330,7 @@ def evolve_bloch(gen: Generator, r0, t_max: float, dt: float, method: str) -> Tr
     """Fixed-step integration of the Bloch equation, by rk4_step(dt G) for
     method "rk4" or exp(dt G) for "expm" (see :func:`_fixed_step_run`)."""
     times, states = _fixed_step_run(gen, r0, t_max, dt, method)
-    return Trajectory(times=times, states=states, entropies=bloch_entropies(states))
+    return Trajectory(times=times, states=states)
 
 
 def evolve_rk4(gen: Generator, r0, t_max: float, dt: float) -> Trajectory:
@@ -366,7 +370,6 @@ def evolve_density(h, form, rho0: DensityState, t_max: float, dt: float) -> Traj
     return Trajectory(
         times=times,
         states=states,
-        entropies=bloch_entropies(states),
         max_trace_dev=float(np.max(np.abs((d00 + d11).real - 1.0))),
         max_herm_dev=float(np.max(np.abs([d01 - np.conj(d10), d00.imag, d11.imag]))),
     )

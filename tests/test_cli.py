@@ -1071,6 +1071,25 @@ def test_slack_matrix_flows_as_its_certificate(capsys, tmp_path):
         assert np.linalg.norm(rows[:, 1:4], axis=1).max() <= 0.5 * (1.0 + 1e-12)
 
 
+@pytest.mark.parametrize(
+    "name",
+    ["dephasing", "isotropic", "matrix_cp", "matrix_slack", "operators", "rank_floor", "redundant",
+     "rho_near_tolerance", "sigma_y"],
+)
+def test_asymptote_and_verify_asymptote_share_one_flow(name, capsys):
+    # Every CP model with an initial state and a finite default horizon
+    # (huge_field's t = 160 is refused by verify_asymptote): the CLI and
+    # the library read one limit and one gap, from one Generator.
+    from lindblad2.asymptotics import verify_asymptote
+    from lindblad2.cli import _fmt, _fmt_vector, _gate_cp, load_model
+
+    loaded = load_model(model(name))
+    report = verify_asymptote(loaded.hamiltonian, _gate_cp(loaded)[1], loaded.initial)
+    code, out, _ = run_cli(["--model", model(name), "asymptote"], capsys)
+    assert code == 0
+    assert out.splitlines()[-2:] == [f"limit: {_fmt_vector(report.limit)}", f"gap: {_fmt(report.gap)}"]
+
+
 def test_reduce_refuses_a_reduction_that_drifts(monkeypatch, capsys):
     # reduce checks that the reduced terms give back L before it prints.
     from lindblad2 import FormB

@@ -98,10 +98,13 @@ def test_density_from_matrix_within_tolerance():
 
 def test_value_types_store_only_their_defining_fields():
     # Every other attribute is derived from these: matrix from bloch,
-    # commuting from kind, G from h and ell.
+    # commuting from kind, G from h and ell, entropies from states.
+    from lindblad2 import Trajectory
+
     assert [f.name for f in fields(DensityState)] == ["bloch"]
     assert [f.name for f in fields(AsymptoticVerdict)] == ["kind", "index", "axis"]
     assert [f.name for f in fields(Generator)] == ["h", "ell"]
+    assert [f.name for f in fields(Trajectory) if f.init] == ["times", "states", "max_trace_dev", "max_herm_dev"]
 
 
 def test_array_holding_value_types_compare_and_hash_by_identity():
@@ -116,7 +119,7 @@ def test_array_holding_value_types_compare_and_hash_by_identity():
         lambda: FormA(operators=(np.diag([1.0, -1.0]),)),
         lambda: FormB(terms=[(1.0, EZ)]),
         lambda: build_generator([0.0, 0.0, 1.0], np.diag([1.0, 1.0, 0.0])),
-        lambda: Trajectory(times=[0.0, 1.0], states=np.zeros((2, 3)), entropies=[0.5, 0.5]),
+        lambda: Trajectory(times=[0.0, 1.0], states=np.zeros((2, 3))),
         lambda: AsymptoticVerdict(kind="decohered", index=1, axis=EZ),
         lambda: AsymptoteReport(0.0, 1.0, 2.0, np.zeros(3), True, True),
         lambda: Model(Hamiltonian(h=EZ), np.zeros((3, 3)), None),

@@ -21,6 +21,7 @@ from lindblad2 import (
     liouvillian,
 )
 from lindblad2.asymptotics import spectral_gap
+from lindblad2.core import bloch_entropies
 from lindblad2.dynamics import Trajectory, _propagators, cross_matrix, propagate, rk4_step
 from lindblad2.errors import BadStepError, LindbladError, NegativeTimeError
 
@@ -208,20 +209,30 @@ def test_evolve_rk4_rejects_bad_steps():
 
 def test_trajectory_rejects_unordered_times():
     with pytest.raises(ValueError):
-        Trajectory(
-            times=np.array([0.0, 0.0]),
-            states=np.zeros((2, 3)),
-            entropies=np.zeros(2),
-        )
+        Trajectory(times=np.array([0.0, 0.0]), states=np.zeros((2, 3)))
 
 
 def test_trajectory_rejects_unequal_lengths():
     with pytest.raises(ValueError, match="equal length"):
-        Trajectory(times=np.array([0.0, 1.0]), states=np.zeros((1, 3)), entropies=np.zeros(2))
+        Trajectory(times=np.array([0.0, 1.0]), states=np.zeros((1, 3)))
+
+
+def test_trajectory_derives_its_entropies():
+    # A Trajectory is its times and states; the entropies are those of its
+    # rows, bit for bit, and cannot be passed in to disagree with them.
+    states = np.array([[0.0, 0.0, 0.0], [0.3, -0.2, 0.5], [0.0, 0.0, 1.0]])
+    traj = Trajectory(times=[0.0, 0.5, 1.0], states=states)
+    assert traj.entropies.tobytes() == bloch_entropies(states).tobytes()
+    assert not traj.entropies.flags.writeable
+    with pytest.raises(TypeError):
+        Trajectory(times=[0.0, 1.0], states=np.zeros((2, 3)), entropies=[0.5, 0.5])
+    for states in ([[1.0, 2.0], [3.0, 4.0]], np.zeros(3), np.zeros((1, 2, 3))):
+        with pytest.raises(ValueError, match=r"\(n, 3\)"):
+            Trajectory(times=np.arange(len(states), dtype=float), states=states)
 
 
 def test_entropy_report_of_one_sample_is_zero():
-    traj = Trajectory(times=np.array([0.0]), states=np.array([[0.0, 0.0, 0.5]]), entropies=np.array([0.5]))
+    traj = Trajectory(times=np.array([0.0]), states=np.array([[0.0, 0.0, 0.5]]))
     assert entropy_monotonicity_report(traj) == 0.0
 
 
