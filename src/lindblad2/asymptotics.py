@@ -150,7 +150,7 @@ def verify_asymptote(h, fb: FormB, rho0: DensityState, horizon: float | None = N
     gap = spectral_gap(gen)
     if horizon is None:
         horizon = max(HORIZON_DECAY_TIMES / gap, HORIZON_MIN) if gap > 0.0 else HORIZON_MIN
-    if horizon <= 0.0:
+    if not horizon > 0.0:
         raise NegativeHorizonError(f"horizon must be positive, got {horizon!r}")
     r_final = evolve_expm(gen, rho0.bloch, horizon)
     distance = float(np.linalg.norm(r_final - limit))

@@ -93,18 +93,15 @@ def pauli_coefficients(m: np.ndarray) -> tuple[complex, np.ndarray]:
     """Expand a 2x2 matrix as c0*I + c . sigma.
 
     The coefficients c0 = tr(m)/2 and c_a = tr(m sigma_a)/2 are complex for a
-    general matrix and real for a hermitian one.
+    general matrix and real for a hermitian one. A stack of shape (..., 2, 2)
+    gives c0 of shape (...) and c of shape (..., 3), each matrix with the
+    bits it has alone.
     """
     m = np.asarray(m, dtype=complex)
-    c0 = 0.5 * (m[0, 0] + m[1, 1])
-    c = np.array(
-        [
-            0.5 * (m[0, 1] + m[1, 0]),
-            0.5j * (m[0, 1] - m[1, 0]),
-            0.5 * (m[0, 0] - m[1, 1]),
-        ]
-    )
-    return c0, c
+    m00, m01, m10, m11 = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    c = np.empty(m.shape[:-2] + (3,), dtype=complex)
+    c[..., 0], c[..., 1], c[..., 2] = 0.5 * (m01 + m10), 0.5j * (m01 - m10), 0.5 * (m00 - m11)
+    return 0.5 * (m00 + m11), c
 
 
 def matrix_from_pauli(c0: complex, c: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import DensityState, as_field_vector, bloch_entropies, matrix_from_pauli, _readonly
+from .core import DensityState, as_field_vector, bloch_entropies, matrix_from_pauli, pauli_coefficients, _readonly
 from .errors import BadStepError, NegativeTimeError, StepSizeError
 from .forms import _symmetric_rows, apply_dissipator
 from .tolerances import (
@@ -364,12 +364,9 @@ def evolve_density(h, form, rho0: DensityState, t_max: float, dt: float) -> Traj
     """
     times, vecs = _fixed_step_run(liouvillian(h, form), rho0.matrix.reshape(4), t_max, dt, "rk4")
     d00, d01, d10, d11 = vecs.T
-    states = np.stack(
-        [(d01 + d10).real, (1j * (d01 - d10)).real, (d00 - d11).real], axis=1
-    )
     return Trajectory(
         times=times,
-        states=states,
+        states=2.0 * pauli_coefficients(vecs.reshape(-1, 2, 2))[1].real,
         max_trace_dev=float(np.max(np.abs((d00 + d11).real - 1.0))),
         max_herm_dev=float(np.max(np.abs([d01 - np.conj(d10), d00.imag, d11.imag]))),
     )

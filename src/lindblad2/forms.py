@@ -165,11 +165,7 @@ def form_a_to_form_b(fa: FormA) -> FormB:
     that are all proportional to I give the zero dissipator, and a rate
     above the largest double raises LindbladError.
     """
-    # An entry past the double range overflows to inf, which that rate
-    # check refuses; the real parts keep no NaN for a hermitian operator.
-    with np.errstate(over="ignore", invalid="ignore"):
-        q = [2.0 * pauli_coefficients(op)[1].real for op in fa.operators]
-    return form_b_from_gram(np.reshape(q, (-1, 3)).T)
+    return form_b_from_gram(_gram_from_form_a(fa))
 
 
 def form_a_from_form_b(fb: FormB) -> FormA:
@@ -215,8 +211,8 @@ def apply_dissipator(form, m) -> np.ndarray:
         return out
     if isinstance(form, np.ndarray) and form.shape == (3, 3):
         ell = require_symmetric(form, what="dissipation matrix")
-        # c_a = tr(m sigma_a) / 2, then D[m] = sum_a (L c)_a sigma_a.
-        c = 0.5 * np.einsum("aji,...ij->...a", SIGMA, m)
+        # D[m] = sum_a (L c)_a sigma_a for the Pauli coefficients c of m.
+        c = pauli_coefficients(m)[1]
         return np.einsum("...a,aij->...ij", c @ ell, SIGMA)
     s = sum((op @ op for op in form.operators), np.zeros((2, 2), dtype=complex))
     out = 0.5 * (s @ m + m @ s)
@@ -397,6 +393,16 @@ def _factor(m: list) -> np.ndarray:
     return np.array(list(zip(*columns)))
 
 
+def _gram_from_form_a(fa: FormA) -> np.ndarray:
+    """Form D from Form A: column j is q_j = sqrt(lambda_j) n_j, twice the
+    real Pauli coefficients of A_j = (1/2)(a_j I + q_j . sigma)."""
+    # An entry past the double range overflows to inf, which
+    # form_b_from_gram's rate check refuses; the real parts keep no NaN for
+    # a hermitian operator.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return 2.0 * pauli_coefficients(np.reshape(fa.operators, (-1, 2, 2)))[1].real.T
+
+
 def gram_from_form_b(fb: FormB) -> np.ndarray:
     """Form D from Form B: the (3, r) array q with rows q_a and entries
     (q_a)_j = sqrt(lambda_j) (n_j)_a. Lambda = sum_a |q_a|^2 is the summed
@@ -484,7 +490,7 @@ def form_e_unpack(fe: FormE) -> np.ndarray:
 def trace_split(a) -> tuple:
     """Split A = B + s*I with tr(B) = 0; returns (B, s) with s = tr(A)/2."""
     a = np.asarray(a, dtype=complex)
-    s = 0.5 * (a[0, 0] + a[1, 1])
+    s = pauli_coefficients(a)[0]
     return a - s * IDENTITY2, complex(s)
 
 
@@ -506,23 +512,17 @@ def delta_hamiltonian(splits) -> np.ndarray:
 # GKS coefficient matrix
 # ---------------------------------------------------------------------------
 
-# Orthonormal traceless hermitian basis F_k with tr(F_j^dag F_k) = delta_jk.
-_GKS_BASIS = SIGMA / np.sqrt(2.0)
-
 
 def gks_matrix(fa: FormA) -> np.ndarray:
     """Coefficient matrix c = C C^dag with C_kj = tr(F_k^dag B_j).
 
     The B_j are the traceless parts of the operators, expanded in the basis
-    F_k = sigma_k / sqrt(2). The result is hermitian positive semidefinite,
-    and real symmetric for hermitian operators; no operators give c = 0.
+    F_k = sigma_k / sqrt(2), so C's columns are the Form D vectors
+    q_j / sqrt(2) and c = M / 2 = (1/2) q q^T: real symmetric positive
+    semidefinite, and 0 for no operators.
     """
-    ops = np.reshape(fa.operators, (-1, 2, 2))
-    s = 0.5 * (ops[:, 0, 0] + ops[:, 1, 1])
-    # prod[k, j] = F_k B_j, so C_kj is the sum of its diagonal.
-    prod = _GKS_BASIS[:, None] @ (ops - s[:, None, None] * IDENTITY2)
-    coeff = prod[..., 0, 0] + prod[..., 1, 1]
-    return coeff @ coeff.conj().T
+    q = _gram_from_form_a(fa)
+    return (0.5 * q) @ q.T
 
 
 def gks_minimal(c) -> FormA:

@@ -240,8 +240,9 @@ def test_verify_asymptote_default_horizon():
 
 def test_verify_asymptote_rejects_bad_horizon():
     fb = FormB(terms=[(1.0, EZ)])
-    with pytest.raises(NegativeHorizonError):
-        verify_asymptote([0.0, 0.0, 1.0], fb, density_from_bloch([0, 0, 0]), horizon=-1.0)
+    for horizon in (-1.0, np.nan):
+        with pytest.raises(NegativeHorizonError, match="horizon must be positive"):
+            verify_asymptote([0.0, 0.0, 1.0], fb, density_from_bloch([0, 0, 0]), horizon=horizon)
 
 
 def test_verify_asymptote_refuses_overflowing_horizon():

@@ -687,6 +687,27 @@ def test_convert_output_round_trips(capsys):
     assert np.max(np.abs(rebuilt - ell)) < 1e-10
 
 
+def test_convert_gks_is_half_the_gram_matrix_of_the_printed_terms(capsys):
+    # c = M / 2 = (1/2) q q^T for the Form D vectors q_j = sqrt(lambda_j) n_j
+    # of the terms that convert --to B prints, on every CP model file.
+    from lindblad2.cli import _fmt_matrix
+
+    checked, wrong = [], []
+    for path in sorted(MODELS.glob("*.json")):
+        if run_cli(["--model", str(path), "check"], capsys)[0] != 0:
+            continue
+        code, out, _ = run_cli(["--model", str(path), "convert", "--to", "B"], capsys)
+        assert code == 0
+        q = np.reshape([np.sqrt(rate) * np.array(axis) for rate, axis in _parse_printed_terms(out)], (-1, 3)).T
+        code, out, _ = run_cli(["--model", str(path), "convert", "--to", "GKS"], capsys)
+        assert code == 0
+        checked.append(path.name)
+        if out.splitlines()[1] != "c = " + _fmt_matrix((0.5 * q) @ q.T):
+            wrong.append(path.name)
+    assert "dephasing.json" in checked and "operators.json" in checked
+    assert wrong == []
+
+
 def test_module_entry_point_smoke(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "lindblad2", "--model", model("dephasing"), "check"],

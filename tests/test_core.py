@@ -234,6 +234,22 @@ def test_pauli_coefficients_round_trip_complex():
         assert np.max(np.abs(matrix_from_pauli(c0, c) - m)) < 1e-14
 
 
+@pytest.mark.parametrize("lead", [(), (5,), (4, 3)])
+def test_pauli_coefficients_of_a_stack_match_each_matrix(lead):
+    rng = np.random.default_rng(7)
+    # Entries over the double range, with signed zeros, inf and NaN among them.
+    m = np.empty(lead + (2, 2), dtype=complex)
+    m.real = rng.normal(size=m.shape) * 10.0 ** rng.integers(-300, 300, size=m.shape)
+    m.imag = rng.choice([0.0, -0.0, 1.0, -1e300, np.inf, np.nan], size=m.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        c0, c = pauli_coefficients(m)
+        assert c0.shape == lead and c.shape == lead + (3,)
+        for index in np.ndindex(*lead):
+            one0, one = pauli_coefficients(m[index])
+            assert c0[index].tobytes() == one0.tobytes()
+            assert c[index].tobytes() == one.tobytes()
+
+
 def test_hamiltonian_matrix_and_h0():
     h = Hamiltonian(h=np.array([0.0, 0.0, 2.0]), h0=1.0)
     assert np.allclose(h.matrix, np.diag([1.5, -0.5]))

@@ -38,7 +38,7 @@ from lindblad2 import (
     reduce_terms,
     trace_split,
 )
-from lindblad2.core import IDENTITY2, SIGMA, SIGMA_X, SIGMA_Y, SIGMA_Z, frobenius_normalized
+from lindblad2.core import IDENTITY2, SIGMA, SIGMA_X, SIGMA_Y, SIGMA_Z, frobenius_normalized, pauli_coefficients
 from lindblad2.errors import (
     LindbladError,
     NotCPError,
@@ -561,7 +561,17 @@ def test_gks_matrix_real_symmetric_for_hermitian_ops():
 
 
 def _gks_matrix_per_operator(fa):
-    """gks_matrix as one 2x2 product and trace per (k, j) pair."""
+    """gks_matrix as M / 2 = (1/2) q q^T, with the Form D vector q_j taken
+    from one operator at a time."""
+    q = np.zeros((3, len(fa.operators)))
+    for j, op in enumerate(fa.operators):
+        q[:, j] = 2.0 * pauli_coefficients(op)[1].real
+    return (0.5 * q) @ q.T
+
+
+def _gks_matrix_by_traces(fa):
+    """c = C C^dag, with C_kj = tr(F_k B_j) from one 2x2 product and trace
+    per (k, j) pair, B_j the traceless part of A_j and F_k = sigma_k / sqrt(2)."""
     basis = SIGMA / np.sqrt(2.0)
     coeff = np.empty((3, len(fa.operators)), dtype=complex)
     for j, op in enumerate(fa.operators):
@@ -579,8 +589,24 @@ def test_gks_matrix_matches_per_operator_loop_bit_for_bit(scale):
             fa = random_form_a(rng, terms)
             fa = FormA(operators=tuple(scale * op for op in fa.operators))
             c = gks_matrix(fa)
-            assert c.shape == (3, 3) and c.dtype == complex
+            assert c.shape == (3, 3) and c.dtype == float
             assert c.tobytes() == _gks_matrix_per_operator(fa).tobytes()
+            # The same matrix, rounded through sqrt(2) and complex products.
+            assert np.max(np.abs(c - _gks_matrix_by_traces(fa))) <= 1e-15 * np.max(np.abs(c))
+
+
+def test_gks_matrix_is_half_the_gram_matrix_form_a_to_form_b_factors(monkeypatch):
+    from lindblad2 import forms
+
+    seen = []
+    monkeypatch.setattr(forms, "form_b_from_gram", lambda q: seen.append(q) or FormB(terms=()))
+    rng = np.random.default_rng(61)
+    for terms in range(5):
+        fa = random_form_a(rng, terms)
+        form_a_to_form_b(fa)
+        q = seen.pop()
+        assert q.shape == (3, terms)
+        assert gks_matrix(fa).tobytes() == ((0.5 * q) @ q.T).tobytes()
 
 
 def test_gks_minimal_single_mode():

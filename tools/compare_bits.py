@@ -22,7 +22,10 @@ number of differing records per kind and per kind.field (for example
 For each differing field it also prints the worst absolute change of a
 number and the worst change relative to max(|value|, 1), over every
 record: float arrays and floats are decoded, and CSV bytes are parsed as
-numbers.
+numbers. A field whose arrays changed dtype prints both dtypes; its
+values are still compared, a complex array whose imaginary parts are all
+zero read as its real parts, and the worst change is inf only where the
+values cannot be paired.
 """
 
 import pickle
@@ -111,20 +114,35 @@ def dump(checkout: Path, out: Path) -> None:
     print(", ".join(f"{n} {kind} records" for kind, n in counts.items()))
 
 
-def numbers(x) -> list:
+def numbers(x, real: bool = False) -> list:
     """The floats in an encoded field, in order: float arrays, floats and
     the cells of CSV bytes after the header; an error or a non-float array
-    has none."""
+    has none. A complex array gives its parts in pairs; with ``real``, one
+    whose imaginary parts are all zero gives its real parts alone."""
     import numpy as np
 
     if isinstance(x, bytes):
         return [float(v) for line in x.decode().splitlines()[1:] for v in line.split(",")]
     if isinstance(x, tuple) and x[:1] == ("arr",) and np.dtype(x[1]).kind in "fc":
-        return np.frombuffer(x[3], dtype=x[1]).view(float).tolist()
+        values = np.frombuffer(x[3], dtype=x[1])
+        if real and values.dtype.kind == "c" and not values.imag.any():
+            return values.real.tolist()
+        return values.view(float).tolist()
     if isinstance(x, tuple) and x[:1] == ("f",):
         return [float.fromhex(x[1])]
     if isinstance(x, tuple):
-        return [v for item in x for v in numbers(item)]
+        return [v for item in x for v in numbers(item, real)]
+    return []
+
+
+def dtypes(x) -> list:
+    """The dtype names of the arrays in an encoded field, in order."""
+    import numpy as np
+
+    if isinstance(x, tuple) and x[:1] == ("arr",):
+        return [np.dtype(x[1]).name]
+    if isinstance(x, tuple):
+        return [name for item in x for name in dtypes(item)]
     return []
 
 
@@ -133,6 +151,7 @@ def compare(a: Path, b: Path) -> int:
         left, right = pickle.load(fa), pickle.load(fb)
     kinds, names = Counter(), Counter()
     worst = {}  # kind.field -> [absolute, relative]
+    casts = {}  # kind.field -> {"old dtype -> new dtype"}
     for (kind, x), (_, y) in zip(left, right):
         if x != y:
             kinds[kind] += 1
@@ -142,7 +161,9 @@ def compare(a: Path, b: Path) -> int:
                 key = f"{kind}.{name}"
                 names[key] += 1
                 size = worst.setdefault(key, [0.0, 0.0])
-                old, new = numbers(x.get(name)), numbers(y.get(name))
+                pairs = {f"{p} -> {q}" for p, q in zip(dtypes(x.get(name)), dtypes(y.get(name))) if p != q}
+                casts.setdefault(key, set()).update(pairs)
+                old, new = numbers(x.get(name), bool(pairs)), numbers(y.get(name), bool(pairs))
                 if len(old) != len(new):
                     size[:] = [float("inf")] * 2
                 for p, q in zip(old, new):
@@ -153,7 +174,8 @@ def compare(a: Path, b: Path) -> int:
     print(f"{len(left)} and {len(right)} records, {differ} differ")
     for name, n in sorted((kinds + names).items()):
         sizes = f" worst {worst[name][0]:.3g} absolute, {worst[name][1]:.3g} relative" if name in worst else ""
-        print(f"{name} {n}{sizes}")
+        dtype = f" dtype {', '.join(sorted(casts[name]))};" if casts.get(name) else ""
+        print(f"{name} {n}{dtype}{sizes}")
     return 1 if differ else 0
 
 
