@@ -224,10 +224,17 @@ def _finite_vector(a: np.ndarray) -> bool:
 
 
 def unit_vector(n) -> np.ndarray:
+    """The accepted axis n / |n|.
+
+    An axis is a real 3-vector whose length is 1 within UNIT_TOL; any other
+    input raises NotUnitError. Every accepted axis is returned normalised, so
+    each reader of a stored axis (FormB, plane_projector and everything
+    downstream of them) sees one exact unit vector and one dissipator.
+    """
     n = np.asarray(n, dtype=float)
     if n.shape != (3,):
         raise NotUnitError("axis must have 3 components")
     norm = math.sqrt(n.dot(n))  # the bits of np.linalg.norm(n)
     if not math.isfinite(norm) or abs(norm - 1.0) > UNIT_TOL:
         raise NotUnitError(f"axis has length {norm!r}, expected 1")
-    return n
+    return n / norm

@@ -79,7 +79,8 @@ def _symmetric_rows(a, what: str) -> list:
 
 
 def plane_projector(n) -> np.ndarray:
-    """Projector I3 - n n^T onto the plane orthogonal to the unit vector n."""
+    """Projector I3 - n n^T onto the plane orthogonal to the axis n, taken
+    as n / |n| (see unit_vector)."""
     n = unit_vector(n)
     return np.eye(3) - np.outer(n, n)
 
@@ -101,7 +102,9 @@ class FormA:
 @dataclass(frozen=True, eq=False)
 class FormB:
     """Dissipator given by positive rates and unit projector axes; no
-    terms is the zero dissipator D = 0. Its minimal reduction (see
+    terms is the zero dissipator D = 0. An axis of length 1 within UNIT_TOL
+    is accepted and stored as n / |n| (see unit_vector), so every reader of
+    the terms sees the same dissipator. Its minimal reduction (see
     reduce_terms) is computed once, on first use; the terms are read-only,
     so it cannot go stale."""
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lindblad2.cli import main
+from lindblad2.tolerances import UNIT_TOL
 
 MODELS = Path(__file__).parent / "models"
 GOLDEN = Path(__file__).parent / "golden"
@@ -1142,6 +1144,51 @@ def test_every_command_prints_one_reduction(capsys, tmp_path):
         checked.append(_write_model(tmp_path / f"seeded_{k}.json", dissipator))
     for path in checked:
         _one_reduction(path, capsys)
+
+
+def _rounded_axis(z, phi, digits):
+    # A unit direction written to a model file with `digits` significant
+    # digits, as a user would type it.
+    s = math.sqrt(1.0 - z * z)
+    return [float(f"{x:.{digits - 1}e}") for x in (s * math.cos(phi), s * math.sin(phi), z)]
+
+
+_NEAR_UNIT_AXIS = st.builds(
+    _rounded_axis, st.floats(-1.0, 1.0), st.floats(0.0, 2.0 * math.pi), st.integers(6, 9)
+).filter(lambda n: abs(math.sqrt(sum(x * x for x in n)) - 1.0) <= UNIT_TOL)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(
+    st.lists(st.tuples(st.floats(-3.0, 3.0), _NEAR_UNIT_AXIS), min_size=1, max_size=3),
+    st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3),
+)
+def test_near_unit_axes_give_one_dissipator_in_every_command(terms, h):
+    # An axis accepted within UNIT_TOL of unit length is the axis n / |n|
+    # for every command: the gate calls it CP, check and reduce print one
+    # reduction, and one term keeps its rate to rounding.
+    rates = [10.0**u for u, _ in terms]
+    dissipator = {"form": "B", "terms": [{"rate": r, "axis": n} for r, (_, n) in zip(rates, terms)]}
+
+    def run(*command):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["--model", path, *command])
+        assert (code, err.getvalue()) == (0, "")
+        return out.getvalue()
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write_model(Path(tmp, "model.json"), dissipator, h=h)
+        checked = run("check")
+        assert checked.startswith("verdict: CP\n")
+        lines = [line for line in checked.splitlines() if line.startswith("  lambda=")]
+        assert [line for line in run("reduce").splitlines() if line.startswith("  lambda=")] == lines
+        for command in (["convert", "--to", "B"], ["convert", "--to", "E"], ["asymptote"]):
+            run(*command)
+    if len(rates) == 1:
+        (line,) = lines
+        printed = float(line.split()[0].removeprefix("lambda="))
+        assert abs(printed - rates[0]) <= 1e-15 * rates[0]
 
 
 def test_route_disagreement_exits_two(monkeypatch, capsys):

@@ -38,12 +38,22 @@ from lindblad2 import (
     reduce_terms,
     trace_split,
 )
-from lindblad2.core import IDENTITY2, SIGMA, SIGMA_X, SIGMA_Y, SIGMA_Z, frobenius_normalized, pauli_coefficients
+from lindblad2.core import (
+    IDENTITY2,
+    SIGMA,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    frobenius_normalized,
+    matrix_from_pauli,
+    pauli_coefficients,
+)
 from lindblad2.errors import (
     LindbladError,
     NotCPError,
     NotHermitianError,
     NotSymmetricError,
+    NotUnitError,
 )
 from lindblad2.forms import gram_condition_margins, require_symmetric
 
@@ -693,6 +703,24 @@ def test_plane_projector_matches_dissipation_matrix():
         assert np.allclose(
             dissipation_matrix(fb), 0.5 * rate * plane_projector(axis)
         )
+
+
+@pytest.mark.parametrize("stretch", [1.0 + 9e-10, 1.0 - 9e-10])
+def test_near_unit_axis_is_stored_as_a_unit_vector(stretch):
+    # An axis accepted within UNIT_TOL is n / |n| for every reader: the
+    # projector P = (1/2)(I + n . sigma) of Form B is then a projector, so
+    # its action is Form A's, and the Form C matrix it gives is CP.
+    eps = np.finfo(float).eps
+    n = stretch * np.array([0.0, 0.6, 0.8])
+    fb = FormB(terms=[(1.0, n)])
+    assert abs(np.linalg.norm(fb.terms[0][1]) - 1.0) <= 2 * eps
+    p = plane_projector(n)
+    assert np.max(np.abs(p @ p - p)) <= 4 * eps
+    m = matrix_from_pauli(0.5, [0.05, 0.1, 0.15])
+    assert np.max(np.abs(apply_dissipator(fb, m) - apply_dissipator(form_a_from_form_b(fb), m))) <= 1e-15
+    assert is_completely_positive(dissipation_matrix(fb))[0].cp
+    with pytest.raises(NotUnitError):
+        FormB(terms=[(1.0, (1.0 + 2e-9) * np.array([0.0, 0.6, 0.8]))])
 
 
 def test_form_b_rejects_bad_terms():
