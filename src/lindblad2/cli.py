@@ -230,13 +230,13 @@ def _dissipator(model: Model):
 
 
 def _gate_cp(model: Model):
-    """Return (L, terms) of a CP dissipator; raise NotCPError otherwise."""
-    ell, verdict, fb = _dissipator(model)
+    """Return the terms of a CP dissipator; raise NotCPError otherwise."""
+    _, verdict, fb = _dissipator(model)
     if not verdict.cp:
         raise NotCPError(
             f"dissipator is not completely positive: condition {verdict.reason} violated"
         )
-    return ell, fb
+    return fb
 
 
 # ---------------------------------------------------------------------------
@@ -261,10 +261,10 @@ def cmd_check(model: Model, args) -> int:
 
 
 def cmd_convert(model: Model, args) -> int:
-    ell, fb = _gate_cp(model)
+    fb = _gate_cp(model)
     target = args.to
     if target == "E":
-        fe = form_e_pack(ell)
+        fe = form_e_pack(dissipation_matrix(fb))
         print("form: E")
         for name in ("a", "b", "c", "alpha", "beta", "gamma"):
             print(f"{name} = {_fmt(getattr(fe, name))}")
@@ -289,7 +289,7 @@ def cmd_convert(model: Model, args) -> int:
 
 
 def cmd_reduce(model: Model, args) -> int:
-    fb = _gate_cp(model)[1]
+    fb = _gate_cp(model)
     before = dissipation_matrix(fb)
     fb_min, index = reduce_terms(fb)
     # In units of the largest entry, so neither side can overflow.
@@ -317,7 +317,7 @@ def _distances(states, limit) -> np.ndarray:
 def _flow(model: Model):
     """(initial state, verdict, limit, Generator) of a CP model, from
     :func:`asymptotics._model_flow`, which verify_asymptote reads too."""
-    fb = _gate_cp(model)[1]
+    fb = _gate_cp(model)
     # Imported once the model passes the gate, so that check, convert,
     # reduce and a refused run never compile the integrators.
     from .asymptotics import _model_flow

@@ -65,28 +65,40 @@ def frobenius_normalized(a: np.ndarray) -> np.ndarray:
 
 
 def require_hermitian(m: np.ndarray, what: str = "matrix", size: int = 2) -> np.ndarray:
-    """Validate a finite hermitian size x size matrix and return it as complex."""
+    """Validate a finite size x size matrix and return its hermitian part as
+    complex.
+
+    The defect max|m - m^H| may be at most HERMITIAN_TOL times the largest
+    |entry|, whatever the scale of the entries. The defect is taken as
+    2 max|half - half^H| and the part as half + half^H, with half = m / 2,
+    so neither overflows; a matrix with defect 0 is returned as is (an
+    asymmetry of one subnormal ulp halves to 0).
+    """
     m = np.asarray(m, dtype=complex)
     # Every |z| here is a hypot. Python's may differ from numpy's in the last
     # bit, and raises OverflowError where numpy's gives inf, so Python's only
     # passes a matrix clearly inside both bounds (every |entry| below 2^1023,
     # finite wherever it is taken) and numpy's judges the rest.
     try:
-        rows = m.tolist() if m.shape == (size, size) else [[math.nan]]
-        clear = all(abs(z) < 2.0**1023 for row in rows for z in row) and max(
-            abs(rows[i][j] - rows[j][i].conjugate()) for i in range(size) for j in range(i, size)
-        ) <= HERMITIAN_TOL * (1.0 - HYPOT_SLACK)
+        rows = m.tolist() if m.shape == (size, size) else [[math.nan] * size] * size
+        moduli = [abs(z) for row in rows for z in row]
+        defect = 2.0 * max(
+            abs(0.5 * rows[i][j] - (0.5 * rows[j][i]).conjugate()) for i in range(size) for j in range(i, size)
+        )
+        clear = all(x < 2.0**1023 for x in moduli) and (
+            defect <= HERMITIAN_TOL * (1.0 - HYPOT_SLACK) * max(moduli)
+        )
     except OverflowError:
         clear = False
-    if clear:
-        return m
-    # The largest |entry| is NaN or inf exactly when some entry is.
-    if m.shape != (size, size) or not float(abs(m).max()) < math.inf:
-        raise NotHermitianError(f"{what} must be a finite {size}x{size} matrix")
-    defect = float(abs(m - m.conj().T).max())
-    if defect > HERMITIAN_TOL:
-        raise NotHermitianError(f"{what} is not hermitian (defect {defect:.3e})")
-    return m
+    if not clear:
+        # The largest |entry| is NaN or inf exactly when some entry is; both
+        # are refused before numpy halves an entry, which would warn.
+        if m.shape != (size, size) or not (peak := float(abs(m).max())) < math.inf:
+            raise NotHermitianError(f"{what} must be a finite {size}x{size} matrix")
+        defect = 2.0 * float(abs(0.5 * m - (0.5 * m).conj().T).max())
+        if defect > HERMITIAN_TOL * peak:
+            raise NotHermitianError(f"{what} is not hermitian (defect {defect:.3e})")
+    return m if defect == 0.0 else 0.5 * m + (0.5 * m).conj().T
 
 
 def pauli_coefficients(m: np.ndarray) -> tuple[complex, np.ndarray]:
@@ -141,7 +153,8 @@ def density_from_bloch(r) -> DensityState:
 
 def bloch_from_density(m) -> np.ndarray:
     """Extract the Bloch vector r_a = Re tr(m sigma_a) of a hermitian,
-    unit-trace density matrix, each within HERMITIAN_TOL and TRACE_TOL."""
+    unit-trace density matrix: hermitian within HERMITIAN_TOL of its largest
+    |entry| (see require_hermitian), and of trace 1 within TRACE_TOL."""
     m = require_hermitian(m, what="density matrix")
     tr = m[0, 0].real + m[1, 1].real
     if abs(tr - 1.0) > TRACE_TOL:

@@ -87,7 +87,10 @@ def plane_projector(n) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class FormA:
-    """Dissipator given by hermitian Lindblad operators; none is D = 0."""
+    """Dissipator given by hermitian Lindblad operators; none is D = 0. An
+    operator that is hermitian within HERMITIAN_TOL of its largest |entry|
+    is accepted and stored as its hermitian part (see require_hermitian), so
+    every reader of the operators sees the same dissipator."""
 
     operators: tuple
 
@@ -486,32 +489,6 @@ def form_e_unpack(fe: FormE) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Trace split and the effective-Hamiltonian shift
-# ---------------------------------------------------------------------------
-
-
-def trace_split(a) -> tuple:
-    """Split A = B + s*I with tr(B) = 0; returns (B, s) with s = tr(A)/2."""
-    a = np.asarray(a, dtype=complex)
-    s = pauli_coefficients(a)[0]
-    return a - s * IDENTITY2, complex(s)
-
-
-def delta_hamiltonian(splits) -> np.ndarray:
-    """Hamiltonian shift (i/2) sum_j (s_j B_j^dag - s_j^* B_j).
-
-    ``splits`` are (B_j, s_j) pairs from :func:`trace_split`. Moving the
-    identity parts of the Lindblad operators into the coherent term produces
-    this hermitian correction; it vanishes whenever every operator is
-    hermitian (real s_j, hermitian B_j).
-    """
-    out = np.zeros((2, 2), dtype=complex)
-    for b, s in splits:
-        out += 0.5j * (s * b.conj().T - np.conj(s) * b)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # GKS coefficient matrix
 # ---------------------------------------------------------------------------
 
@@ -536,11 +513,13 @@ def gks_minimal(c) -> FormA:
     column j of q gives the hermitian operator B_j = sum_k q_kj F_k, one
     per pivot above the RANK_TOL floor, so at most three. Returns them as a
     FormA in pivot order, so gks_minimal(gks_matrix(fa)) is again a FormA;
-    c = 0 yields the zero dissipator FormA(operators=()). Raises NotCPError
-    as gram_decompose does when c is not PSD.
+    c = 0 yields the zero dissipator FormA(operators=()). c must be
+    hermitian, and its hermitian part real, each within HERMITIAN_TOL of its
+    largest |entry| (see require_hermitian); raises NotHermitianError
+    otherwise, and NotCPError as gram_decompose does when c is not PSD.
     """
     c = require_hermitian(c, what="coefficient matrix", size=3)
-    if float(abs(c.imag).max()) > HERMITIAN_TOL:
+    if float(abs(c.imag).max()) > HERMITIAN_TOL * float(abs(c).max()):
         raise NotHermitianError(
             "coefficient matrix has a complex part; only real symmetric "
             "matrices (hermitian Lindblad operators) are supported"

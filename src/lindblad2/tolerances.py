@@ -5,8 +5,13 @@ precision, where exact algebra holds to ~1e-14. The bands below leave
 headroom for accumulated integration error on top of that.
 """
 
-# Matrix/vector validation.
+# Largest accepted defect max|m - m^H| of a hermitian matrix (a Lindblad
+# operator, a "rho", a GKS coefficient matrix), relative to its largest
+# |entry|, so the check does not depend on the units; require_hermitian
+# returns the hermitian part of every matrix it accepts.
 HERMITIAN_TOL = 1e-9
+
+# Matrix/vector validation.
 TRACE_TOL = 1e-9
 UNIT_TOL = 1e-9
 

@@ -38,18 +38,6 @@ def random_cp_matrix(rng, terms: int = 3) -> np.ndarray:
     return dissipation_matrix(random_form_b(rng, terms))
 
 
-def general_dissipator(ops, m) -> np.ndarray:
-    """Reference dissipator for arbitrary (possibly non-hermitian) operators:
-    (1/2) sum_j (A_j^dag A_j m + m A_j^dag A_j - 2 A_j m A_j^dag)."""
-    m = np.asarray(m, dtype=complex)
-    out = np.zeros((2, 2), dtype=complex)
-    for op in ops:
-        op = np.asarray(op, dtype=complex)
-        sq = op.conj().T @ op
-        out += 0.5 * (sq @ m + m @ sq) - op @ m @ op.conj().T
-    return out
-
-
 def dissipator_action_table(form) -> np.ndarray:
     """Stacked action of a dissipator on the four basis operators."""
     from lindblad2 import apply_dissipator

@@ -492,11 +492,11 @@ PUBLIC_NAMES = {
         "core",
     ),
     **dict.fromkeys(
-        ["FormA", "FormB", "FormE", "apply_dissipator", "delta_hamiltonian", "dissipation_from_gram",
+        ["FormA", "FormB", "FormE", "apply_dissipator", "dissipation_from_gram",
          "dissipation_matrix", "form_a_from_form_b", "form_a_to_form_b", "form_b_from_dissipation",
          "form_b_from_gram", "form_e_pack", "form_e_unpack", "gks_matrix", "gks_minimal",
          "gram_decompose", "gram_from_dissipation", "gram_from_form_b", "plane_projector",
-         "reduce_terms", "trace_split"],
+         "reduce_terms"],
         "forms",
     ),
     **dict.fromkeys(
@@ -519,8 +519,8 @@ PUBLIC_NAMES = {
 
 def test_lazy_namespace_keeps_todays_names():
     # In a fresh process, where no submodule is loaded yet: star-import binds
-    # the same 61 names, dir() lists them, and each is its home module's.
-    assert len(PUBLIC_NAMES) == 61
+    # the same 59 names, dir() lists them, and each is its home module's.
+    assert len(PUBLIC_NAMES) == 59
     script = (
         "import importlib, json, lindblad2\n"
         "listed = dir(lindblad2)\n"
@@ -708,6 +708,20 @@ def test_convert_gks_is_half_the_gram_matrix_of_the_printed_terms(capsys):
             wrong.append(path.name)
     assert "dephasing.json" in checked and "operators.json" in checked
     assert wrong == []
+
+
+def test_convert_e_packs_the_terms_convert_b_prints(capsys):
+    # L = diag(1, 1, -5e-11) is CP within the gate's slack. Every convert
+    # target prints its certificate, one term of rate 2.00000000005 on z,
+    # whose Form E has gamma = 0, not the -2.5e-11 of the input L.
+    path = model("matrix_slack")
+    code, out, _ = run_cli(["--model", path, "convert", "--to", "B"], capsys)
+    assert code == 0 and out.splitlines()[2:] == ["  lambda=2.00000000005 n=(0, 0, 1)"]
+    code, out, _ = run_cli(["--model", path, "convert", "--to", "E"], capsys)
+    assert code == 0
+    assert out.splitlines() == [
+        "form: E", "a = 0.5000000000125", "b = 0", "c = 0", "alpha = 0.5000000000125", "beta = 0", "gamma = 0",
+    ]
 
 
 def test_module_entry_point_smoke(tmp_path):
@@ -1107,7 +1121,7 @@ def test_asymptote_and_verify_asymptote_share_one_flow(name, capsys):
     from lindblad2.cli import _fmt, _fmt_vector, _gate_cp, load_model
 
     loaded = load_model(model(name))
-    report = verify_asymptote(loaded.hamiltonian, _gate_cp(loaded)[1], loaded.initial)
+    report = verify_asymptote(loaded.hamiltonian, _gate_cp(loaded), loaded.initial)
     code, out, _ = run_cli(["--model", model(name), "asymptote"], capsys)
     assert code == 0
     assert out.splitlines()[-2:] == [f"limit: {_fmt_vector(report.limit)}", f"gap: {_fmt(report.gap)}"]

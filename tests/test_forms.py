@@ -8,7 +8,6 @@ from conftest import (
     PAULI_BASIS,
     dissipator_action_table,
     forms_of,
-    general_dissipator,
     random_axis,
     random_form_a,
     random_form_b,
@@ -18,10 +17,12 @@ from lindblad2 import (
     FormA,
     FormB,
     FormE,
+    Hamiltonian,
     apply_dissipator,
-    delta_hamiltonian,
+    density_from_bloch,
     dissipation_from_gram,
     dissipation_matrix,
+    evolve_density,
     form_a_from_form_b,
     form_a_to_form_b,
     form_b_from_dissipation,
@@ -36,7 +37,6 @@ from lindblad2 import (
     is_completely_positive,
     plane_projector,
     reduce_terms,
-    trace_split,
 )
 from lindblad2.core import (
     IDENTITY2,
@@ -87,6 +87,29 @@ def test_form_a_rejects_non_hermitian():
     for op in (SIGMA_X + 1j * SIGMA_Y, np.zeros((2, 3)), np.full((2, 2), np.nan)):
         with pytest.raises(NotHermitianError):
             FormA(operators=(op,))
+
+
+def test_form_a_slack_is_relative_to_the_operator():
+    # A defect of 9e-10 is 9e-6 of this operator's entries, far past the
+    # slack of 1e-9 of its largest |entry|, however small that entry is.
+    with pytest.raises(NotHermitianError, match="defect 9.000e-10"):
+        FormA(operators=(np.array([[0.0, 1e-4 + 9e-10j], [1e-4, 0.0]]),))
+
+
+def test_form_a_stores_the_hermitian_part():
+    # A defect of 9e-14 is 9e-10 of the entries, inside the slack. The
+    # operator is stored as its hermitian part, so the density picture,
+    # where the Lindblad form needs A^dag, keeps rho hermitian and ends
+    # where the Form B path does.
+    op = np.array([[0.0, 1e-4 + 9e-14j], [1e-4, 0.0]])
+    fa = FormA(operators=(op,))
+    assert np.array_equal(fa.operators[0], fa.operators[0].conj().T)
+    assert np.array_equal(fa.operators[0], 0.5 * op + 0.5 * op.conj().T)
+    h, rho0 = Hamiltonian(h=[0.0, 0.0, 0.0]), density_from_bloch([0.1, 0.2, 0.3])
+    run_a = evolve_density(h, fa, rho0, 2e7, 2e4)
+    run_b = evolve_density(h, form_a_to_form_b(fa), rho0, 2e7, 2e4)
+    assert run_a.max_herm_dev <= 1e-14
+    assert np.max(np.abs(run_a.states[-1] - run_b.states[-1])) <= 1e-15
 
 
 def test_dissipation_matrix_examples():
@@ -495,58 +518,6 @@ def test_form_e_round_trip_random():
 
 
 # ---------------------------------------------------------------------------
-# Trace split and Hamiltonian shift
-# ---------------------------------------------------------------------------
-
-
-def test_trace_split_examples():
-    traceless, scalar = trace_split(SIGMA_Z)
-    assert np.allclose(traceless, SIGMA_Z)
-    assert scalar == 0.0
-    assert np.max(np.abs(delta_hamiltonian([(traceless, scalar)]))) < 1e-15
-
-    traceless, scalar = trace_split(IDENTITY2 + SIGMA_X)
-    assert np.allclose(traceless, SIGMA_X)
-    assert scalar == pytest.approx(1.0)
-    assert np.max(np.abs(delta_hamiltonian([(traceless, scalar)]))) < 1e-15
-
-
-def test_delta_hamiltonian_traceless_non_hermitian_vanishes():
-    # A = sigma_x + i sigma_y is traceless, so s = 0 and the shift is zero by
-    # direct evaluation of (i/2)(s B^dag - s* B).
-    split = trace_split(SIGMA_X + 1j * SIGMA_Y)
-    assert split[1] == 0.0
-    assert np.max(np.abs(delta_hamiltonian([split]))) < 1e-15
-
-
-def test_delta_hamiltonian_complex_trace():
-    # Hand-evaluated: A = (1+2i) I + sigma_x + i sigma_y gives
-    # dH = -2 sigma_x + sigma_y.
-    a = (1.0 + 2.0j) * IDENTITY2 + SIGMA_X + 1j * SIGMA_Y
-    dh = delta_hamiltonian([trace_split(a)])
-    assert np.max(np.abs(dh - dh.conj().T)) < 1e-14
-    assert np.allclose(dh, -2.0 * SIGMA_X + SIGMA_Y)
-
-
-def test_trace_split_shift_identity_random():
-    # For any operators: D[rho] = -i[dH, rho] + D'[rho] with D' built from
-    # the traceless parts, checked against the general reference dissipator.
-    rng = np.random.default_rng(41)
-    for _ in range(100):
-        ops = [
-            rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(3)
-        ]
-        splits = [trace_split(op) for op in ops]
-        dh = delta_hamiltonian(splits)
-        rho = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        lhs = general_dissipator(ops, rho)
-        rhs = -1j * (dh @ rho - rho @ dh) + general_dissipator(
-            [traceless for traceless, _ in splits], rho
-        )
-        assert np.max(np.abs(lhs - rhs)) < 1e-12
-
-
-# ---------------------------------------------------------------------------
 # GKS coefficient matrix
 # ---------------------------------------------------------------------------
 
@@ -585,7 +556,7 @@ def _gks_matrix_by_traces(fa):
     basis = SIGMA / np.sqrt(2.0)
     coeff = np.empty((3, len(fa.operators)), dtype=complex)
     for j, op in enumerate(fa.operators):
-        b, _ = trace_split(op)
+        b = op - 0.5 * np.trace(op) * IDENTITY2
         for k in range(3):
             coeff[k, j] = np.trace(basis[k] @ b)
     return coeff @ coeff.conj().T

@@ -1,8 +1,10 @@
 """Property tests: the minimal number of Lindblad terms is the rank of the
 Gram matrix M, whatever the units of the rates, and gks_minimal rebuilds
 its GKS matrix; the round trips through M and through Form A give back L,
-and a minimal FormB is its own reduction, at every scale; a Gram matrix at the edge
-of the CP slack gets a consistent verdict and certificate at every scale;
+and a minimal FormB is its own reduction, at every scale; a Form A
+operator and a GKS matrix near the hermiticity slack get one verdict at
+every scale; a Gram matrix at the edge of the CP slack gets a consistent
+verdict and certificate at every scale;
 the CP gate gives the bits of the separate public routes at every scale;
 every CP route, gks_minimal among them, says CP exactly when a 50-digit
 smallest eigenvalue of M does, even where the minors hide a negative one,
@@ -25,6 +27,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lindblad2 import (
+    FormA,
     FormB,
     build_generator,
     evolve_expm,
@@ -51,7 +54,7 @@ from lindblad2 import (
 )
 from lindblad2.asymptotics import MAXIMALLY_MIXED
 from lindblad2.cli import main
-from lindblad2.errors import NotCPError
+from lindblad2.errors import LindbladError, NotCPError
 from lindblad2.tolerances import CHOI_TOL, PSD_TOL, RANK_TOL, REDUCE_DRIFT_TOL
 
 # Smallest singular value of the matrix of unit axes: the terms of a drawn
@@ -115,6 +118,48 @@ def test_a_minimal_form_b_is_its_own_reduction(case):
         fb_min, index = reduce_terms(x)
         assert fb_min is x and index == len(x.terms)
         assert reduce_terms(x) is reduce_terms(x)
+
+
+@st.composite
+def nearly_hermitian_matrices(draw, size):
+    """(m, k): a hermitian size x size matrix (for size 3 the PSD a a^T of a
+    real a, a GKS matrix) plus complex noise of 1e-11 to 1e-7 of its largest
+    |entry|, so that its defect falls on either side of the HERMITIAN_TOL
+    slack, and a binary exponent k in [-500, 500]."""
+    unit = st.integers(-10**6, 10**6).map(lambda n: n / 10**6)
+    a = np.array([[complex(draw(unit), draw(unit)) for _ in range(size)] for _ in range(size)])
+    h = a + a.conj().T if size == 2 else a.real @ a.real.T
+    peak = float(np.max(np.abs(h)))
+    assume(peak > 0.0)
+    noise = np.array([[complex(draw(unit), draw(unit)) for _ in range(size)] for _ in range(size)])
+    return h + 10.0 ** draw(st.floats(-11.0, -7.0)) * peak * noise, draw(st.integers(-500, 500))
+
+
+def _operator_count(fn, m):
+    """len(fn(m).operators), or the name of the LindbladError fn raises."""
+    try:
+        return len(fn(m).operators)
+    except LindbladError as exc:
+        return type(exc).__name__
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(nearly_hermitian_matrices(2))
+def test_form_a_verdict_is_the_same_at_every_scale(case):
+    # The slack is relative: scaling an operator by 2^k changes no verdict.
+    m, k = case
+    verdicts = {_operator_count(lambda x: FormA(operators=(x,)), m * 2.0**j) for j in (0, k, -500, 500)}
+    assert len(verdicts) == 1
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(nearly_hermitian_matrices(3))
+def test_gks_minimal_verdict_is_the_same_at_every_scale(case):
+    # The defect and the complex part are judged relative to c, so scaling
+    # c by 2^k changes neither the verdict nor the number of operators.
+    c, k = case
+    verdicts = {_operator_count(gks_minimal, c * 2.0**j) for j in (0, k, -500, 500)}
+    assert len(verdicts) == 1
 
 
 @st.composite

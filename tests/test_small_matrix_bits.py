@@ -47,12 +47,13 @@ def old_frobenius_normalized(a):
 
 def old_require_hermitian(m, what="matrix", size=2):
     m = np.asarray(m, dtype=complex)
-    if m.shape != (size, size) or not float(abs(m).max()) < math.inf:
+    if m.shape != (size, size) or not (peak := float(abs(m).max())) < math.inf:
         raise NotHermitianError(f"{what} must be a finite {size}x{size} matrix")
-    defect = float(abs(m - m.conj().T).max())
-    if defect > HERMITIAN_TOL:
+    half = 0.5 * m
+    defect = 2.0 * float(abs(half - half.conj().T).max())
+    if defect > HERMITIAN_TOL * peak:
         raise NotHermitianError(f"{what} is not hermitian (defect {defect:.3e})")
-    return m
+    return m if defect == 0.0 else half + half.conj().T
 
 
 def old_scaled_gram(ell):
@@ -319,8 +320,9 @@ def test_matrix_from_pauli_keeps_its_bits(c0, im0, parts):
 @st.composite
 def complex_matrices(draw):
     """A 2x2 or 3x3 complex matrix: hermitian, hermitian but for one entry
-    whose defect is just above or below HERMITIAN_TOL, with a NaN or an
-    infinity, with an |entry| past the largest double, or arbitrary."""
+    whose defect is just above or below HERMITIAN_TOL times the largest
+    |entry|, with a NaN or an infinity, with an |entry| past the largest
+    double, or arbitrary."""
     size = draw(st.sampled_from((2, 3)))
     part = st.builds(lambda m, k: m * 10.0**k, st.floats(-1.0, 1.0), st.integers(-12, 3))
     m = np.array([[complex(draw(part), draw(part)) for _ in range(size)] for _ in range(size)])
@@ -329,7 +331,8 @@ def complex_matrices(draw):
     i, j = draw(st.sampled_from([(i, j) for i in range(size) for j in range(size)]))
     if kind == "defect":
         phase = complex(*draw(st.sampled_from(((1.0, 0.0), (0.0, 1.0), (0.6, 0.8), (-0.8, 0.6)))))
-        m[i, j] = m[j, i].conjugate() + draw(st.floats(0.98, 1.02)) * HERMITIAN_TOL * phase
+        peak = float(abs(m).max())
+        m[i, j] = m[j, i].conjugate() + draw(st.floats(0.98, 1.02)) * HERMITIAN_TOL * peak * phase
     elif kind == "non-finite":
         m[i, j] = complex(draw(st.sampled_from(NON_FINITE)), draw(finite))
     elif kind == "huge":
@@ -341,9 +344,10 @@ def complex_matrices(draw):
 
 @SETTINGS
 @given(complex_matrices())
-# numpy's |z| of this defect is 1.0000000000000003e-09, past HERMITIAN_TOL,
-# and Python's is 1e-09, within it: numpy's must judge it.
-@example((2, np.array([[0.0, complex(2.207172033546027e-11, -9.997563899077782e-10)], [0.0, 0.0]])))
+# The largest |entry| is 1. numpy's |z| of this defect is
+# 1.0000000000000003e-09, past HERMITIAN_TOL times 1, and Python's is 1e-09,
+# within it: numpy's must judge it.
+@example((2, np.array([[1.0, complex(2.207172033546027e-11, -9.997563899077782e-10)], [0.0, 0.0]])))
 def test_require_hermitian_refuses_alike(case):
     size, m = case
     assert outcome(core.require_hermitian, m, "A", size) == outcome(old_require_hermitian, m, "A", size)
